@@ -6,7 +6,7 @@ and rotation numbers are controlled by approximation functions of
 Brjuno-Russmann type; every step emits machine-checkable residuals.
 """
 
-from .torus_fourier import TorusMap, exp_map, mode_modulus, weighted_norm
+from .torus_fourier import TorusMap, exp_map, mode_modulus
 from .sl2_algebra import EigenData, eigen, lm_inverse, lm_dense_solve, operator_bound_check
 from .arithmetics import (
     ApproxFn,
@@ -55,7 +55,6 @@ from .kam_driver import (
 from .rotation_number import (
     RotationEstimate,
     StepTooLarge,
-    check_rho_arithmetic,
     rho_of_constant,
     rotation_number,
     verify_additivity,

@@ -119,9 +119,6 @@ class ExpPowFn(ApproxFn):
     def log_value(self, t):
         return np.asarray(t, dtype=float) ** self.alpha
 
-    def inverse(self, x: float) -> float:
-        return self.log_inverse(math.log(x)) if x > 1 else 1.0
-
     def log_inverse(self, logx: float) -> float:
         return max(1.0, logx ** (1.0 / self.alpha))
 
@@ -148,9 +145,6 @@ class ExpLogFn(ApproxFn):
         t = np.asarray(t, dtype=float)
         denom = np.maximum(np.log(np.maximum(t, 1.0)), self.delta) ** self.delta
         return t / denom
-
-    def inverse(self, x: float) -> float:
-        return self.log_inverse(math.log(x)) if x > 1 else 1.0
 
     def log_inverse(self, logx: float) -> float:
         if logx <= float(self.log_value(1.0)):
@@ -209,9 +203,6 @@ class ProductFn(ApproxFn):
     def __init__(self, f: ApproxFn, g: ApproxFn):
         self.f = f
         self.g = g
-
-    def value(self, t):
-        return np.exp(self.log_value(t))
 
     def log_value(self, t):
         return self.f.log_value(t) + self.g.log_value(t)

@@ -27,6 +27,7 @@ import numpy as np
 
 from . import __version__
 from .arithmetics import (
+    FULL_SCAN_LIMIT,
     ApproxFn,
     DivergentIntegral,
     ProductFn,
@@ -34,6 +35,7 @@ from .arithmetics import (
     check_nr_omega,
     fit_G,
     fit_kappa,
+    l1_ball_size,
     ratio_bounded,
     tail_integral,
 )
@@ -149,6 +151,11 @@ class RunConfig:
 
     def resolve_kappa(self, G: ApproxFn) -> float:
         if self.kappa == "fit":
+            d = self.omega.size
+            # only d = 2 has a windowed scan past the exhaustive ball
+            if d > 2 and l1_ball_size(self.fit_N, d) > FULL_SCAN_LIMIT:
+                raise ConfigError("fit_N", f"the l1 ball of order {self.fit_N} in d = {d} "
+                                  f"exceeds the {FULL_SCAN_LIMIT:,}-point exhaustive scan")
             return fit_kappa(self.omega, G, self.fit_N)
         return float(self.kappa)
 
@@ -333,7 +340,8 @@ def cmd_check_arith(args) -> int:
             for i in range(fit_n):
                 m = G_fit.argmins[i]
                 fh.write(f"{i + 1},{G_fit.vals[i]!r},{';'.join(str(v) for v in m)}\n")
-    except ArithmeticError as exc:
+    except (ArithmeticError, ValueError) as exc:
+        # rational dependence, or an order past the tabulating scan
         report["fit_kappa"] = None
         report["fit_error"] = str(exc)
     # the ratio condition constrains the (g, G) pairing for the

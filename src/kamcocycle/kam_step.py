@@ -25,8 +25,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .arithmetics import ApproxFn, check_nr_alpha, scan_min_weighted_distance
-from .sl2_algebra import BoundViolation, DefectiveConstantPart, alpha_of, eigen, lm_inverse
-from .torus_fourier import DEFAULT_MODE_CAP, TorusMap, exp_series_tail
+from .sl2_algebra import BoundViolation, DefectiveConstantPart, eigen, lm_solve
+from .torus_fourier import DEFAULT_MODE_CAP, TorusMap, exp_series_tail, project_traceless
 
 
 class MultipleResonances(Exception):
@@ -188,18 +188,12 @@ def solve_homological(Atilde, F: TorusMap, N: int, omega, kappa: float,
     if F.lattice != "integer":
         raise ValueError("the homological equation lives on the integer lattice")
     B = np.asarray(Atilde, dtype=complex)
-    if alpha is None:
-        alpha = alpha_of(B)
     FN = F.truncate(N)
-    modes = []
-    for i in range(FN.n_modes):
-        hk = FN.half_k[i]
-        if not hk.any():
-            continue
-        m_int = hk // 2
-        rhs = a_prime * FN.coeffs[i]
-        modes.append((tuple(hk), lm_inverse(m_int, omega, B, rhs, alpha=alpha)))
-    X = TorusMap.from_modes(F.d, modes, reality=F.reality and _is_real_matrix(B))
+    nonzero = FN.half_k.any(axis=1)
+    hk = FN.half_k[nonzero]
+    X = TorusMap(F.d, hk, lm_solve(hk // 2, omega, B, a_prime * FN.coeffs[nonzero],
+                                   alpha=alpha),
+                 reality=F.reality and _is_real_matrix(B))
     x_norm = X.weighted_norm(r_prime)
     bound = 4.0 * a_prime * float(G.value(N)) * float(g.value(N)) \
         * FN.weighted_norm(r_prime) / kappa
@@ -221,14 +215,6 @@ def _realify(M: np.ndarray, what: str, tol: float = 1e-9) -> np.ndarray:
         raise ArithmeticError(
             f"{what} has imaginary residue {defect:.3e}; the reduction left sl(2,R)")
     return np.ascontiguousarray(M.real, dtype=float)
-
-
-def _traceless(M: np.ndarray) -> np.ndarray:
-    tr = (M[0, 0] + M[1, 1]) / 2.0
-    out = M.copy()
-    out[0, 0] -= tr
-    out[1, 1] -= tr
-    return out
 
 
 def step_nonresonant(A, F: TorusMap, r: float, r_prime: float, N: int,
@@ -273,7 +259,7 @@ def step_nonresonant(A, F: TorusMap, r: float, r_prime: float, N: int,
     Q, tail_m = exp_series_tail(X.scale(-1.0), r_prime, ctx.exp_tol)
 
     F0 = F.coeff(np.zeros(F.d, dtype=np.int64))
-    A_next = _traceless(_realify(A + a_prime * F0, "A'"))
+    A_next = project_traceless(_realify(A + a_prime * F0, "A'"))
     d = F.d
     cA = TorusMap.constant(A, d)
     # F' solves d_omega e^X = (A + F) e^X - e^X (A' + F').  Expanding
@@ -350,7 +336,7 @@ def step_resonant(A, F: TorusMap, r: float, N: int, a: float, c0: float,
     alpha_t = resonance.alpha_shifted
     if abs(alpha_t) >= ctx.kappa / (4.0 * float(ctx.G.value(N))) * (1.0 + 1e-9):
         raise BoundViolation("shifted eigenvalue escaped the kappa/(4G(N)) disc")
-    Atilde = _traceless(_realify(Atilde_c, "Atilde"))
+    Atilde = project_traceless(_realify(Atilde_c, "Atilde"))
     F_t = Phi_inv.mul(F).mul(Phi)
     if F_t.lattice != "integer":
         raise ArithmeticError("conjugated perturbation left the integer lattice")

@@ -21,7 +21,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arithmetics import ApproxFn, NrReport, check_nr_rho
 from .sl2_algebra import alpha_of
 from .torus_fourier import TorusMap, op_norms
 
@@ -202,8 +201,3 @@ def verify_additivity(rho_full: float, B_final, trace, omega,
                             defect=defect, allowance=allowance,
                             rho_constant=rho_b, rotation_sum=rot_sum)
 
-
-def check_rho_arithmetic(rho: float, omega, kappa_prime: float, g: ApproxFn,
-                         N: int) -> NrReport:
-    """Does rho keep the distance kappa'/g(|m|) from every pi*<m, omega>?"""
-    return check_nr_rho(rho, omega, kappa_prime, g, N)

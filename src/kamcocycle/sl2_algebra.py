@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .torus_fourier import op_norm_2x2
+from .torus_fourier import op_norm_2x2, project_traceless
 
 
 class SingularOperator(Exception):
@@ -106,19 +106,16 @@ def eigen(A, tol_defect: float = 1e-12) -> EigenData:
     return EigenData(alpha=alpha, P=P, P_inv=P_inv, defective=False)
 
 
-def lm_spectrum(m, omega, alpha: complex) -> tuple[complex, complex, complex]:
-    m = np.asarray(m, dtype=float)
-    omega = np.asarray(omega, dtype=float)
-    dm = 2j * math.pi * float(m @ omega)
+def lm_spectrum(m, omega, alpha: complex):
+    """The spectrum (d_m, d_m - 2 alpha, d_m + 2 alpha) of L_m, d_m = 2 i pi <m, omega>.
+
+    m is one mode (d,) or a stack of modes (n, d); each element then has
+    the matching shape, a scalar or an (n,) array.  Each <m, omega> is a
+    one-mode dot product (vecdot; a matrix-vector product rounds
+    differently), so a mode's solution does not depend on its batch.
+    """
+    dm = 2j * math.pi * np.vecdot(np.asarray(m, dtype=float), np.asarray(omega, dtype=float))
     return dm, dm - 2.0 * alpha, dm + 2.0 * alpha
-
-
-def _project_traceless(M: np.ndarray) -> np.ndarray:
-    tr = (M[0, 0] + M[1, 1]) / 2.0
-    out = M.copy()
-    out[0, 0] -= tr
-    out[1, 1] -= tr
-    return out
 
 
 def lm_dense_solve(m, omega, Atilde, rhs) -> np.ndarray:
@@ -132,38 +129,51 @@ def lm_dense_solve(m, omega, Atilde, rhs) -> np.ndarray:
         sol = np.linalg.solve(L, rhs.reshape(4))
     except np.linalg.LinAlgError as exc:
         raise SingularOperator(str(exc)) from exc
-    return _project_traceless(sol.reshape(2, 2))
+    return project_traceless(sol.reshape(2, 2))
+
+
+def lm_solve(ms, omega, Atilde, rhs, alpha: complex | None = None,
+             tol_defect: float = 1e-12) -> np.ndarray:
+    """Solve 2*i*pi*<m,omega> M - [Atilde, M] = rhs for trace-zero M, per mode.
+
+    ms is an (n, d) stack of modes and rhs the (n, 2, 2) stack of right-hand
+    sides; the (n, 2, 2) solutions are returned.  One eigendecomposition of
+    Atilde serves the whole stack; a defective Atilde is solved mode by mode
+    by the dense entrywise system.  Raises SingularOperator naming the first
+    mode with a spectrum element that is numerically zero.
+    """
+    B = np.asarray(Atilde, dtype=complex)
+    omega = np.asarray(omega, dtype=float)
+    ms = np.asarray(ms).reshape(-1, omega.size)
+    rhs = np.asarray(rhs, dtype=complex).reshape(-1, 2, 2)
+    if alpha is None:
+        alpha = alpha_of(B)
+    spectrum = lm_spectrum(ms, omega, alpha)
+    singular = np.flatnonzero(np.abs(spectrum).min(axis=0) < SPECTRUM_FLOOR)
+    if singular.size:
+        raise SingularOperator(f"spectrum element below {SPECTRUM_FLOOR:g} "
+                               f"for m={tuple(ms[singular[0]].tolist())}")
+    dm, dm_minus, dm_plus = spectrum
+    if op_norm_2x2(B) < tol_defect:
+        return project_traceless(rhs / dm[:, None, None])
+    ed = eigen(B, tol_defect=tol_defect)
+    if ed.defective:
+        return np.array([lm_dense_solve(m, omega, B, r) for m, r in zip(ms, rhs)],
+                        dtype=complex).reshape(-1, 2, 2)
+    R = ed.P_inv @ rhs @ ed.P
+    Mp = np.empty_like(R)
+    Mp[:, 0, 0] = (R[:, 0, 0] - R[:, 1, 1]) / (2.0 * dm)
+    Mp[:, 1, 1] = -Mp[:, 0, 0]
+    Mp[:, 0, 1] = R[:, 0, 1] / dm_minus
+    Mp[:, 1, 0] = R[:, 1, 0] / dm_plus
+    return project_traceless(ed.P @ Mp @ ed.P_inv)
 
 
 def lm_inverse(m, omega, Atilde, rhs, alpha: complex | None = None,
                tol_defect: float = 1e-12) -> np.ndarray:
-    """Solve 2*i*pi*<m,omega> M - [Atilde, M] = rhs for trace-zero M.
-
-    Solved in the eigenbasis of ad(Atilde) when Atilde is diagonalizable,
-    otherwise by the dense entrywise system.  Raises SingularOperator when a
-    spectrum element is numerically zero.
-    """
-    B = np.asarray(Atilde, dtype=complex)
-    rhs = np.asarray(rhs, dtype=complex)
-    if alpha is None:
-        alpha = alpha_of(B)
-    dm = 2j * math.pi * float(np.asarray(m, float) @ np.asarray(omega, float))
-    spectrum = (dm, dm - 2.0 * alpha, dm + 2.0 * alpha)
-    if min(abs(s) for s in spectrum) < SPECTRUM_FLOOR:
-        raise SingularOperator(
-            f"spectrum element below {SPECTRUM_FLOOR:g} for m={tuple(np.asarray(m))}")
-    norm_b = op_norm_2x2(B)
-    if norm_b < tol_defect:
-        return _project_traceless(rhs / dm)
-    ed = eigen(B, tol_defect=tol_defect)
-    if ed.defective:
-        return lm_dense_solve(m, omega, B, rhs)
-    R = ed.P_inv @ rhs @ ed.P
-    h = (R[0, 0] - R[1, 1]) / (2.0 * dm)
-    e = R[0, 1] / (dm - 2.0 * alpha)
-    f = R[1, 0] / (dm + 2.0 * alpha)
-    Mp = np.array([[h, e], [f, -h]], dtype=complex)
-    return _project_traceless(ed.P @ Mp @ ed.P_inv)
+    """Solve 2*i*pi*<m,omega> M - [Atilde, M] = rhs for one mode m: lm_solve
+    on a batch of one."""
+    return lm_solve(m, omega, Atilde, rhs, alpha=alpha, tol_defect=tol_defect)[0]
 
 
 def operator_bound_check(m, omega, Atilde, kappa: float, G, g, N: int) -> float:

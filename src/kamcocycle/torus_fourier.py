@@ -65,6 +65,15 @@ def op_norm_2x2(M: np.ndarray) -> float:
     return float(op_norms(np.asarray(M, dtype=complex)[None, :, :])[0])
 
 
+def project_traceless(M: np.ndarray) -> np.ndarray:
+    """Remove the trace part of 2x2 blocks (..., 2, 2): the sl(2) projection."""
+    out = np.array(M)
+    tr = (out[..., 0, 0] + out[..., 1, 1]) / 2.0
+    out[..., 0, 0] -= tr
+    out[..., 1, 1] -= tr
+    return out
+
+
 def mode_modulus(half_k) -> float:
     """l1 modulus of a frequency index: sum(|half_k_i|) / 2."""
     hk = np.asarray(half_k, dtype=np.int64)
@@ -82,11 +91,9 @@ class TorusMap:
         coeffs = np.asarray(coeffs, dtype=np.complex128).reshape(-1, 2, 2)
         if half_k.shape[0] != coeffs.shape[0]:
             raise ValueError("half_k and coeffs length mismatch")
-        if _canonical:
-            keys = _pack(half_k)
-        else:
-            keys = _pack(half_k)
-            order, keys, half_k, coeffs = _merge(keys, half_k, coeffs, d)
+        keys = _pack(half_k)
+        if not _canonical:
+            keys, half_k, coeffs = _merge(keys, half_k, coeffs, d)
             half_k, coeffs, keys = _prune(half_k, coeffs, keys)
         self.d = d
         self.half_k = half_k
@@ -306,11 +313,8 @@ class TorusMap:
 
     def trace_projected(self) -> "TorusMap":
         """Remove the trace part of every coefficient (sl(2) projection)."""
-        tr = (self.coeffs[:, 0, 0] + self.coeffs[:, 1, 1]) / 2.0
-        cf = self.coeffs.copy()
-        cf[:, 0, 0] -= tr
-        cf[:, 1, 1] -= tr
-        return TorusMap(self.d, self.half_k, cf, reality=self.reality,
+        return TorusMap(self.d, self.half_k, project_traceless(self.coeffs),
+                        reality=self.reality,
                         truncation_debt=self.truncation_debt, _canonical=True)
 
     def realified(self) -> "TorusMap":
@@ -370,9 +374,9 @@ def _merge(keys, half_k, coeffs, d):
     uk, inv = np.unique(keys, return_inverse=True)
     if uk.shape[0] == keys.shape[0]:
         order = np.argsort(keys, kind="stable")
-        return order, keys[order], half_k[order], coeffs[order]
+        return keys[order], half_k[order], coeffs[order]
     acc = _accumulate(coeffs, inv, uk.shape[0])
-    return None, uk, _unpack(uk, d), acc
+    return uk, _unpack(uk, d), acc
 
 
 def _accumulate(coeffs, inv, n_out):
@@ -391,36 +395,6 @@ def _prune(half_k, coeffs, keys):
     if keep.all():
         return half_k, coeffs, keys
     return half_k[keep], coeffs[keep], keys[keep]
-
-
-# -- module-level operation aliases (functional style) ----------------------
-
-def weighted_norm(F: TorusMap, r: float) -> float:
-    return F.weighted_norm(r)
-
-
-def truncate(F: TorusMap, N: float) -> TorusMap:
-    return F.truncate(N)
-
-
-def add(F: TorusMap, G: TorusMap) -> TorusMap:
-    return F.add(G)
-
-
-def scale(F: TorusMap, c) -> TorusMap:
-    return F.scale(c)
-
-
-def mul(F: TorusMap, G: TorusMap) -> TorusMap:
-    return F.mul(G)
-
-
-def dir_derivative(F: TorusMap, omega) -> TorusMap:
-    return F.dir_derivative(omega)
-
-
-def eval_map(F: TorusMap, theta) -> np.ndarray:
-    return F.eval(theta)
 
 
 def exp_series_tail(X: TorusMap, r: float, tol: float = 1e-30) -> tuple[TorusMap, float]:

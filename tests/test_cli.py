@@ -139,6 +139,17 @@ def test_cmd_run_precondition_exit_code(tmp_path):
     assert cert["status"] == "PreconditionFailure"
 
 
+def test_cmd_run_fit_kappa_beyond_exhaustive_ball_d3(tmp_path, capsys):
+    # at d = 3 only the exhaustive ball exists; fit_N = 200 exceeds it
+    cfg = base_config(kappa="fit", omega=[1.0, math.sqrt(2.0), math.sqrt(3.0)],
+                      V={"v0": 0.0, "modes": [{"m": [1, 1, 0], "c": 1e-12}]})
+    path = write_config(tmp_path, cfg)
+    assert main(["run", "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.strip().count("\n") == 0 and "fit_N" in err
+
+
 def test_cmd_run_batch_jobs(tmp_path):
     p1 = write_config(tmp_path, base_config(name="one"), "one.json")
     p2 = write_config(tmp_path, base_config(name="two"), "two.json")
@@ -176,6 +187,17 @@ def test_cmd_check_arith_failures(tmp_path):
     assert main(["check-arith", "--config", str(path2), "--N", "10"]) == 1
     report = json.loads((tmp_path / "arith_report.json").read_text())
     assert report["g_tail_2"] == "divergent"
+
+
+def test_cmd_check_arith_fit_order_beyond_tabulating_scan(tmp_path, capsys):
+    # l1_ball_size(1000, 2) is past the tabulating scan of fit_G
+    ladder = base_config(kappa="fit", cert_tol=1e-130, name="ladder", fit_N=1000)
+    path = write_config(tmp_path, ladder)
+    assert main(["check-arith", "--config", str(path), "--N", "1000"]) == 0
+    assert "Traceback" not in capsys.readouterr().err
+    report = json.loads((tmp_path / "arith_report.json").read_text())
+    assert report["fit_kappa"] is None
+    assert "too large" in report["fit_error"]
 
 
 # -- audit -----------------------------------------------------------------------

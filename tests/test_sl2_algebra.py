@@ -10,6 +10,7 @@ from kamcocycle.sl2_algebra import (
     eigen,
     lm_dense_solve,
     lm_inverse,
+    lm_solve,
     lm_spectrum,
     operator_bound_check,
 )
@@ -128,6 +129,60 @@ def test_lm_inverse_singular_signal():
     A = np.zeros((2, 2))
     with pytest.raises(SingularOperator):
         lm_inverse((1, 0), np.array([0.0, 1.0]), A, np.eye(2, dtype=complex))
+
+
+def test_lm_solve_batch_matches_dense_oracle():
+    rng = np.random.default_rng(29)
+    for _ in range(20):
+        A = random_traceless(rng, scale=rng.uniform(0.01, 2.0),
+                             real=bool(rng.integers(0, 2)))
+        ms = rng.integers(-4, 5, size=(40, 2))
+        spec = lm_spectrum(ms, GOLDEN, alpha_of(A))
+        ms = ms[np.abs(spec).min(axis=0) >= 1e-6]
+        rhs = np.array([random_traceless(rng, real=False) for _ in ms])
+        fast = lm_solve(ms, GOLDEN, A, rhs)
+        assert fast.shape == rhs.shape
+        # a mode's solution does not depend on the batch around it
+        np.testing.assert_array_equal(
+            fast, [lm_inverse(m, GOLDEN, A, r) for m, r in zip(ms, rhs)])
+        for m, r, M in zip(ms, rhs, fast):
+            dense = lm_dense_solve(m, GOLDEN, A, r)
+            scale = max(np.abs(dense).max(), 1e-30)
+            assert np.abs(M - dense).max() <= 1e-12 * scale
+
+
+def test_lm_solve_empty_batch():
+    A = np.array([[0.0, 1.0], [-2.0, 0.0]])
+    out = lm_solve(np.zeros((0, 2), dtype=np.int64), GOLDEN, A, np.zeros((0, 2, 2)))
+    assert out.shape == (0, 2, 2)
+
+
+def test_lm_solve_names_singular_mode():
+    omega = np.array([0.0, 1.0])
+    ms = np.array([[0, 1], [1, 0], [0, 2]])
+    rhs = np.array([np.eye(2)] * 3, dtype=complex)
+    with pytest.raises(SingularOperator, match=r"m=\(1, 0\)"):
+        lm_solve(ms, omega, np.zeros((2, 2)), rhs)
+
+
+def test_lm_solve_defective_batch():
+    A = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)  # nilpotent
+    ms = np.array([[1, -1], [2, 1], [0, 3]])
+    rhs = np.array([[[1.0, 0.5], [0.25, -1.0]], [[0.0, 2.0], [-1.0, 0.0]],
+                    [[0.5, 0.0], [1.0, -0.5]]], dtype=complex)
+    out = lm_solve(ms, GOLDEN, A, rhs)
+    assert out.shape == (3, 2, 2)
+    for m, r, M in zip(ms, rhs, out):
+        np.testing.assert_array_equal(M, lm_dense_solve(m, GOLDEN, A, r))
+
+
+def test_lm_solve_zero_matrix_batch():
+    ms = np.array([[0, 1], [1, 0], [-2, 3]])
+    rhs = np.array([[[0.5, -1.0], [2.0, -0.5]], [[1.0, 0.0], [0.0, -1.0]],
+                    [[0.0, 1j], [3.0, 0.0]]])
+    out = lm_solve(ms, GOLDEN, np.diag([1e-13, -1e-13]), rhs)  # below tol_defect
+    d_m = 2j * np.pi * (ms @ GOLDEN)
+    np.testing.assert_allclose(out, rhs / d_m[:, None, None], atol=1e-15)
 
 
 def test_operator_bound_diophantine():
