@@ -6,10 +6,13 @@ vector omega is non-resonant at level (kappa, G) when
 complex number alpha is non-resonant relative to omega at level
 (kappa', g) up to order N when |alpha - i*pi*<m, omega>| >= kappa'/g(|m|)
 for 0 < |m| <= N.  Both checks reduce to minimizing a weighted distance
-over an l1 ball of lattice points; for small balls the scan is literal,
-for large balls only lattice points whose pairing <m, omega> falls inside
-the violation window are enumerated (complete for violations, and the
-reported minimum additionally covers a small full ball around the origin).
+over an l1 ball of lattice points.  At d <= 2 the ball is scanned
+literally up to order SMALL_BALL; past it, each slice of the lattice
+contributes only the few points whose pairing <m, omega> lies nearest the
+target, which is complete for violations, and a certified floor bounds
+every point left out, so the reported minimum is a lower bound over the
+whole ball.  At d >= 3 the ball is scanned literally, up to
+FULL_SCAN_LIMIT points.
 """
 
 from __future__ import annotations
@@ -252,12 +255,23 @@ def l1_ball_size(N: int, d: int) -> int:
     return (2 * N + 1) ** d
 
 
+def check_scan_order(N: int, d: int) -> None:
+    """Raise ValueError when no scan reaches order N in dimension d.
+
+    d <= 2 has a windowed scan at every order; past d = 2 only the
+    exhaustive l1 ball exists, and it is capped at FULL_SCAN_LIMIT points.
+    """
+    if d > 2 and l1_ball_size(N, d) > FULL_SCAN_LIMIT:
+        raise ValueError(f"the l1 ball of order {N} in d = {d} exceeds the "
+                         f"{FULL_SCAN_LIMIT:,}-point exhaustive scan")
+
+
 def _score_points(points, omega, weight_fn, target, scale, re_off):
     pairing = points.astype(float) @ omega
     gap = target - scale * pairing
     dist = np.hypot(re_off, gap)
     mod = np.abs(points).sum(axis=1).astype(float)
-    return dist * np.asarray(weight_fn(mod), dtype=float), mod
+    return dist * np.asarray(weight_fn(mod), dtype=float)
 
 
 def _lex_min(points, scores):
@@ -304,158 +318,100 @@ class _ScanState:
 
 
 def scan_min_weighted_distance(omega, N, weight_fn, target=0.0, scale=1.0,
-                               re_off=0.0, thr=None, N_lo=0):
+                               re_off=0.0, thr=None):
     """Minimize hypot(re_off, target - scale*<m, omega>) * weight(|m|).
 
-    Scans N_lo < |m| <= N.  Exhaustive when the ball is small; otherwise
-    only lattice points within the violation window (plus a small full
-    ball) are visited, which is complete for scores below thr.  Returns
-    (min_score, argmin_m, violators sorted by score then lex order).
+    Scans 0 < |m| <= N.  The l1 ball is scanned exhaustively up to order
+    SMALL_BALL at d <= 2, where _slice_scan covers the higher orders, and
+    up to N at d >= 3 (ValueError past FULL_SCAN_LIMIT points).  Complete
+    for scores below thr.  Returns (min_score, argmin_m, violators sorted
+    by score then lex order).
     """
     omega = np.asarray(omega, dtype=float)
     d = omega.shape[0]
     N = int(N)
-    state = _ScanState(thr)
-    if N < 1 or N <= N_lo:
+    if N < 1:
         return math.inf, None, []
-    if l1_ball_size(N, d) <= FULL_SCAN_LIMIT:
-        pts = l1_ball(N, d)
-        mod = np.abs(pts).sum(axis=1)
-        pts = pts[(mod > 0) & (mod > N_lo)]
-        scores, _ = _score_points(pts, omega, weight_fn, target, scale, re_off)
-        state.update(pts, scores)
-    else:
-        _windowed_scan(state, omega, N, weight_fn, target, scale, re_off, thr, N_lo)
+    check_scan_order(N, d)
+    state = _ScanState(thr)
+    nb = min(N, SMALL_BALL) if d <= 2 else N
+    pts = l1_ball(nb, d)
+    pts = pts[np.abs(pts).sum(axis=1) > 0]
+    state.update(pts, _score_points(pts, omega, weight_fn, target, scale, re_off))
+    if nb < N:
+        _slice_scan(state, omega, N, weight_fn, target, scale, re_off, thr, nb)
     state.violators.sort()
     return state.best_score, state.best_m, state.violators
 
 
-def _windowed_scan(state, omega, N, weight_fn, target, scale, re_off, thr, N_lo=0):
-    """Large-ball scan: exact small ball, nearest lattice candidates per
+def _slice_scan(state, omega, N, weight_fn, target, scale, re_off, thr, lo_mod):
+    """Orders lo_mod < |m| <= N at d <= 2: a window of candidates per
     slice, and a certified floor for everything else.
 
-    For each value of the slice coordinate only the integer nearest to the
-    target line can come closer than half a lattice spacing, so scanning it
-    alone is complete for violations whenever thr is below the floor
-    0.5 * scale * |w_j| * weight(first unscanned order); the floor also caps
-    the reported minimum, making it a certified lower bound over the whole
-    range.
+    The slices run over the coordinate m_i of the smaller frequency (a
+    single slice at d = 1); in each, the candidates are the integers m_j
+    within width of the point t where <m, omega> meets the target.  A
+    candidate left out lies at least width + 1/2 lattice spacings off the
+    target line, so it scores at least the floor.  With thr <= spacing the
+    nearest candidate alone (width 0) is complete for violations, since
+    the floor spacing * weight(lo_mod + 1) is >= thr; a wider violation
+    window gets width >= thr / (2 spacing) + 3/2, so the floor is >= thr +
+    3 spacing.  The floor also caps the reported minimum, making it a
+    certified lower bound over the whole range.
     """
     d = omega.shape[0]
-    if d > 2:
-        raise NotImplementedError(
-            "windowed scans for d > 2 are not supported at this ball size; "
-            "reduce N or the dimension")
     j = int(np.argmax(np.abs(omega)))
     wj = omega[j]
+    wi = omega[1 - j] if d == 2 else 0.0
     spacing = 0.5 * scale * abs(wj)
-    # exact piece: every mode of order up to SMALL_BALL
-    nb = min(N, SMALL_BALL)
-    if nb > N_lo:
-        pts = l1_ball(nb, d)
-        mod = np.abs(pts).sum(axis=1)
-        pts = pts[(mod > 0) & (mod > N_lo)]
-        scores, _ = _score_points(pts, omega, weight_fn, target, scale, re_off)
-        state.update(pts, scores)
-    lo_mod = max(N_lo, nb)
-    if lo_mod >= N:
-        return
-    floor = spacing * float(weight_fn(float(lo_mod + 1)))
     u = 0.0 if thr is None else thr / (2.0 * spacing)
     if u > 0.5:
-        # wide violation window: enumerate enough neighbours to stay complete
         width = min(int(math.ceil(u + 0.5)) + 1, 64)
         floor = width * 2.0 * spacing * float(weight_fn(float(lo_mod + 1)))
     else:
         width = 0
-    if d == 1:
-        base = math.floor(target / (scale * wj))
-        w1 = max(width, 1)
-        cand = np.arange(base - w1, base + w1 + 1, dtype=np.int64)
-        cand = cand[(cand != 0) & (np.abs(cand) <= N) & (np.abs(cand) > lo_mod)]
-        if cand.size:
-            pts = cand[:, None]
-            scores, _ = _score_points(pts, omega, weight_fn, target, scale, re_off)
-            state.update(pts, scores)
-        state.apply_floor(floor)
-        return
-    if width > 0:
-        _slice_scan_wide(state, omega, N, weight_fn, target, scale, re_off,
-                         lo_mod, width, j)
-    else:
-        _slice_scan_nearest(state, omega, N, weight_fn, target, scale, re_off,
-                            thr, lo_mod, j)
-    state.apply_floor(floor)
+        floor = spacing * float(weight_fn(float(lo_mod + 1)))
 
+    def point(mi, mj):
+        return (mj,) if d == 1 else ((mi, mj) if j == 1 else (mj, mi))
 
-def _slice_scan_nearest(state, omega, N, weight_fn, target, scale, re_off,
-                        thr, lo_mod, j):
-    i = 1 - j
-    wi, wj = omega[i], omega[j]
     cprime = target / scale
-    mi_max = min(N, int((N + 0.5 + abs(cprime) / abs(wj))
-                        / (1.0 + abs(wi / wj))) + 2)
+    mi_max = 0 if d == 1 else min(N, int((N + 0.5 + abs(cprime) / abs(wj))
+                                         / (1.0 + abs(wi / wj))) + 2 + width)
     re2 = re_off * re_off
     k2 = (scale * wj) ** 2
     thr2 = None if thr is None else thr * thr
     chunk = 1 << 20
     best = math.inf
-    best_pair = None
+    best_m = None
     for lo in range(-mi_max, mi_max + 1, chunk):
         hi = min(lo + chunk - 1, mi_max)
         mi = np.arange(lo, hi + 1, dtype=np.float64)
         t = (cprime - mi * wi) / wj
-        mj = np.rint(t)
-        s2 = t - mj
-        np.square(s2, out=s2)
-        s2 *= k2
-        s2 += re2
-        mod = np.abs(mi)
-        mod += np.abs(mj)
-        w = np.asarray(weight_fn(mod), dtype=np.float64)
-        np.square(w, out=w)
-        s2 *= w
-        s2[(mod <= lo_mod) | (mod > N)] = np.inf
-        k = int(np.argmin(s2))
-        if s2[k] < best:
-            best = float(s2[k])
-            best_pair = (lo + k, int(mj[k]))
-        if thr2 is not None and float(s2[k]) < thr2:
-            for vi in np.flatnonzero(s2 < thr2):
-                m = np.zeros(2, dtype=np.int64)
-                m[i] = lo + int(vi)
-                m[j] = int(mj[vi])
-                state.violators.append(
-                    (math.sqrt(float(s2[vi])), tuple(int(v) for v in m)))
-    if best_pair is not None and math.isfinite(best):
-        m = np.zeros(2, dtype=np.int64)
-        m[i] = best_pair[0]
-        m[j] = best_pair[1]
-        state.offer(math.sqrt(best), tuple(int(v) for v in m))
-
-
-def _slice_scan_wide(state, omega, N, weight_fn, target, scale, re_off,
-                     lo_mod, width, j):
-    i = 1 - j
-    wi, wj = omega[i], omega[j]
-    chunk = 1 << 18
-    offsets = np.arange(-width, width + 1, dtype=np.int64)
-    for lo in range(-N, N + 1, chunk):
-        hi = min(lo + chunk - 1, N)
-        mi = np.arange(lo, hi + 1, dtype=np.int64)
-        t = (target / scale - mi * wi) / wj
-        base = np.floor(t).astype(np.int64)
-        cand_j = (base[:, None] + offsets[None, :]).ravel()
-        cand_i = np.repeat(mi, offsets.shape[0])
-        mod = np.abs(cand_i) + np.abs(cand_j)
-        keep = (mod > lo_mod) & (mod <= N)
-        if not np.any(keep):
-            continue
-        pts = np.empty((int(keep.sum()), 2), dtype=np.int64)
-        pts[:, i] = cand_i[keep]
-        pts[:, j] = cand_j[keep]
-        scores, _ = _score_points(pts, omega, weight_fn, target, scale, re_off)
-        state.update(pts, scores)
+        base = np.rint(t)
+        for off in range(-width, width + 1):
+            mj = base + off if off else base
+            s2 = t - mj
+            np.square(s2, out=s2)
+            s2 *= k2
+            s2 += re2
+            mod = np.abs(mi)
+            mod += np.abs(mj)
+            w = np.asarray(weight_fn(mod), dtype=np.float64)
+            np.square(w, out=w)
+            s2 *= w
+            s2[(mod <= lo_mod) | (mod > N)] = np.inf
+            k = int(np.argmin(s2))
+            if s2[k] < best:
+                best = float(s2[k])
+                best_m = point(lo + k, int(mj[k]))
+            if thr2 is not None and float(s2[k]) < thr2:
+                for vi in np.flatnonzero(s2 < thr2):
+                    state.violators.append(
+                        (math.sqrt(float(s2[vi])), point(lo + int(vi), int(mj[vi]))))
+    if best_m is not None:
+        state.offer(math.sqrt(best), best_m)
+    state.apply_floor(floor)
 
 
 # ---------------------------------------------------------------------------

@@ -27,15 +27,14 @@ import numpy as np
 
 from . import __version__
 from .arithmetics import (
-    FULL_SCAN_LIMIT,
     ApproxFn,
     DivergentIntegral,
     ProductFn,
     approxfn_from_spec,
     check_nr_omega,
+    check_scan_order,
     fit_G,
     fit_kappa,
-    l1_ball_size,
     ratio_bounded,
     tail_integral,
 )
@@ -45,6 +44,8 @@ from .kam_driver import (
     RunTrace,
     ScheduleViolation,
     brjuno_sum_threshold,
+    item2_holds,
+    item6_holds,
     make_schedule,
     resonance_budget_check,
     run,
@@ -151,11 +152,11 @@ class RunConfig:
 
     def resolve_kappa(self, G: ApproxFn) -> float:
         if self.kappa == "fit":
-            d = self.omega.size
-            # only d = 2 has a windowed scan past the exhaustive ball
-            if d > 2 and l1_ball_size(self.fit_N, d) > FULL_SCAN_LIMIT:
-                raise ConfigError("fit_N", f"the l1 ball of order {self.fit_N} in d = {d} "
-                                  f"exceeds the {FULL_SCAN_LIMIT:,}-point exhaustive scan")
+            # d <= 2 is windowed past the exhaustive ball, d >= 3 is not
+            try:
+                check_scan_order(self.fit_N, self.omega.size)
+            except ValueError as exc:
+                raise ConfigError("fit_N", str(exc)) from exc
             return fit_kappa(self.omega, G, self.fit_N)
         return float(self.kappa)
 
@@ -313,6 +314,11 @@ def cmd_check_arith(args) -> int:
         print(f"error: {path}: {exc}", file=sys.stderr)
         return 1
     N = args.N
+    try:
+        check_scan_order(N, cfg.omega.size)
+    except ValueError as exc:
+        print(f"error: --N: {exc}", file=sys.stderr)
+        return 1
     omega_rep = check_nr_omega(cfg.omega, kappa, G, N)
     report = {
         "kappa": kappa,
@@ -382,13 +388,10 @@ def cmd_audit(args) -> int:
         if rec.residual > 1e-10 * (1.0 + rec.f_norm):
             residual_ok = False
         if rec.resonant:
-            thr = schedule.kappa / (4.0 * float(schedule.G.value(rec.N_n)))
-            gap = abs(rec.alpha - 1j * math.pi * float(np.dot(rec.m, cfg.omega)))
-            rec.item2_ok = bool(gap <= thr * (1.0 + 1e-9))
+            rec.item2_ok = item2_holds(schedule, rec.alpha, rec.m, cfg.omega, rec.N_n)
         if prev is not None:
             shifted = prev.alpha - 1j * math.pi * float(np.dot(prev.m, cfg.omega))
-            rec.item6_ok = bool(abs(shifted - rec.alpha)
-                                <= math.sqrt(prev.eps_bound) * (1.0 + 1e-9))
+            rec.item6_ok = item6_holds(shifted, rec.alpha, schedule.log_eps(prev.n))
         prev = rec
     budget = resonance_budget_check(trace, schedule)
     report = {

@@ -26,11 +26,9 @@ from .arithmetics import (
     ProductFn,
     check_nr_rho,
     ratio_bounded,
-    scan_min_weighted_distance,
     tail_integral,
 )
 from .kam_step import (
-    ResonanceReport,
     StepContext,
     conjugation_residual,
     find_resonance,
@@ -187,47 +185,19 @@ def sequence_N(schedule: KamSchedule, n: int) -> int:
     return N
 
 
-class _IncrementalResonanceScan:
-    """Amortized per-run resonance detection.
+def item2_holds(schedule: KamSchedule, alpha: complex, m, omega, N: int) -> bool:
+    """Closeness at a resonant step: |alpha - i pi <m, omega>| <= kappa/(4 G(N))."""
+    thr = schedule.kappa / (4.0 * float(schedule.G.value(N)))
+    return bool(abs(alpha - 1j * math.pi * float(np.dot(m, omega)))
+                <= thr * (1.0 + 1e-9))
 
-    The full scan over 0 < |m| <= N_n costs O(N_n) at d = 2 and the orders
-    grow geometrically, so rescanning from scratch every step is the
-    dominant cost of a run.  Between steps the eigenvalue moves by at most
-    |delta alpha| while every previously scanned score moves by at most
-    |delta alpha| * g(|m|); a conservative decayed minimum therefore
-    certifies non-resonance without touching the old ball, and only the
-    annulus of new orders is scanned.  Any uncertain verdict falls back to
-    the exact scan in kam_step.find_resonance.
-    """
 
-    def __init__(self, ctx: StepContext):
-        self.ctx = ctx
-        self.alpha_ref = None
-        self.n_done = 0
-        self.lower_bound = math.inf
-
-    def find(self, alpha: complex, N: int):
-        ctx = self.ctx
-        thr = ctx.kappa / (4.0 * float(ctx.G.value(N)))
-        if self.alpha_ref is not None and N >= self.n_done:
-            drift = abs(alpha - self.alpha_ref)
-            decayed = self.lower_bound - drift * float(ctx.g.value(max(self.n_done, 1)))
-            if N > self.n_done:
-                annulus, _, _ = scan_min_weighted_distance(
-                    ctx.omega, N, ctx.g.value, target=alpha.imag, scale=math.pi,
-                    re_off=alpha.real, thr=thr, N_lo=self.n_done)
-                decayed = min(decayed, annulus)
-            if decayed >= thr:
-                # certified non-resonant; keep the conservative state
-                self.lower_bound = decayed
-                self.n_done = N
-                self.alpha_ref = alpha
-                return ResonanceReport(m=None, alpha_shifted=alpha, margin=decayed)
-        rep = find_resonance(alpha, ctx.omega, ctx.kappa, ctx.G, ctx.g, N)
-        self.alpha_ref = alpha
-        self.n_done = N
-        self.lower_bound = rep.margin
-        return rep
+def item6_holds(prev_shifted_alpha: complex, alpha: complex,
+                prev_log_eps: float) -> bool:
+    """Eigenvalue drift: the entry value moves at most sqrt(eps_{n-1}) from
+    the previous step's shifted value."""
+    return bool(abs(prev_shifted_alpha - alpha)
+                <= math.exp(0.5 * prev_log_eps) * (1.0 + 1e-9))
 
 
 @dataclass
@@ -352,7 +322,6 @@ def run(A, F: TorusMap, omega, schedule: KamSchedule, max_steps: int = 200,
     alpha_n = eigen(A_n).alpha
     f0_norm = F.weighted_norm(schedule.r0)
     records: list[StepRecord] = []
-    scanner = _IncrementalResonanceScan(ctx)
     resonances_after_n0 = 0
     rotation_sum = 0.0
     prev_shifted_alpha = None
@@ -370,7 +339,8 @@ def run(A, F: TorusMap, omega, schedule: KamSchedule, max_steps: int = 200,
             terminated = "converged"
             break
         N_n = sequence_N(schedule, n)
-        rep = scanner.find(alpha_n, N_n)
+        rep = find_resonance(alpha_n, omega, schedule.kappa, schedule.G,
+                             schedule.g, N_n)
         item2_ok = None
         if rep.m is None:
             r_next = r_n - schedule.c0 * abs(math.log1p(-schedule.a)) \
@@ -385,13 +355,10 @@ def run(A, F: TorusMap, omega, schedule: KamSchedule, max_steps: int = 200,
             out = step_resonant(A_n, F_n, r_n, N_n, schedule.a, schedule.c0,
                                 ctx, resonance=rep, strict=False)
             rotation_sum += math.pi * float(np.dot(rep.m, omega))
-            thr2 = schedule.kappa / (4.0 * float(schedule.G.value(N_n)))
-            item2_ok = bool(abs(alpha_n - 1j * math.pi * float(np.dot(rep.m, omega)))
-                            <= thr2 * (1.0 + 1e-9))
+            item2_ok = item2_holds(schedule, alpha_n, rep.m, omega, N_n)
         item6_ok = None
         if prev_shifted_alpha is not None:
-            item6_ok = bool(abs(prev_shifted_alpha - alpha_n)
-                            <= math.exp(0.5 * prev_log_eps) * (1.0 + 1e-9))
+            item6_ok = item6_holds(prev_shifted_alpha, alpha_n, prev_log_eps)
         Z = Z.mul(out.Z_step).cap_support(mode_cap, out.r_next)
         global_residual = conjugation_residual(A, F, Z, out.A_next, out.F_next,
                                                omega, out.r_next)

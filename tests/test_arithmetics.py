@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from kamcocycle.arithmetics import (
+    SMALL_BALL,
     DivergentIntegral,
     ExpLogFn,
     ExpPowFn,
@@ -114,6 +115,81 @@ def test_windowed_scan_agrees_with_bruteforce():
     # non-resonant alpha stays non-resonant in the windowed regime
     rep2 = check_nr_alpha(0.5 + 0.0j, GOLDEN, 0.2, g, N=1500)
     assert rep2.ok
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_slice_scan_matches_bruteforce_random(d):
+    # past SMALL_BALL the scan visits a window of candidates per slice and
+    # caps its minimum with a certified floor; against the full l1 ball it
+    # must find the same violators and verdict, and report a minimum no
+    # larger than the true one (equal to it unless the floor binds).  Slow
+    # weights put the floor within reach of thr and of the true minimum.
+    rng = np.random.default_rng(7 + d)
+    windows = set()
+    resonant = floored = 0
+    for case in range(90):
+        g = PowerFn(float(rng.choice([0.25, 1.0, 2.0])))
+        if d == 2:
+            omega = np.array([1.0, rng.uniform(1.1, 2.5)])
+        else:
+            omega = np.array([rng.uniform(0.5, 2.5)])
+        N = int(rng.integers(SMALL_BALL + 1, 301))
+        spacing = 0.5 * math.pi * np.abs(omega).max()
+        thr = spacing * 10.0 ** rng.uniform(-3.0, 1.0)
+        kind = case % 3
+        if kind == 0:
+            # put alpha near a lattice point past the exact ball
+            m0 = rng.integers(-N // 2, N // 2 + 1, size=d)
+            mod0 = max(int(np.abs(m0).sum()), 1)
+            off = thr / float(g.value(mod0)) * rng.uniform(0.0, 1.5)
+            phase = rng.uniform(0.0, 2.0 * math.pi)
+            alpha = complex(off * math.cos(phase),
+                            math.pi * float(m0 @ omega) + off * math.sin(phase))
+        elif kind == 1:
+            alpha = complex(rng.normal(scale=0.2), rng.uniform(0.0, 6.0))
+        else:
+            # large real part, target line past the exact ball: a lower-order
+            # neighbour of a slice's nearest candidate often holds the minimum
+            alpha = complex(spacing * rng.uniform(3.0, 20.0), rng.uniform(80.0, 200.0))
+        target, re_off = alpha.imag, alpha.real
+        score, _, violators = scan_min_weighted_distance(
+            omega, N, g.value, target=target, scale=math.pi, re_off=re_off, thr=thr)
+        pts = l1_ball(N, d)
+        pts = pts[np.abs(pts).sum(axis=1) > 0]
+        bscores = np.hypot(re_off, target - math.pi * (pts @ omega)) \
+            * g.value(np.abs(pts).sum(axis=1).astype(float))
+        bmin = float(bscores.min())
+        assert {m for _, m in violators} == \
+            {tuple(int(v) for v in p) for p in pts[bscores < thr]}
+        assert (score >= thr) == (bmin >= thr)
+        # a few ulps of the pairing's cancellation, weighted at order N
+        tol = 1e-15 * (abs(target) + math.pi * N * np.abs(omega).max()) \
+            * float(g.value(N))
+        assert score <= bmin + tol
+        u = thr / (2.0 * spacing)
+        width = 0 if u <= 0.5 else min(math.ceil(u + 0.5) + 1, 64)
+        floor = (2 * width if width else 1) * spacing * float(g.value(SMALL_BALL + 1))
+        if bmin < floor:
+            assert score == pytest.approx(bmin, abs=tol)
+        windows.add(width > 0)
+        resonant += bool(violators)
+        floored += bmin >= floor
+    assert windows == {False, True}
+    assert resonant >= 5 and floored >= 5
+
+
+def test_slice_scan_floor_covers_skipped_minimum():
+    # t = 11.6 puts m = 12 nearest the target, but with re_off = 8 and
+    # g = t^(1/4) the skipped neighbour m = 11 scores lower (14.97 against
+    # 15.07): the reported minimum is the floor 0.5 pi g(9), below both
+    g = PowerFn(0.25)
+    omega = np.array([1.0])
+    target = math.pi * 11.6
+    score, m, _ = scan_min_weighted_distance(omega, 20, g.value, target=target,
+                                             scale=math.pi, re_off=8.0)
+    bscore, bm = brute_min(omega, 20, g.value, target=target, scale=math.pi, re_off=8.0)
+    assert bm == (11,) and m == (12,)
+    assert score == 0.5 * math.pi * float(g.value(9.0)) < bscore
 
 
 def test_check_nr_alpha_examples():

@@ -200,6 +200,18 @@ def test_cmd_check_arith_fit_order_beyond_tabulating_scan(tmp_path, capsys):
     assert "too large" in report["fit_error"]
 
 
+def test_cmd_check_arith_order_beyond_exhaustive_ball_d3(tmp_path, capsys):
+    # at d = 3 only the exhaustive ball exists; l1_ball_size(120, 3) exceeds it
+    cfg = base_config(kappa=0.01, omega=[1.0, math.sqrt(2.0), math.sqrt(3.0)],
+                      V={"v0": 0.0, "modes": [{"m": [1, 1, 0], "c": 1e-12}]})
+    path = write_config(tmp_path, cfg)
+    assert main(["check-arith", "--config", str(path), "--N", "120"]) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.strip().count("\n") == 0 and "--N" in err
+    assert not (tmp_path / "arith_report.json").exists()
+
+
 # -- audit -----------------------------------------------------------------------
 
 def test_cmd_audit_clean_run(tmp_path):

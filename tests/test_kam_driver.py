@@ -342,26 +342,3 @@ def test_run_global_residual_budget():
     for k, rec in enumerate(trace.records):
         budget = (k + 1) * 1e-10 * (1.0 + f0) + rec.debt
         assert rec.global_residual <= budget
-
-
-def test_incremental_scanner_soundness():
-    # the amortized scanner must stay a lower bound under eigenvalue drift:
-    # creeping toward a resonance has to trigger the exact rescan and
-    # report the violator, never certify past it
-    from kamcocycle.kam_driver import _IncrementalResonanceScan
-    from kamcocycle.kam_step import StepContext
-    ctx = StepContext(omega=GOLDEN, kappa=1.0, G=G2, g=G2)
-    scan = _IncrementalResonanceScan(ctx)
-    target = math.pi * GOLDEN[0]
-    rep = scan.find(0.5j, 4)
-    assert rep.m is None
-    # growing order with tiny drift: certified skips
-    for N, im in ((6, 0.5001), (9, 0.5002), (14, 0.50025)):
-        rep = scan.find(1j * im, N)
-        assert rep.m is None
-    # now drift right onto the resonance
-    rep = scan.find(1j * (target + 1e-9), 14)
-    assert rep.m == (1, 0)
-    # and drifting away again recovers the clean verdict
-    rep = scan.find(0.5j, 20)
-    assert rep.m is None

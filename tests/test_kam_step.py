@@ -305,6 +305,11 @@ def test_find_resonance_large_order_windowed():
     # and a clean alpha stays clean at the same order
     clean = find_resonance(0.5j, GOLDEN, 1.0, G2, G2, N=5000)
     assert clean.m is None
+    # just past the exact ball: alpha on the (1, 0) resonance is reported,
+    # a clean alpha is not
+    near = find_resonance(1j * (math.pi * GOLDEN[0] + 1e-9), GOLDEN, 1.0, G2, G2, N=14)
+    assert near.m == (1, 0)
+    assert find_resonance(0.5j, GOLDEN, 1.0, G2, G2, N=20).m is None
 
 
 def test_step_output_serializes():
