@@ -16,6 +16,7 @@ from .arithmetics import (
     TabulatedFn,
     ProductFn,
     DivergentIntegral,
+    ScanOrderTooLarge,
     check_nr_alpha,
     check_nr_omega,
     fit_G,

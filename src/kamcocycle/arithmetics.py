@@ -33,6 +33,10 @@ class DivergentIntegral(Exception):
     """The requested Brjuno-type tail integral diverges."""
 
 
+class ScanOrderTooLarge(ValueError):
+    """No lattice scan reaches the requested order in this dimension."""
+
+
 # ---------------------------------------------------------------------------
 # approximation functions
 # ---------------------------------------------------------------------------
@@ -47,10 +51,6 @@ class ApproxFn:
 
     def log_value(self, t):
         raise NotImplementedError
-
-    def inverse(self, x: float) -> float:
-        """Smallest t >= 1 with value(t) >= x."""
-        return self.log_inverse(math.log(x)) if x > 1 else 1.0
 
     def log_inverse(self, logx: float) -> float:
         if logx <= float(self.log_value(1.0)):
@@ -98,9 +98,6 @@ class PowerFn(ApproxFn):
 
     def log_value(self, t):
         return self.mu * np.log(t)
-
-    def inverse(self, x: float) -> float:
-        return max(1.0, float(x) ** (1.0 / self.mu))
 
     def log_inverse(self, logx: float) -> float:
         return max(1.0, math.exp(logx / self.mu))
@@ -185,14 +182,11 @@ class TabulatedFn(ApproxFn):
     def log_value(self, t):
         return np.log(self.value(t))
 
-    def inverse(self, x: float) -> float:
-        i = np.searchsorted(self.vals, x, side="left")
+    def log_inverse(self, logx: float) -> float:
+        i = np.searchsorted(self.vals, math.exp(logx), side="left")
         if i >= len(self.ts):
             return float(self.ts[-1])
         return float(self.ts[i])
-
-    def log_inverse(self, logx: float) -> float:
-        return self.inverse(math.exp(logx))
 
     def spec(self):
         return {"kind": "tabulated", "ts": self.ts.tolist(), "vals": self.vals.tolist()}
@@ -256,14 +250,15 @@ def l1_ball_size(N: int, d: int) -> int:
 
 
 def check_scan_order(N: int, d: int) -> None:
-    """Raise ValueError when no scan reaches order N in dimension d.
+    """Raise ScanOrderTooLarge when no scan reaches order N in dimension d.
 
     d <= 2 has a windowed scan at every order; past d = 2 only the
     exhaustive l1 ball exists, and it is capped at FULL_SCAN_LIMIT points.
     """
     if d > 2 and l1_ball_size(N, d) > FULL_SCAN_LIMIT:
-        raise ValueError(f"the l1 ball of order {N} in d = {d} exceeds the "
-                         f"{FULL_SCAN_LIMIT:,}-point exhaustive scan")
+        raise ScanOrderTooLarge(
+            f"the l1 ball of order {N} in d = {d} exceeds the "
+            f"{FULL_SCAN_LIMIT:,}-point exhaustive scan")
 
 
 def _score_points(points, omega, weight_fn, target, scale, re_off):

@@ -29,7 +29,7 @@ from . import __version__
 from .arithmetics import (
     ApproxFn,
     DivergentIntegral,
-    ProductFn,
+    ScanOrderTooLarge,
     approxfn_from_spec,
     check_nr_omega,
     check_scan_order,
@@ -43,6 +43,7 @@ from .kam_driver import (
     NoFeasibleEpsilon,
     RunTrace,
     ScheduleViolation,
+    a_bar_of,
     brjuno_sum_threshold,
     item2_holds,
     item6_holds,
@@ -176,24 +177,18 @@ class RunConfig:
         G, g = self.approx_fns()
         kappa = self.resolve_kappa(G)
         a = self.a
+        a_val = a if a is not None else 1.0 - a_bar_of(G, g)
         eps0 = self.eps0
         if eps0 == "auto:dioph":
             if not (G.kind == "power" and g.kind == "power"):
                 raise ConfigError("eps0", "auto:dioph needs power-law G and g")
-            a_val = a if a is not None else _default_a(G, g)
             eps0 = smallness_explicit(("dioph", G.mu + g.mu), kappa,
                                       self.r0, self.n0, a_val)
         elif eps0 == "auto:brjuno-sum":
-            a_val = a if a is not None else _default_a(G, g)
             eps0 = brjuno_sum_threshold(kappa, self.r0, self.n0, a_val, G, g)
         return make_schedule(kappa, self.kappa_prime, G, g, self.r0, self.n0,
                              float(eps0), a=a, C_prime=self.C_prime,
                              require_feasible=False)
-
-
-def _default_a(G: ApproxFn, g: ApproxFn) -> float:
-    gg2 = float(ProductFn(G, g).value(2.0))
-    return 1.0 - min(1.0 / 14.0 ** 2, 1.0 / gg2 ** 2)
 
 
 def build_schrodinger(E: float, v0: float, modes: list, d: int):
@@ -244,7 +239,7 @@ def _write_meta(out_dir: Path, name: str) -> None:
 
 _FAILURES = (PreconditionFailure, ScheduleViolation, NoFeasibleEpsilon,
              MultipleResonances, SingularOperator, BoundViolation,
-             DivergentIntegral, ArithmeticError)
+             DivergentIntegral, ArithmeticError, ScanOrderTooLarge)
 
 
 def _run_single(config_path: str, out_dir: str | None) -> int:

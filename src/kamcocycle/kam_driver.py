@@ -14,7 +14,6 @@ Most bookkeeping runs in the log domain: the ladder reaches values far below
 from __future__ import annotations
 
 import csv
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -39,6 +38,7 @@ from .sl2_algebra import eigen
 from .torus_fourier import DEFAULT_MODE_CAP, TorusMap
 
 LOG_EPS_FLOOR = math.log(1e-300)
+STEP_RESIDUAL_TOL = 1e-10  # per-step share of the global residual budget
 
 
 class ScheduleViolation(Exception):
@@ -79,6 +79,11 @@ class KamSchedule:
         """log of (1-a)^2 kappa^2 / (4 eps_n), the bound on (G g)(N_n)^2."""
         return 2.0 * (math.log1p(-self.a) + math.log(self.kappa) - math.log(2.0)) \
             - self.log_eps(n)
+
+
+def a_bar_of(G: ApproxFn, g: ApproxFn) -> float:
+    """a_bar = min(1/14^2, 1/(G g)(2)^2); the contraction a lies in [1 - a_bar, 1)."""
+    return min(1.0 / 14.0 ** 2, 1.0 / float(ProductFn(G, g).value(2.0)) ** 2)
 
 
 def _c0_of(G: ApproxFn, g: ApproxFn, r0: float, n0: int) -> float:
@@ -127,8 +132,7 @@ def make_schedule(kappa: float, kappa_prime: float | None, G: ApproxFn,
     """
     if min(kappa, r0, eps0_hint) <= 0:
         raise ValueError("kappa, r0 and eps0 must be positive")
-    Gg = ProductFn(G, g)
-    a_bar = min(1.0 / 14.0 ** 2, 1.0 / float(Gg.value(2.0)) ** 2)
+    a_bar = a_bar_of(G, g)
     if a is None:
         a = 1.0 - a_bar
     if not 1.0 - a_bar <= a < 1.0:
@@ -297,13 +301,9 @@ class Certificate:
             "truncation_debt": self.truncation_debt,
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_obj(), sort_keys=True)
-
 
 def run(A, F: TorusMap, omega, schedule: KamSchedule, max_steps: int = 200,
-        cert_tol: float | None = None, step_residual_tol: float = 1e-10,
-        mode_cap: int = DEFAULT_MODE_CAP) -> tuple[RunTrace, Certificate]:
+        cert_tol: float | None = None) -> tuple[RunTrace, Certificate]:
     """Iterate KAM steps until the perturbation falls below cert_tol.
 
     Raises ScheduleViolation when a measured |F_n| exceeds its ladder bound
@@ -315,7 +315,7 @@ def run(A, F: TorusMap, omega, schedule: KamSchedule, max_steps: int = 200,
     if cert_tol is None:
         cert_tol = max(1e-14 * schedule.eps0, 1e-250)
     ctx = StepContext(omega=omega, kappa=schedule.kappa, G=schedule.G,
-                      g=schedule.g, C_prime=schedule.C_prime, mode_cap=mode_cap)
+                      g=schedule.g, C_prime=schedule.C_prime)
     d = F.d
     Z = TorusMap.identity(d)
     A_n, F_n, r_n = A, F, schedule.r0
@@ -348,18 +348,18 @@ def run(A, F: TorusMap, omega, schedule: KamSchedule, max_steps: int = 200,
             if r_next <= 0:
                 raise ScheduleViolation(f"step {n}: strip width exhausted")
             out = step_nonresonant(A_n, F_n, r_n, r_next, N_n, schedule.a, ctx,
-                                   resonance=rep, strict=False)
+                                   resonance=rep)
         else:
             if n >= schedule.n0:
                 resonances_after_n0 += 1
             out = step_resonant(A_n, F_n, r_n, N_n, schedule.a, schedule.c0,
-                                ctx, resonance=rep, strict=False)
+                                ctx, resonance=rep)
             rotation_sum += math.pi * float(np.dot(rep.m, omega))
             item2_ok = item2_holds(schedule, alpha_n, rep.m, omega, N_n)
         item6_ok = None
         if prev_shifted_alpha is not None:
             item6_ok = item6_holds(prev_shifted_alpha, alpha_n, prev_log_eps)
-        Z = Z.mul(out.Z_step).cap_support(mode_cap, out.r_next)
+        Z = Z.mul(out.Z_step).cap_support(DEFAULT_MODE_CAP, out.r_next)
         global_residual = conjugation_residual(A, F, Z, out.A_next, out.F_next,
                                                omega, out.r_next)
         records.append(StepRecord(
@@ -378,7 +378,7 @@ def run(A, F: TorusMap, omega, schedule: KamSchedule, max_steps: int = 200,
 
     f_final = F_n.weighted_norm(r_n)
     debt = Z.truncation_debt + F_n.truncation_debt
-    budget = len(records) * step_residual_tol * (1.0 + f0_norm) + debt
+    budget = len(records) * STEP_RESIDUAL_TOL * (1.0 + f0_norm) + debt
     residual = global_residual + f_final
     r_floor = schedule.r0 / 4.0 ** (schedule.n0 + 1)
     if terminated == "converged" or f_final <= cert_tol:

@@ -28,6 +28,8 @@ from .arithmetics import ApproxFn, check_nr_alpha, scan_min_weighted_distance
 from .sl2_algebra import BoundViolation, DefectiveConstantPart, eigen, lm_solve
 from .torus_fourier import DEFAULT_MODE_CAP, TorusMap, exp_series_tail, project_traceless
 
+EXP_TOL = 1e-30  # certified tail of the exp(+-X) series
+
 
 class MultipleResonances(Exception):
     """Two distinct resonance violators tied; the (kappa, G, g) inputs are
@@ -57,8 +59,6 @@ class StepContext:
     G: ApproxFn
     g: ApproxFn
     C_prime: float = 10.0
-    mode_cap: int = DEFAULT_MODE_CAP
-    exp_tol: float = 1e-30
 
     def __post_init__(self):
         self.omega = np.asarray(self.omega, dtype=float)
@@ -83,22 +83,6 @@ class StepOutput:
     @property
     def truncation_debt(self) -> float:
         return self.F_next.truncation_debt + self.Z_step.truncation_debt
-
-    def to_json_obj(self) -> dict:
-        return {
-            "A_next": np.asarray(self.A_next).tolist(),
-            "F_next": self.F_next.to_json_obj(),
-            "Z_step": self.Z_step.to_json_obj(),
-            "r_next": self.r_next,
-            "resonant": self.resonant,
-            "m": list(self.m) if self.m is not None else None,
-            "residual_norm": self.residual_norm,
-            "contraction_observed": self.contraction_observed,
-            "alpha": [self.alpha.real, self.alpha.imag],
-            "alpha_next": [self.alpha_next.real, self.alpha_next.imag],
-            "x_norm": self.x_norm,
-            "preconditions": {k: list(v) for k, v in self.preconditions.items()},
-        }
 
 
 def conjugation_residual(A, F: TorusMap, Z: TorusMap, A_next, F_next: TorusMap,
@@ -178,11 +162,12 @@ def eliminate_resonance(A, m, omega, tol_defect: float = 1e-12):
 
 def solve_homological(Atilde, F: TorusMap, N: int, omega, kappa: float,
                       G: ApproxFn, g: ApproxFn, a_prime: float, r_prime: float,
-                      alpha: complex | None = None, strict: bool = True) -> TorusMap:
+                      alpha: complex | None = None) -> TorusMap:
     """Solve d_omega X = [Atilde, X] + a' F^N - a' F^(0) with X^(0) = 0.
 
     Mode by mode X^(m) = L_m^{-1}(a' F^(m)) for 0 < |m| <= N.  The certified
-    size bound |X|_{r'} <= 4 a' G(N) g(N) |F^N|_{r'} / kappa is asserted.
+    size bound |X|_{r'} <= 4 a' G(N) g(N) |F^N|_{r'} / kappa is asserted:
+    BoundViolation when it fails.
     """
     omega = np.asarray(omega, dtype=float)
     if F.lattice != "integer":
@@ -197,7 +182,7 @@ def solve_homological(Atilde, F: TorusMap, N: int, omega, kappa: float,
     x_norm = X.weighted_norm(r_prime)
     bound = 4.0 * a_prime * float(G.value(N)) * float(g.value(N)) \
         * FN.weighted_norm(r_prime) / kappa
-    if strict and x_norm > bound * (1.0 + 1e-9):
+    if x_norm > bound * (1.0 + 1e-9):
         raise BoundViolation(
             f"|X|_r' = {x_norm:.3e} exceeds 4 a' G(N) g(N) |F^N|_r'/kappa = {bound:.3e}")
     return X
@@ -217,46 +202,18 @@ def _realify(M: np.ndarray, what: str, tol: float = 1e-9) -> np.ndarray:
     return np.ascontiguousarray(M.real, dtype=float)
 
 
-def step_nonresonant(A, F: TorusMap, r: float, r_prime: float, N: int,
-                     a_prime: float, ctx: StepContext,
-                     resonance: ResonanceReport | None = None,
-                     strict: bool = True) -> StepOutput:
-    """Non-resonant step: A' = A + a' F^(0), Z = exp(X).
+def _conjugate(A, alpha: complex, F: TorusMap, N: int, a_prime: float,
+               r_prime: float, ctx: StepContext):
+    """Conjugate A + F by Z = exp(X), the core of both steps.
 
-    Preconditions (petitesse3) 2 G(N) g(N) eps <= kappa (1-a')/2 and the
-    truncation gap e^{-2 pi N (r - r')} <= 1 - a' are checked and recorded;
-    with strict=True a violation raises PreconditionFailure.  The measured
-    contraction is asserted against sqrt(1 - a') whenever every recorded
-    precondition holds and a' < 1.
+    X solves the homological equation at a' (its size bound asserted),
+    A' = A + a' F^(0), and F' is defined by the conjugation identity.
+    Returns (A', F', Z, |X|_{r'}, exp tail).
     """
-    A = np.asarray(A, dtype=float)
-    eps = F.weighted_norm(r)
-    if not 0.0 < r_prime <= r:
-        raise PreconditionFailure(["strip"], {"r": r, "r_prime": r_prime})
-    ed = eigen(A)
-    alpha = ed.alpha
-    if resonance is None:
-        resonance = find_resonance(alpha, ctx.omega, ctx.kappa, ctx.G, ctx.g, N)
-    if resonance.m is not None:
-        raise PreconditionFailure(
-            ["nonresonant"], {"m": resonance.m, "margin": resonance.margin})
-    pre = {}
-    if a_prime < 1.0:
-        gg = float(ctx.G.value(N)) * float(ctx.g.value(N))
-        lhs3 = 2.0 * gg * eps
-        rhs3 = ctx.kappa * (1.0 - a_prime) / 2.0
-        pre["petitesse3"] = (lhs3 <= rhs3, lhs3, rhs3)
-        lhs_gap = math.exp(-2.0 * math.pi * N * (r - r_prime))
-        pre["N_gap"] = (lhs_gap <= 1.0 - a_prime, lhs_gap, 1.0 - a_prime)
-    failed = [k for k, v in pre.items() if not v[0]]
-    if strict and failed:
-        raise PreconditionFailure(failed, pre)
-
     X = solve_homological(A, F, N, ctx.omega, ctx.kappa, ctx.G, ctx.g,
-                          a_prime, r_prime, alpha=alpha, strict=strict)
-    x_norm = X.weighted_norm(r_prime)
-    P, tail_p = exp_series_tail(X, r_prime, ctx.exp_tol)
-    Q, tail_m = exp_series_tail(X.scale(-1.0), r_prime, ctx.exp_tol)
+                          a_prime, r_prime, alpha=alpha)
+    P, tail_p = exp_series_tail(X, r_prime, EXP_TOL)
+    Q, tail_m = exp_series_tail(X.scale(-1.0), r_prime, EXP_TOL)
 
     F0 = F.coeff(np.zeros(F.d, dtype=np.int64))
     A_next = project_traceless(_realify(A + a_prime * F0, "A'"))
@@ -276,9 +233,49 @@ def step_nonresonant(A, F: TorusMap, r: float, r_prime: float, N: int,
     F_next = F_next.trace_projected()
     if F.reality:
         F_next = F_next.realified()
-    F_next = F_next.cap_support(ctx.mode_cap, r_prime)
-    Z_step = TorusMap.identity(d).add(P).cap_support(ctx.mode_cap, r_prime)
+    F_next = F_next.cap_support(DEFAULT_MODE_CAP, r_prime)
+    Z = TorusMap.identity(d).add(P).cap_support(DEFAULT_MODE_CAP, r_prime)
+    return A_next, F_next, Z, X.weighted_norm(r_prime), tail_p + tail_m
 
+
+def step_nonresonant(A, F: TorusMap, r: float, r_prime: float, N: int,
+                     a_prime: float, ctx: StepContext,
+                     resonance: ResonanceReport | None = None) -> StepOutput:
+    """Non-resonant step: A' = A + a' F^(0), Z = exp(X).
+
+    Preconditions (petitesse3) 2 G(N) g(N) eps <= kappa (1-a')/2 and the
+    truncation gap e^{-2 pi N (r - r')} <= 1 - a' are recorded in
+    out.preconditions, never raised.  The measured contraction is asserted
+    against sqrt(1 - a') whenever every recorded precondition holds and
+    a' < 1.
+
+    The driver spends r - r' = c0 |log(1-a)| / (2 pi N) of strip width per
+    non-resonant step, so e^{-2 pi N (r - r')} = (1-a)^{c0}, which exceeds
+    1 - a for every c0 < 1: N_gap is recorded False on every such step of
+    a run, and the contraction assertion never fires there.
+    """
+    A = np.asarray(A, dtype=float)
+    eps = F.weighted_norm(r)
+    if not 0.0 < r_prime <= r:
+        raise PreconditionFailure(["strip"], {"r": r, "r_prime": r_prime})
+    alpha = eigen(A).alpha
+    if resonance is None:
+        resonance = find_resonance(alpha, ctx.omega, ctx.kappa, ctx.G, ctx.g, N)
+    if resonance.m is not None:
+        raise PreconditionFailure(
+            ["nonresonant"], {"m": resonance.m, "margin": resonance.margin})
+    pre = {}
+    if a_prime < 1.0:
+        gg = float(ctx.G.value(N)) * float(ctx.g.value(N))
+        lhs3 = 2.0 * gg * eps
+        rhs3 = ctx.kappa * (1.0 - a_prime) / 2.0
+        pre["petitesse3"] = (lhs3 <= rhs3, lhs3, rhs3)
+        lhs_gap = math.exp(-2.0 * math.pi * N * (r - r_prime))
+        pre["N_gap"] = (lhs_gap <= 1.0 - a_prime, lhs_gap, 1.0 - a_prime)
+    failed = [k for k, v in pre.items() if not v[0]]
+
+    A_next, F_next, Z_step, x_norm, exp_tail = _conjugate(
+        A, alpha, F, N, a_prime, r_prime, ctx)
     residual = conjugation_residual(A, F, Z_step, A_next, F_next, ctx.omega, r_prime)
     contraction = F_next.weighted_norm(r_prime) / eps if eps > 0 else 0.0
     if a_prime < 1.0 and not failed and eps > 0:
@@ -292,19 +289,20 @@ def step_nonresonant(A, F: TorusMap, r: float, r_prime: float, N: int,
         contraction_observed=contraction, alpha=alpha,
         alpha_next=eigen(A_next).alpha, x_norm=x_norm,
         preconditions=pre,
-        info={"exp_tail": tail_p + tail_m, "margin": resonance.margin,
-              "eps_in": eps},
+        info={"exp_tail": exp_tail, "margin": resonance.margin, "eps_in": eps},
     )
 
 
 def step_resonant(A, F: TorusMap, r: float, N: int, a: float, c0: float,
-                  ctx: StepContext, resonance: ResonanceReport | None = None,
-                  strict: bool = True) -> StepOutput:
-    """Resonant step: eliminate the resonance with Phi, then run the
-    non-resonant machinery at a' = 1 on the conjugated system.
+                  ctx: StepContext,
+                  resonance: ResonanceReport | None = None) -> StepOutput:
+    """Resonant step: eliminate the resonance with Phi, then conjugate the
+    rotated system Atilde + F_t by exp(X) at a' = 1; Z = Phi exp(X).
 
-    r' = r/2 - c0 log((G g)(N+1)) / (4 pi N).  The measured contraction is
-    asserted against (1 - a) when the recorded smallness conditions hold.
+    r' = r/2 - c0 log((G g)(N+1)) / (4 pi N).  The smallness conditions
+    (petitesse, petitesse2, strip_width) are recorded in out.preconditions,
+    never raised; the measured contraction is asserted against (1 - a)
+    when they all hold.
     """
     A = np.asarray(A, dtype=float)
     eps = F.weighted_norm(r)
@@ -326,8 +324,6 @@ def step_resonant(A, F: TorusMap, r: float, N: int, a: float, c0: float,
     rhs_r = 2.0 * math.log(gg_N) / (math.pi * N)
     pre["strip_width"] = (r > rhs_r, r, rhs_r)
     failed = [k for k, v in pre.items() if not v[0]]
-    if strict and failed:
-        raise PreconditionFailure(failed, pre)
     r_prime = 0.5 * r - c0 * math.log(gg_N1) / (4.0 * math.pi * N)
     if r_prime <= 0:
         raise PreconditionFailure(["positive_strip"], {"r_prime": r_prime})
@@ -342,31 +338,27 @@ def step_resonant(A, F: TorusMap, r: float, N: int, a: float, c0: float,
         raise ArithmeticError("conjugated perturbation left the integer lattice")
     if F.reality:
         F_t = F_t.realified()
-    trusted = ResonanceReport(m=None, alpha_shifted=alpha_t, margin=resonance.margin)
-    inner = step_nonresonant(Atilde, F_t, r, r_prime, N, 1.0, ctx,
-                             resonance=trusted, strict=False)
-    Z_step = Phi.mul(inner.Z_step).cap_support(ctx.mode_cap, r_prime)
-    F_next = inner.F_next
-    A_next = inner.A_next
+    A_next, F_next, Z_x, x_norm, exp_tail = _conjugate(
+        Atilde, eigen(Atilde).alpha, F_t, N, 1.0, r_prime, ctx)
+    Z_step = Phi.mul(Z_x).cap_support(DEFAULT_MODE_CAP, r_prime)
 
     residual = conjugation_residual(A, F, Z_step, A_next, F_next, ctx.omega, r_prime)
     contraction = F_next.weighted_norm(r_prime) / eps if eps > 0 else 0.0
     if not failed and eps > 0 and contraction > (1.0 - a) * (1.0 + 1e-9):
         raise BoundViolation(
             f"resonant contraction {contraction:.3e} exceeds 1-a = {1.0 - a:.3e}")
-    phi_norm = Phi.weighted_norm(r_prime)
     return StepOutput(
         A_next=A_next, F_next=F_next, Z_step=Z_step, r_next=r_prime,
         resonant=True, m=m, residual_norm=residual,
         contraction_observed=contraction, alpha=alpha,
-        alpha_next=inner.alpha_next, x_norm=inner.x_norm,
+        alpha_next=eigen(A_next).alpha, x_norm=x_norm,
         preconditions=pre,
         info={
-            "exp_tail": inner.info["exp_tail"],
+            "exp_tail": exp_tail,
             "margin": resonance.margin,
             "eps_in": eps,
             "alpha_shifted": alpha_t,
-            "phi_norm": phi_norm,
+            "phi_norm": Phi.weighted_norm(r_prime),
             "phi_inv_norm": Phi_inv.weighted_norm(r_prime),
             "phi_bound": 2.0 * ed.cond * math.exp(math.pi * N * r_prime),
             "c_prime_measured": max(1.0, ed.cond) * math.e,

@@ -20,6 +20,7 @@ import numpy as np
 TWO_PI = 2.0 * math.pi
 PRUNE_TOL = 1e-300
 DEFAULT_MODE_CAP = 4096
+MUL_CHUNK = 1 << 22  # block products per convolution pass
 
 
 def _pack_base(d: int) -> tuple[int, int]:
@@ -263,7 +264,7 @@ class TorusMap:
     def __neg__(self):
         return self.scale(-1.0)
 
-    def mul(self, other: "TorusMap", chunk: int = 1 << 22) -> "TorusMap":
+    def mul(self, other: "TorusMap") -> "TorusMap":
         """Pointwise matrix product, i.e. coefficient convolution."""
         if self.d != other.d:
             raise ValueError("dimension mismatch")
@@ -272,7 +273,7 @@ class TorusMap:
             return TorusMap.zero(self.d)
         off = _pack(np.zeros((1, self.d), dtype=np.int64))[0]
         pieces_k, pieces_c = [], []
-        rows = max(1, chunk // max(n2, 1))
+        rows = max(1, MUL_CHUNK // max(n2, 1))
         for lo in range(0, n1, rows):
             hi = min(lo + rows, n1)
             keys = (self._keys[lo:hi, None] + other._keys[None, :] - off).ravel()

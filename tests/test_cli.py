@@ -150,6 +150,20 @@ def test_cmd_run_fit_kappa_beyond_exhaustive_ball_d3(tmp_path, capsys):
     assert err.strip().count("\n") == 0 and "fit_N" in err
 
 
+def test_cmd_run_order_beyond_exhaustive_ball_d3(tmp_path, capsys):
+    # N_n grows past the d = 3 exhaustive ball mid-run (at N = 151): the
+    # scan's refusal is a precondition failure, not a traceback
+    cfg = base_config(kappa=0.01, omega=[1.0, math.sqrt(2.0), math.sqrt(3.0)],
+                      V={"v0": 0.0, "modes": [{"m": [1, 1, 0], "c": 1e-40}]},
+                      cert_tol=1e-200)
+    path = write_config(tmp_path, cfg)
+    assert main(["run", "--config", str(path)]) == 3
+    assert "Traceback" not in capsys.readouterr().err
+    cert = json.loads((tmp_path / "certificate.json").read_text())
+    assert cert["status"] == "PreconditionFailure"
+    assert "order 151 in d = 3" in cert["status_detail"]
+
+
 def test_cmd_run_batch_jobs(tmp_path):
     p1 = write_config(tmp_path, base_config(name="one"), "one.json")
     p2 = write_config(tmp_path, base_config(name="two"), "two.json")

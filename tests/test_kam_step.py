@@ -16,7 +16,7 @@ from kamcocycle.kam_step import (
     step_nonresonant,
     step_resonant,
 )
-from kamcocycle.sl2_algebra import DefectiveConstantPart, eigen
+from kamcocycle.sl2_algebra import BoundViolation, DefectiveConstantPart, eigen
 from kamcocycle.torus_fourier import TorusMap
 
 GOLDEN = np.array([1.0, 0.5 * (1.0 + np.sqrt(5.0))])
@@ -151,6 +151,16 @@ def test_homological_single_mode_zero_A():
     np.testing.assert_allclose(X.coeff(hk), expected, atol=1e-20)
 
 
+def test_homological_bound_violation_on_inflated_kappa():
+    # the certified size bound scales with 1/kappa; a kappa far above the
+    # true non-resonance constant of alpha makes it fail
+    F = small_real_map(eps=1e-9, seed=5)
+    X = solve_homological(rotation_like(0.77), F, 5, GOLDEN, 1.0, G2, G2, 0.99, 0.3)
+    assert X.n_modes > 0
+    with pytest.raises(BoundViolation):
+        solve_homological(rotation_like(0.77), F, 5, GOLDEN, 1e6, G2, G2, 0.99, 0.3)
+
+
 def test_homological_residual_random_instances():
     rng = np.random.default_rng(2024)
     count = 0
@@ -182,7 +192,7 @@ def test_step_nonresonant_zero_perturbation():
     ctx = make_ctx()
     A = rotation_like(0.77)
     F = TorusMap.zero(2)
-    out = step_nonresonant(A, F, 0.5, 0.4, 3, 1.0 - 1.0 / 196, ctx, strict=False)
+    out = step_nonresonant(A, F, 0.5, 0.4, 3, 1.0 - 1.0 / 196, ctx)
     np.testing.assert_allclose(out.A_next, A)
     assert out.F_next.n_modes == 0
     assert out.Z_step.n_modes == 1
@@ -197,7 +207,7 @@ def test_step_nonresonant_constant_perturbation():
     M = np.array([[0.0, 1.0], [1.0, 0.0]])
     F = TorusMap.constant(eps * M, 2)
     a_prime = 1.0 - 1.0 / 200.0
-    out = step_nonresonant(A, F, 0.5, 0.3, 5, a_prime, ctx, strict=True)
+    out = step_nonresonant(A, F, 0.5, 0.3, 5, a_prime, ctx)
     np.testing.assert_allclose(out.A_next, A + a_prime * eps * M, rtol=1e-12)
     np.testing.assert_allclose(out.F_next.coeff((0, 0)), (1 - a_prime) * eps * M,
                                rtol=1e-10)
@@ -206,12 +216,15 @@ def test_step_nonresonant_constant_perturbation():
 
 
 def test_step_nonresonant_strict_precondition_failure():
+    # failed preconditions are recorded, not raised, and the contraction
+    # is then not asserted
     ctx = make_ctx()
     A = rotation_like(0.77)
     F = small_real_map(eps=1e-3)  # far too large for petitesse3
-    with pytest.raises(PreconditionFailure) as exc:
-        step_nonresonant(A, F, 0.5, 0.499, 5, 1.0 - 1.0 / 196, ctx, strict=True)
-    assert "petitesse3" in exc.value.failed or "N_gap" in exc.value.failed
+    out = step_nonresonant(A, F, 0.5, 0.499, 5, 1.0 - 1.0 / 196, ctx)
+    ok, lhs, rhs = out.preconditions["petitesse3"]
+    assert not ok and lhs > rhs
+    assert not out.preconditions["N_gap"][0]  # e^{-2 pi 5 (0.001)} > 1/196
 
 
 def test_step_nonresonant_contraction_and_residual():
@@ -223,7 +236,7 @@ def test_step_nonresonant_contraction_and_residual():
     # both preconditions hold: 2 G g eps <= kappa (1-a')/2 and the gap
     assert 2 * G2.value(N) * G2.value(N) * F.weighted_norm(r) <= (1 - a_prime) / 2
     assert math.exp(-2 * math.pi * N * (r - r_prime)) <= 1 - a_prime
-    out = step_nonresonant(A, F, r, r_prime, N, a_prime, ctx, strict=True)
+    out = step_nonresonant(A, F, r, r_prime, N, a_prime, ctx)
     assert out.contraction_observed <= math.sqrt(1 - a_prime)
     assert out.residual_norm <= 1e-10 * (1 + F.weighted_norm(r)) + out.truncation_debt
     assert out.Z_step.is_real()
@@ -237,7 +250,7 @@ def test_step_resonant_exact_resonance_no_perturbation():
     beta = math.pi * GOLDEN[0]
     A = rotation_like(beta)
     F = TorusMap.zero(2)
-    out = step_resonant(A, F, 1.0, 2, 1.0 - 1.0 / 196, 2.0, ctx, strict=True)
+    out = step_resonant(A, F, 1.0, 2, 1.0 - 1.0 / 196, 2.0, ctx)
     assert out.resonant and out.m == (1, 0)
     assert abs(out.alpha_next) < 1e-12
     np.testing.assert_allclose(out.A_next, 0.0, atol=1e-12)
@@ -256,7 +269,7 @@ def test_step_resonant_conjugation_lattice_and_residual():
     F = small_real_map(eps=1e-12, seed=11, modes=((2, 0), (0, 2)))
     assert 2 * (G2.value(2) * G2.value(2)) ** 2 * F.weighted_norm(1.0) \
         <= 0.5 * (1.0 / 196) ** 2  # petitesse holds for this instance
-    out = step_resonant(A, F, 1.0, 2, 1.0 - 1.0 / 196, 2.0, ctx, strict=True)
+    out = step_resonant(A, F, 1.0, 2, 1.0 - 1.0 / 196, 2.0, ctx)
     assert out.resonant and out.m == (1, 0)
     assert out.alpha_next == pytest.approx(1j * delta, abs=1e-6)
     # conjugated perturbation is back on the integer lattice
@@ -285,7 +298,7 @@ def test_conjugation_residual_oracle_detects_tampering():
     ctx = make_ctx()
     A = rotation_like(0.77)
     F = small_real_map(eps=1e-9, seed=21)
-    out = step_nonresonant(A, F, 0.5, 0.33, 5, 1.0 - 1.0 / 200, ctx, strict=True)
+    out = step_nonresonant(A, F, 0.5, 0.33, 5, 1.0 - 1.0 / 200, ctx)
     good = conjugation_residual(A, F, out.Z_step, out.A_next, out.F_next,
                                 GOLDEN, out.r_next)
     assert good == pytest.approx(out.residual_norm)
@@ -312,20 +325,6 @@ def test_find_resonance_large_order_windowed():
     assert find_resonance(0.5j, GOLDEN, 1.0, G2, G2, N=20).m is None
 
 
-def test_step_output_serializes():
-    ctx = make_ctx()
-    A = rotation_like(0.77)
-    F = small_real_map(eps=1e-9, seed=5)
-    out = step_nonresonant(A, F, 0.5, 0.33, 5, 1.0 - 1.0 / 200, ctx, strict=True)
-    obj = out.to_json_obj()
-    import json
-    text = json.dumps(obj, sort_keys=True)
-    back = json.loads(text)
-    assert back["resonant"] is False
-    assert back["r_next"] == out.r_next
-    assert back["F_next"]["modes"] == out.F_next.to_json_obj()["modes"]
-
-
 def test_step_nonresonant_defective_constant_part():
     # near-nilpotent A: eigen-data is flagged defective, the homological
     # solve runs through the dense entrywise path, and the step still
@@ -333,7 +332,7 @@ def test_step_nonresonant_defective_constant_part():
     ctx = make_ctx()
     A = np.array([[0.0, 1.0], [0.0, 0.0]])
     F = small_real_map(eps=1e-9, seed=31)
-    out = step_nonresonant(A, F, 0.5, 0.33, 5, 1.0 - 1.0 / 200, ctx, strict=True)
+    out = step_nonresonant(A, F, 0.5, 0.33, 5, 1.0 - 1.0 / 200, ctx)
     assert out.residual_norm <= 1e-10 * (1 + F.weighted_norm(0.5))
     assert out.contraction_observed <= math.sqrt(1.0 / 200)
     assert abs(out.alpha) < 1e-10
@@ -344,7 +343,7 @@ def test_phi_norm_within_recorded_bound():
     beta = math.pi * GOLDEN[0] + 1e-3
     A = rotation_like(beta)
     F = small_real_map(eps=1e-12, seed=11, modes=((2, 0), (0, 2)))
-    out = step_resonant(A, F, 1.0, 2, 1.0 - 1.0 / 196, 2.0, ctx, strict=True)
+    out = step_resonant(A, F, 1.0, 2, 1.0 - 1.0 / 196, 2.0, ctx)
     assert out.info["phi_norm"] <= out.info["phi_bound"] * (1 + 1e-12)
     assert out.info["phi_inv_norm"] <= out.info["phi_bound"] * (1 + 1e-12)
 
@@ -366,7 +365,7 @@ def test_f_next_matches_series_expansion():
                            modes=((2, 0), (0, 2), (2, 2)))
         r, r_prime, N = 0.5, 0.33, 5
         a_prime = 1.0 - 1.0 / 200.0
-        out = step_nonresonant(A, F, r, r_prime, N, a_prime, ctx, strict=True)
+        out = step_nonresonant(A, F, r, r_prime, N, a_prime, ctx)
 
         from kamcocycle.kam_step import solve_homological
         X = solve_homological(A, F, N, GOLDEN, ctx.kappa, G2, G2, a_prime, r_prime)
@@ -403,7 +402,7 @@ def test_conjugation_identity_finite_difference_oracle():
     ctx = make_ctx()
     A = rotation_like(0.77)
     F = small_real_map(eps=1e-9, seed=77)
-    out = step_nonresonant(A, F, 0.5, 0.33, 5, 1.0 - 1.0 / 200, ctx, strict=True)
+    out = step_nonresonant(A, F, 0.5, 0.33, 5, 1.0 - 1.0 / 200, ctx)
     Z = out.Z_step
     rng = np.random.default_rng(12)
     thetas = rng.uniform(0, 2, size=(50, 2))
