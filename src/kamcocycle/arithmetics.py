@@ -11,7 +11,12 @@ literally up to order SMALL_BALL; past it, each slice of the lattice
 contributes only the few points whose pairing <m, omega> lies nearest the
 target, which is complete for violations, and a certified floor bounds
 every point left out, so the reported minimum is a lower bound over the
-whole ball.  At d >= 3 the ball is scanned literally, up to
+whole ball.  Slices far from the origin are not visited one by one: exact
+integer arithmetic on the dyadic rationals stored in omega selects the
+few whose candidates can still matter, and they are scored in the same
+floating point as the others, so a d <= 2 scan to order N costs
+O(log N log D + hits), D the common denominator, with the floor and the
+scores unchanged.  At d >= 3 the ball is scanned literally, up to
 FULL_SCAN_LIMIT points.
 """
 
@@ -25,6 +30,9 @@ from scipy import integrate
 
 FULL_SCAN_LIMIT = 2_000_000
 SMALL_BALL = 8
+_NEAR = 4096        # slices |m_i| <= _NEAR of a d <= 2 scan are always scored
+_CHUNK = 1 << 20    # slices per scored array
+_HIT_COST = 2048    # an enumerated slice costs about as much as scoring this many
 
 NrReport = namedtuple("NrReport", ["ok", "m", "value"])
 
@@ -228,15 +236,27 @@ def approxfn_from_spec(obj: dict) -> ApproxFn:
 # ---------------------------------------------------------------------------
 
 def l1_ball(N: int, d: int) -> np.ndarray:
-    """All integer points with l1 norm <= N (brute-force oracle helper)."""
+    """All integer points with l1 norm <= N, in lexicographic order."""
+    first = np.arange(-N, N + 1, dtype=np.int64)
     if d == 1:
-        return np.arange(-N, N + 1, dtype=np.int64)[:, None]
-    rows = []
-    for m1 in range(-N, N + 1):
-        rest = l1_ball(N - abs(m1), d - 1)
-        first = np.full((rest.shape[0], 1), m1, dtype=np.int64)
-        rows.append(np.hstack([first, rest]))
-    return np.vstack(rows)
+        return first[:, None]
+    if d == 2:
+        half = N - np.abs(first)  # the second coordinate runs over -half..half
+        count = 2 * half + 1
+        centre = np.repeat(np.cumsum(count) - half - 1, count)
+        return np.column_stack([np.repeat(first, count), np.arange(len(centre)) - centre])
+    rest = [l1_ball(N - abs(m1), d - 1) for m1 in range(-N, N + 1)]
+    return np.column_stack([np.repeat(first, [len(r) for r in rest]), np.vstack(rest)])
+
+
+def _punctured(pts):
+    return pts[np.abs(pts).sum(axis=1) > 0]
+
+
+# the exact part of every d <= 2 scan past order SMALL_BALL
+_SMALL_BALLS = [_punctured(l1_ball(SMALL_BALL, d)) for d in (1, 2)]
+for _ball in _SMALL_BALLS:
+    _ball.flags.writeable = False
 
 
 def l1_ball_size(N: int, d: int) -> int:
@@ -330,8 +350,7 @@ def scan_min_weighted_distance(omega, N, weight_fn, target=0.0, scale=1.0,
     check_scan_order(N, d)
     state = _ScanState(thr)
     nb = min(N, SMALL_BALL) if d <= 2 else N
-    pts = l1_ball(nb, d)
-    pts = pts[np.abs(pts).sum(axis=1) > 0]
+    pts = _SMALL_BALLS[d - 1] if d <= 2 and nb == SMALL_BALL else _punctured(l1_ball(nb, d))
     state.update(pts, _score_points(pts, omega, weight_fn, target, scale, re_off))
     if nb < N:
         _slice_scan(state, omega, N, weight_fn, target, scale, re_off, thr, nb)
@@ -345,14 +364,34 @@ def _slice_scan(state, omega, N, weight_fn, target, scale, re_off, thr, lo_mod):
 
     The slices run over the coordinate m_i of the smaller frequency (a
     single slice at d = 1); in each, the candidates are the integers m_j
-    within width of the point t where <m, omega> meets the target.  A
-    candidate left out lies at least width + 1/2 lattice spacings off the
-    target line, so it scores at least the floor.  With thr <= spacing the
-    nearest candidate alone (width 0) is complete for violations, since
-    the floor spacing * weight(lo_mod + 1) is >= thr; a wider violation
-    window gets width >= thr / (2 spacing) + 3/2, so the floor is >= thr +
-    3 spacing.  The floor also caps the reported minimum, making it a
-    certified lower bound over the whole range.
+    within width of the point t = (c' - m_i w_i) / w_j where <m, omega>
+    meets the target c' = target / scale.  A candidate left out lies at
+    least width + 1/2 lattice spacings off the target line, so it scores
+    at least the floor.  With thr <= spacing the nearest candidate alone
+    (width 0) is complete for violations, since the floor spacing *
+    weight(lo_mod + 1) is >= thr; a wider violation window gets width >=
+    thr / (2 spacing) + 3/2, so the floor is >= thr + 3 spacing.  The floor
+    also caps the reported minimum, making it a certified lower bound over
+    the whole range.
+
+    Slices with |m_i| <= _NEAR are scored directly; the others come in
+    bands lo <= |m_i| < 2 lo.  A candidate of a band scores at most B =
+    max(best so far, thr) only if its float t lies within delta =
+    sqrt((B / weight(lo))^2 - re_off^2) / (scale |w_j|) of an integer
+    (delta carries a relative allowance for the rounding of the score).
+    With c = C/D and r = P/D the float quotients c'/w_j and w_i/w_j over
+    one power of two D, the float t differs from the exact C/D - m_i P/D
+    by less than eta = 2^-50 (|c| + hi |r| + 1) for |m_i| <= hi.  The band
+    rule: when (2 (delta + eta) |band| + 1) _HIT_COST <= |band| (few
+    expected hits), the slices with dist(C - P m_i, D Z) <= (delta + eta) D
+    are enumerated exactly (_window_hits, O(log D) per hit); otherwise, or
+    when the hits overrun |band| / _HIT_COST, the band is scored directly.
+    Every slice so selected gets the same float window scores as a direct
+    scan, with ties broken in the direct scan's visiting order (2^20-slice
+    chunk from -mi_max, offset, ascending m_i), so the result is that of
+    scoring every slice, at a cost of O(log N log D + hits) when the bands
+    are enumerated.  A score 0 * inf (an overflowed weight at an exact
+    hit) is dropped alone.
     """
     d = omega.shape[0]
     j = int(np.argmax(np.abs(omega)))
@@ -376,12 +415,10 @@ def _slice_scan(state, omega, N, weight_fn, target, scale, re_off, thr, lo_mod):
     re2 = re_off * re_off
     k2 = (scale * wj) ** 2
     thr2 = None if thr is None else thr * thr
-    chunk = 1 << 20
-    best = math.inf
-    best_m = None
-    for lo in range(-mi_max, mi_max + 1, chunk):
-        hi = min(lo + chunk - 1, mi_max)
-        mi = np.arange(lo, hi + 1, dtype=np.float64)
+    best = [math.inf, None, None]  # squared score, visiting-order key, m
+
+    def score(mi):
+        # the window candidates of the ascending float slices mi
         t = (cprime - mi * wi) / wj
         base = np.rint(t)
         for off in range(-width, width + 1):
@@ -397,16 +434,125 @@ def _slice_scan(state, omega, N, weight_fn, target, scale, re_off, thr, lo_mod):
             s2 *= w
             s2[(mod <= lo_mod) | (mod > N)] = np.inf
             k = int(np.argmin(s2))
-            if s2[k] < best:
-                best = float(s2[k])
-                best_m = point(lo + k, int(mj[k]))
+            if s2[k] != s2[k]:  # 0 * inf: an exact hit with an overflowed weight
+                s2[np.isnan(s2)] = np.inf
+                k = int(np.argmin(s2))
+            mk = int(mi[k])
+            key = ((mk + mi_max) // _CHUNK, off, mk)
+            if s2[k] < best[0] or (s2[k] == best[0] and best[1] is not None
+                                   and key < best[1]):
+                best[:] = float(s2[k]), key, point(mk, int(mj[k]))
             if thr2 is not None and float(s2[k]) < thr2:
                 for vi in np.flatnonzero(s2 < thr2):
                     state.violators.append(
-                        (math.sqrt(float(s2[vi])), point(lo + int(vi), int(mj[vi]))))
-    if best_m is not None:
-        state.offer(math.sqrt(best), best_m)
+                        (math.sqrt(float(s2[vi])), point(int(mi[vi]), int(mj[vi]))))
+
+    def band_hits(a, b, w_lo):
+        # the slices a..b (weight >= w_lo) that can hold a candidate scoring
+        # at most B, or None to score the band directly
+        n = b - a + 1
+        B2 = max(min(state.best_score * state.best_score, best[0]), thr2 or 0.0)
+        rhs = B2 * (1.0 + 1e-8) / (w_lo * w_lo) - re2
+        if rhs < 0.0:
+            return []
+        x = _hit_width(line, max(-a, b), math.sqrt(rhs / k2) * (1.0 + 1e-9))
+        if not (x < 0.5 and (2.0 * x * n + 1.0) * _HIT_COST <= n):
+            return None
+        C, P, D = line[2:]
+        xn, xd = x.as_integer_ratio()
+        return _window_hits(C, P, D, a, n, xn * D // xd, n // _HIT_COST)
+
+    near = min(_NEAR, mi_max)
+    score(np.arange(-near, near + 1, dtype=np.float64))
+    lo = near + 1
+    line = _exact_line(cprime, wi, wj) if lo <= mi_max else None
+    while lo <= mi_max:
+        hi = min(2 * lo - 1, mi_max)
+        w_lo = float(weight_fn(float(max(lo, lo_mod + 1))))
+        for a, b in ((-hi, -lo), (lo, hi)):
+            hits = band_hits(a, b, w_lo)
+            if hits is None:
+                for s in range(a, b + 1, _CHUNK):
+                    score(np.arange(s, min(s + _CHUNK - 1, b) + 1, dtype=np.float64))
+            elif hits:
+                score(np.array(hits, dtype=np.float64))
+        lo = hi + 1
+    if best[2] is not None:
+        state.offer(math.sqrt(best[0]), best[2])
     state.apply_floor(floor)
+
+
+def _exact_line(cprime, wi, wj):
+    """(c, r, C, P, D): the float quotients c = c'/w_j and r = w_i/w_j,
+    and the integers with c = C/D and r = P/D exactly, D a power of two."""
+    c = float(cprime) / float(wj)
+    r = float(wi) / float(wj)
+    (cn, cd), (pn, pd) = c.as_integer_ratio(), r.as_integer_ratio()
+    D = max(cd, pd)
+    return c, r, cn * (D // cd), pn * (D // pd), D
+
+
+def _hit_width(line, hi, delta):
+    """delta plus eta = 2^-50 (|c| + hi |r| + 1), which bounds the gap
+    between the float t = (c' - m_i w_i) / w_j and the exact c - m_i r
+    over |m_i| <= hi with a margin of nearly 2: the five roundings (the
+    product, the difference and the quotient in t, and those of c and r)
+    stay within (4 u + 8 u^2) (|c| + hi |r|), u = 2^-53, and the + 1
+    covers underflow."""
+    c, r = line[0], line[1]
+    return delta + 2.0 ** -50 * (abs(c) + hi * abs(r) + 1.0)
+
+
+def _window_hits(C, P, D, start, n, W, budget):
+    """The integers x in [start, start + n) with dist(C - P x, D Z) <= W,
+    ascending, or None when there are more than budget of them.
+
+    2 W < D.  Each hit, and the end, costs one _first_hit descent.
+    """
+    a = -P % D
+    b = (C - P * start + W) % D  # dist <= W iff (a y + b) % D <= 2 W, x = start + y
+    hits = []
+    y = 0
+    while y < n:
+        step = _first_hit(a, b, D, 2 * W, n - y)
+        if step is None:
+            break
+        if len(hits) == budget:
+            return None
+        y += step
+        hits.append(start + y)
+        y += 1
+        b = (b + a * (step + 1)) % D
+    return hits
+
+
+def _first_hit(a, b, m, w, n):
+    """Smallest y in [0, n) with (a y + b) % m <= w, or None (n >= 1,
+    0 <= a, b, w < m).
+
+    Values below w occur only just after a y + b wraps past a multiple k m
+    of m, at y = ceil((k m - b) / a) with value (b - k m) % a, so the
+    smallest k is the same problem with modulus a, over the k whose wrap
+    falls before n.  Reflecting a > m/2 to m - a (v <= w iff (w - v) % m
+    <= w) at least halves the modulus at every level, and the window
+    shrinks by the factor a / m: O(min(log m, log n)) levels, like
+    Euclid's algorithm.
+    """
+    levels = []
+    while b > w:
+        if 2 * a > m:
+            a, b = m - a, (w - b) % m
+        n = (a * (n - 1) + b) // m  # wraps k = 1..n fall before the end
+        if n == 0:
+            return None
+        levels.append((a, b, m))
+        if w + 1 >= a:
+            break  # the first wrap lands at or below w
+        a, b, m = -m % a, (b - m) % a, a
+    y = 0  # the smallest k - 1 of the level above
+    for a, b, m in reversed(levels):
+        y = ((y + 1) * m - b + a - 1) // a
+    return y
 
 
 # ---------------------------------------------------------------------------

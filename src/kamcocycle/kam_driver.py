@@ -521,9 +521,8 @@ def resonance_budget_check(trace: RunTrace, schedule: KamSchedule,
         report["kappa_prime_condition"] = cond
         report["kappa_prime_consistent"] = (not cond) or late_resonances == 0
     if rho_target is not None and schedule.kappa_prime is not None and recs:
-        N_scan = min(max(r.N_n for r in recs), 10 ** 7)
         rep = check_nr_rho(rho_target, trace.omega, schedule.kappa_prime,
-                           schedule.g, N_scan)
+                           schedule.g, max(r.N_n for r in recs))
         report["rho_hypothesis"] = bool(rep.ok)
         report["rho_worst_offender"] = rep.m
     return report

@@ -12,7 +12,6 @@ All operations are pure: a TorusMap is never mutated after construction.
 
 from __future__ import annotations
 
-import json
 import math
 
 import numpy as np
@@ -121,12 +120,6 @@ class TorusMap:
     @classmethod
     def identity(cls, d: int) -> "TorusMap":
         return cls.constant(np.eye(2), d)
-
-    @classmethod
-    def single_mode(cls, half_k, M, *, reality=False) -> "TorusMap":
-        hk = np.asarray(half_k, dtype=np.int64).reshape(1, -1)
-        return cls(hk.shape[1], hk, np.asarray(M, dtype=complex)[None, :, :],
-                   reality=reality)
 
     @classmethod
     def from_modes(cls, d, modes, *, reality=False) -> "TorusMap":
@@ -359,13 +352,6 @@ class TorusMap:
         return cls(d, hk, cf, reality=obj.get("reality_flag", False),
                    truncation_debt=obj.get("truncation_debt", 0.0))
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_obj(), sort_keys=True)
-
-    @classmethod
-    def from_json(cls, s: str) -> "TorusMap":
-        return cls.from_json_obj(json.loads(s))
-
     def __repr__(self):
         return (f"TorusMap(d={self.d}, modes={self.n_modes}, "
                 f"lattice={self.lattice}, real={self.reality})")
@@ -424,14 +410,3 @@ def exp_series_tail(X: TorusMap, r: float, tol: float = 1e-30) -> tuple[TorusMap
         acc = TorusMap(acc.d, acc.half_k, acc.coeffs, reality=True,
                        truncation_debt=acc.truncation_debt, _canonical=True)
     return acc, tail
-
-
-def exp_map(X: TorusMap, r: float, tol: float = 1e-30) -> tuple[TorusMap, float]:
-    """Matrix exponential of a torus map by plain Taylor summation.
-
-    Requires |X|_r <= 1.  The series is summed until the certified tail
-    bound |X|_r^{K+1}/(K+1)! * e^{|X|_r} drops below tol; the partial sum
-    and that bound are returned.
-    """
-    P, tail = exp_series_tail(X, r, tol)
-    return TorusMap.identity(X.d).add(P), tail

@@ -1,8 +1,10 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
+from kamcocycle import arithmetics
 from kamcocycle.arithmetics import (
     SMALL_BALL,
     DivergentIntegral,
@@ -68,6 +70,15 @@ def brute_min(omega, N, weight, target=0.0, scale=1.0, re_off=0.0):
     scores = dist * weight(np.abs(pts).sum(axis=1).astype(float))
     i = np.argmin(scores)
     return scores[i], tuple(pts[i])
+
+
+def test_l1_ball_lexicographic():
+    for d, orders in ((1, range(6)), (2, range(12)), (3, range(5))):
+        for N in orders:
+            box = itertools.product(range(-N, N + 1), repeat=d)
+            expected = [p for p in box if sum(abs(v) for v in p) <= N]
+            ball = l1_ball(N, d)
+            assert ball.dtype == np.int64 and [tuple(p) for p in ball.tolist()] == expected
 
 
 def test_check_nr_omega_golden():
@@ -190,6 +201,216 @@ def test_slice_scan_floor_covers_skipped_minimum():
     bscore, bm = brute_min(omega, 20, g.value, target=target, scale=math.pi, re_off=8.0)
     assert bm == (11,) and m == (12,)
     assert score == 0.5 * math.pi * float(g.value(9.0)) < bscore
+
+
+def _linear_slice_scan(state, omega, N, weight_fn, target, scale, re_off, thr,
+                       lo_mod):
+    # test-only copy of the linear slice scan that _slice_scan replaced:
+    # every slice -mi_max..mi_max, in chunks of 2^20, scored directly
+    d = omega.shape[0]
+    j = int(np.argmax(np.abs(omega)))
+    wj = omega[j]
+    wi = omega[1 - j] if d == 2 else 0.0
+    spacing = 0.5 * scale * abs(wj)
+    u = 0.0 if thr is None else thr / (2.0 * spacing)
+    if u > 0.5:
+        width = min(int(math.ceil(u + 0.5)) + 1, 64)
+        floor = width * 2.0 * spacing * float(weight_fn(float(lo_mod + 1)))
+    else:
+        width = 0
+        floor = spacing * float(weight_fn(float(lo_mod + 1)))
+
+    def point(mi, mj):
+        return (mj,) if d == 1 else ((mi, mj) if j == 1 else (mj, mi))
+
+    cprime = target / scale
+    mi_max = 0 if d == 1 else min(N, int((N + 0.5 + abs(cprime) / abs(wj))
+                                         / (1.0 + abs(wi / wj))) + 2 + width)
+    re2 = re_off * re_off
+    k2 = (scale * wj) ** 2
+    thr2 = None if thr is None else thr * thr
+    chunk = 1 << 20
+    best = math.inf
+    best_m = None
+    for lo in range(-mi_max, mi_max + 1, chunk):
+        hi = min(lo + chunk - 1, mi_max)
+        mi = np.arange(lo, hi + 1, dtype=np.float64)
+        t = (cprime - mi * wi) / wj
+        base = np.rint(t)
+        for off in range(-width, width + 1):
+            mj = base + off if off else base
+            s2 = t - mj
+            np.square(s2, out=s2)
+            s2 *= k2
+            s2 += re2
+            mod = np.abs(mi)
+            mod += np.abs(mj)
+            w = np.asarray(weight_fn(mod), dtype=np.float64)
+            np.square(w, out=w)
+            s2 *= w
+            s2[(mod <= lo_mod) | (mod > N)] = np.inf
+            k = int(np.argmin(s2))
+            if s2[k] < best:
+                best = float(s2[k])
+                best_m = point(lo + k, int(mj[k]))
+            if thr2 is not None and float(s2[k]) < thr2:
+                for vi in np.flatnonzero(s2 < thr2):
+                    state.violators.append(
+                        (math.sqrt(float(s2[vi])), point(lo + int(vi), int(mj[vi]))))
+    if best_m is not None:
+        state.offer(math.sqrt(best), best_m)
+    state.apply_floor(floor)
+
+
+def _scan_cases(d, rng):
+    weights = [PowerFn(0.25), PowerFn(1.0), PowerFn(2.0), PowerFn(4.0), ExpPowFn(0.5)]
+    for case in range(40):
+        g = weights[case % 5]
+        u = rng.uniform(1.1, 2.5)
+        omega = np.array([u]) if d == 1 else \
+            np.array([1.0, u]) if case % 2 else np.array([u, -1.0])
+        N = int(10.0 ** rng.uniform(1.0, 6.0)) if case % 10 else 10 ** 6 - case
+        spacing = 0.5 * math.pi * np.abs(omega).max()
+        kind = case % 4
+        if kind == 0:
+            # check_nr_omega: score(m) = score(-m) ties at target 0
+            target, scale, re_off, thr = 0.0, 1.0, 0.0, 10.0 ** rng.uniform(-6.0, 0.0)
+        elif kind == 1:
+            # check_nr_alpha below spacing (width 0)
+            target, scale = rng.uniform(0.0, 60.0), math.pi
+            re_off, thr = abs(rng.normal(scale=0.05)), spacing * 10.0 ** rng.uniform(-4.0, 0.0)
+        elif kind == 2:
+            # check_nr_rho above spacing (width 3 or 4)
+            target, scale = rng.uniform(0.0, 60.0), math.pi
+            re_off, thr = 0.0, spacing * 10.0 ** rng.uniform(0.0, 0.5)
+        else:
+            # large real part, target line past the exact ball: the floor
+            # binds for slow weights
+            target, scale = rng.uniform(80.0, 200.0), math.pi
+            re_off, thr = spacing * rng.uniform(3.0, 20.0), spacing * rng.uniform(0.1, 1.0)
+        yield g, omega, N, target, scale, re_off, thr
+    if d == 2:
+        # rational omega: every other slice hits exactly, far more than the
+        # equidistributed estimate, so the enumeration overruns its budget
+        yield PowerFn(2.0), np.array([1.0, 0.5]), 30000, 0.0, 1.0, 0.0, 1e-9
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_slice_scan_matches_linear_scan_copy(d, monkeypatch):
+    # the band-enumerating scan returns exactly what scoring every slice
+    # returns: value, argmin and violators, bit for bit
+    calls = {"enumerated": 0, "hits": 0, "overrun": 0}
+    window_hits = arithmetics._window_hits
+
+    def counting_window_hits(*args):
+        hits = window_hits(*args)
+        calls["enumerated"] += 1
+        if hits is None:
+            calls["overrun"] += 1
+        else:
+            calls["hits"] += len(hits)
+        return hits
+
+    monkeypatch.setattr(arithmetics, "_window_hits", counting_window_hits)
+    floored = ties = 0
+    for g, omega, N, target, scale, re_off, thr in _scan_cases(d, np.random.default_rng(2024 + d)):
+        args = (omega, N, g.value)
+        kw = dict(target=target, scale=scale, re_off=re_off, thr=thr)
+        with np.errstate(over="ignore", invalid="ignore"):
+            score, m, violators = scan_min_weighted_distance(*args, **kw)
+            with monkeypatch.context() as mp:
+                mp.setattr(arithmetics, "_slice_scan", _linear_slice_scan)
+                lscore, lm, lviolators = scan_min_weighted_distance(*args, **kw)
+        assert (score, m, violators) == (lscore, lm, lviolators), (omega, N, target)
+        mod = sum(abs(v) for v in m)
+        own = math.hypot(re_off, target - scale * float(np.dot(m, omega))) \
+            * float(g.value(float(mod)))
+        floored += score < 0.999 * own
+        ties += target == 0.0 and mod > SMALL_BALL
+    if d == 2:
+        assert calls["enumerated"] >= 50 and calls["hits"] >= 5 and calls["overrun"] >= 1
+        assert floored >= 3 and ties >= 3
+
+
+def test_slice_scan_keeps_violators_beside_overflowed_weight():
+    # omega = (1, 1/2): every even slice m_i meets the target 0 exactly, and
+    # the squared weight exp(|m|)^2 of a slice score overflows past |m| =
+    # 354, so those exact hits score 0 * inf = nan and are dropped; the hits
+    # of order 9..354 score 0 and must all be reported (a nan used to void
+    # its whole 2^20-slice group, and every violator in it)
+    omega, g, N, thr = np.array([1.0, 0.5]), ExpPowFn(1.0), 800, 1e-3
+    with np.errstate(over="ignore", invalid="ignore"):
+        _, _, violators = scan_min_weighted_distance(omega, N, g.value, thr=thr)
+        pts = l1_ball(N, 2)
+        pts = pts[np.abs(pts).sum(axis=1) > 0]
+        s2 = (pts @ omega) ** 2 * g.value(np.abs(pts).sum(axis=1).astype(float)) ** 2
+    assert {m for _, m in violators} == {tuple(int(v) for v in p) for p in pts[s2 < thr * thr]}
+    assert max(abs(m[0]) + abs(m[1]) for _, m in violators) == 354
+
+
+def _brute_window_hits(C, P, D, start, n, W):
+    return [x for x in range(start, start + n)
+            if min((C - P * x) % D, (P * x - C) % D) <= W]
+
+
+def test_window_hits_match_bruteforce():
+    rng = np.random.default_rng(17)
+    for case in range(300):
+        if case % 2:
+            # any modulus, windows longer than a period
+            D = int(rng.integers(2, 400))
+            P, C = int(rng.integers(-2 * D, 2 * D)), int(rng.integers(-2 * D, 2 * D))
+            W = int(rng.integers(0, (D - 1) // 2 + 1))
+            start, n = int(rng.integers(-1000, 1000)), int(rng.integers(1, 3 * D))
+        else:
+            # the dyadic quotients of float frequencies and targets
+            ratio = 1.0 / GOLDEN[1] if case % 4 else rng.uniform(1.1, 2.5) / 1.0
+            c = rng.uniform(-50.0, 50.0) / (GOLDEN[1] if case % 4 else 1.0)
+            (pn, pd), (cn, cd) = ratio.as_integer_ratio(), c.as_integer_ratio()
+            D = max(pd, cd)
+            P, C = pn * (D // pd), cn * (D // cd)
+            W = int(rng.uniform(0.0, 0.05) * D)
+            start = int(rng.integers(-10 ** 9, 10 ** 9))
+            n = int(rng.integers(1, 2000))
+        assert arithmetics._window_hits(C, P, D, start, n, W, n) == \
+            _brute_window_hits(C, P, D, start, n, W), (C, P, D, start, n, W)
+    # more hits than the budget: None
+    assert arithmetics._window_hits(0, 1, 2, 0, 10, 0, 4) is None
+
+
+def test_first_hit_matches_bruteforce():
+    rng = np.random.default_rng(19)
+    for _ in range(2000):
+        m = int(rng.integers(1, 300))
+        a, b, w = (int(v) for v in rng.integers(0, m, size=3))
+        n = int(rng.integers(1, 2 * m))
+        hits = [y for y in range(n) if (a * y + b) % m <= w]
+        assert arithmetics._first_hit(a, b, m, w, n) == (hits[0] if hits else None)
+    # a multiplier next to the modulus: reflected to 1, not subtracted 2^60 times
+    m = 2 ** 60
+    assert arithmetics._first_hit(m - 1, m - 1, m, 0, m) == m - 1
+    assert arithmetics._first_hit(m - 1, m - 1, m, 0, m - 1) is None
+
+
+def test_window_hits_cover_float_slices_near_4e12():
+    # at m_i ~ 4e12 the float t = (c' - m_i w_i) / w_j carries an ulp of
+    # about 5e-4: the slices whose float t lies within delta of an integer
+    # all lie within delta + eta of one exactly, and some only by eta
+    omega, cprime, delta = GOLDEN, 0.3, 1e-3
+    start, n = 4 * 10 ** 12, 10 ** 5
+    mi = np.arange(start, start + n, dtype=np.float64)
+    t = (cprime - mi * omega[0]) / omega[1]
+    near = {start + int(k) for k in np.flatnonzero(np.abs(t - np.rint(t)) <= delta)}
+    line = arithmetics._exact_line(cprime, omega[0], omega[1])
+    c, r, C, P, D = line
+    assert c == cprime / omega[1] and r == omega[0] / omega[1] and C / D == c and P / D == r
+    x = arithmetics._hit_width(line, start + n - 1, delta)
+    xn, xd = x.as_integer_ratio()
+    W = xn * D // xd
+    hits = arithmetics._window_hits(C, P, D, start, n, W, n)
+    assert hits == _brute_window_hits(C, P, D, start, n, W)
+    assert len(near) > 100 and near <= set(hits)
+    assert not near <= set(_brute_window_hits(C, P, D, start, n, int(delta * D)))
 
 
 def test_check_nr_alpha_examples():

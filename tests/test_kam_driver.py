@@ -15,6 +15,7 @@ from kamcocycle.kam_driver import (
     NoFeasibleEpsilon,
     RunTrace,
     ScheduleViolation,
+    StepRecord,
     brjuno_sum_threshold,
     check_condepsilon,
     make_schedule,
@@ -319,6 +320,25 @@ def test_budget_check_with_resonance():
     rep2 = resonance_budget_check(trace, sched2, rho_target=beta)
     assert rep2["ratio_bounded"]
     assert rep2["kappa_prime_condition"] is not None
+
+
+def test_budget_check_rho_hypothesis_at_full_order():
+    # rho = pi <m0, omega> exactly in float, at m0 = (-b, b) of order 1.2e7,
+    # past 1e7 but within the trace's largest N_n; every m of order <= 1e7
+    # scores at least 0.01 against kappa' = 1e-3
+    b = 6_000_000
+    omega = np.array([1.0, 1.0 + 2.0 ** -30])
+    c = b * 2.0 ** -30
+    rho = math.pi * c
+    assert rho / math.pi == c and -b + b * omega[1] == c
+    records = [StepRecord(n=n, r_n=0.5, N_n=N, eps_bound=1e-10, f_norm=1e-10,
+                          resonant=False, m=(0, 0), alpha=0.0j, residual=0.0,
+                          contraction=0.0)
+               for n, N in enumerate((10 ** 6, 2 * 10 ** 7))]
+    sched = make_schedule(1.0, 1e-3, G2, G2, 0.5, 0, 1e-10, require_feasible=False)
+    rep = resonance_budget_check(RunTrace(records, omega), sched, rho_target=rho)
+    assert rep["rho_hypothesis"] is False
+    assert rep["rho_worst_offender"] == (-b, b)
 
 
 def test_run_single_frequency():
