@@ -54,7 +54,7 @@ from .kam_driver import (
     smallness_explicit,
 )
 from .kam_step import MultipleResonances, PreconditionFailure
-from .rotation_number import rotation_number, verify_additivity
+from .rotation_number import StepTooLarge, rotation_number, verify_additivity
 from .sl2_algebra import BoundViolation, SingularOperator, check_sl2
 from .torus_fourier import TorusMap
 
@@ -398,8 +398,9 @@ def cmd_audit(args) -> int:
     has_resonance = any(r.resonant for r in trace.records)
     if has_resonance:
         A, F = cfg.system()
-        est = rotation_number(TorusMap.constant(A, cfg.omega.size).add(F),
-                              cfg.omega, T=args.T, h=args.h)
+        est = _measure_rho(A, F, cfg.omega, args.T, args.h)
+        if est is None:
+            return 3
         add = verify_additivity(est.rho, _final_B(trace, cfg.omega), trace, cfg.omega,
                                 tol=2.0 * est.error_estimate)
         report["rho_measured"] = est.rho
@@ -430,6 +431,15 @@ def _final_B(trace: RunTrace, omega) -> np.ndarray:
     return np.array([[0.0, beta], [-beta, 0.0]])
 
 
+def _measure_rho(A, F: TorusMap, omega, T: float, h: float):
+    """rotation_number of A + F, or None after a one-line error."""
+    try:
+        return rotation_number(TorusMap.constant(A, omega.size).add(F), omega, T=T, h=h)
+    except (StepTooLarge, ArithmeticError) as exc:
+        print(f"error: rotation number at T = {T:g}, h = {h:g}: {exc}", file=sys.stderr)
+        return None
+
+
 def cmd_rotnum(args) -> int:
     obj = _load_json(Path(args.config))
     if obj is None:
@@ -440,8 +450,9 @@ def cmd_rotnum(args) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    est = rotation_number(TorusMap.constant(A, cfg.omega.size).add(F),
-                          cfg.omega, T=args.T, h=args.h)
+    est = _measure_rho(A, F, cfg.omega, args.T, args.h)
+    if est is None:
+        return 3
     out = {"rho": est.rho, "T": est.T, "h": est.h,
            "error_estimate": est.error_estimate}
     print(json.dumps(out, sort_keys=True))

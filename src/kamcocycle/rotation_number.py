@@ -4,9 +4,9 @@ The system v' = M(theta0 + t omega) v is integrated with a one-step
 fourth-order method; the winding rate is the accumulated continuous
 argument of v (as a point of R^2 ~ C) divided by the horizon.  Step
 matrices are built in vectorized blocks and composed with a prefix scan,
-so the per-step work is a handful of fused 2x2 products; the angle is
-unwrapped blockwise with rejection and local halving whenever a single
-step would turn by more than pi/2.
+so the per-step work is a handful of 2x2 products written out entry by
+entry; the angle is unwrapped blockwise with rejection and local halving
+whenever a single step would turn by more than pi/2.
 
 The reported rho is the absolute winding rate: a constant elliptic matrix
 with eigenvalues +-i*beta yields rho = |beta|, matching the convention
@@ -63,14 +63,22 @@ def _rk4_step_matrices(A0, Am, A1, h) -> np.ndarray:
 
 
 def _prefix_products(mats: np.ndarray) -> np.ndarray:
-    """Inclusive scan S_k = M_k @ ... @ M_0 by doubling."""
-    S = mats.copy()
+    """Inclusive scan S_k = M_k @ ... @ M_0 by doubling.
+
+    The four entries are kept as separate contiguous arrays, and each product
+    entry is written out as a_r0 b_0c + a_r1 b_1c.
+    """
+    s00, s01, s10, s11 = (mats[:, r, c].copy() for r in (0, 1) for c in (0, 1))
     step = 1
-    n = S.shape[0]
+    n = mats.shape[0]
     while step < n:
-        S[step:] = np.einsum("kab,kbc->kac", S[step:], S[:-step])
+        a00, a01, a10, a11 = s00[step:], s01[step:], s10[step:], s11[step:]
+        b00, b01, b10, b11 = s00[:-step], s01[:-step], s10[:-step], s11[:-step]
+        s00[step:], s01[step:], s10[step:], s11[step:] = (
+            a00 * b00 + a01 * b10, a00 * b01 + a01 * b11,
+            a10 * b00 + a11 * b10, a10 * b01 + a11 * b11)
         step *= 2
-    return S
+    return np.stack([s00, s01, s10, s11], axis=1).reshape(-1, 2, 2)
 
 
 def _integrate_block(Asys, omega, theta0, t0, v0, n_steps, h, depth=0):

@@ -8,6 +8,18 @@ which introduces genuine double-torus modes.  The modulus of an index is
 ``sum(|half_k_i|) / 2`` so that integer modes keep their usual l1 size.
 
 All operations are pure: a TorusMap is never mutated after construction.
+
+The convolution `TorusMap.mul` is one kernel (`_convolve`).  Each 2x2 block
+product is written out in real arithmetic as row-major outer products over
+the mode pairs (i, j), and summed per output index in pair order.  The output
+index is the cell of the dense row-major box bounding the sums of the two
+supports when that box has at most BOX_FILL cells per pair; for sparse
+supports it is the np.unique inverse of the packed keys.  Both come out in
+packed-key order, so a product needs no further sort.  Equal indices in
+`add`, `realified` and the constructor are summed by the same accumulation
+(`_accumulate`), indexed through np.unique.  The products agree bit for bit
+with numpy's einsum on numpy 2.4; another build may round differently, at
+about 1e-16 relative.
 """
 
 from __future__ import annotations
@@ -20,6 +32,8 @@ TWO_PI = 2.0 * math.pi
 PRUNE_TOL = 1e-300
 DEFAULT_MODE_CAP = 4096
 MUL_CHUNK = 1 << 22  # block products per convolution pass
+BLOCK = 1 << 13  # block products per cache-sized block of a pass
+BOX_FILL = 8  # dense box cells allowed per block product
 
 
 def _pack_base(d: int) -> tuple[int, int]:
@@ -86,14 +100,16 @@ class TorusMap:
     __slots__ = ("d", "half_k", "coeffs", "reality", "truncation_debt", "_keys")
 
     def __init__(self, d, half_k, coeffs, *, reality=False, truncation_debt=0.0,
-                 _canonical=False):
+                 _keys=None):
+        # _keys: the packed keys of rows that are already sorted, unique and
+        # pruned (the canonical form)
         half_k = np.asarray(half_k, dtype=np.int64).reshape(-1, d)
         coeffs = np.asarray(coeffs, dtype=np.complex128).reshape(-1, 2, 2)
         if half_k.shape[0] != coeffs.shape[0]:
             raise ValueError("half_k and coeffs length mismatch")
-        keys = _pack(half_k)
-        if not _canonical:
-            keys, half_k, coeffs = _merge(keys, half_k, coeffs, d)
+        keys = _keys
+        if keys is None:
+            keys, half_k, coeffs = _merge(_pack(half_k), half_k, coeffs, d)
             half_k, coeffs, keys = _prune(half_k, coeffs, keys)
         self.d = d
         self.half_k = half_k
@@ -109,7 +125,7 @@ class TorusMap:
     @classmethod
     def zero(cls, d: int) -> "TorusMap":
         return cls(d, np.zeros((0, d)), np.zeros((0, 2, 2)), reality=True,
-                   _canonical=True)
+                   _keys=np.zeros(0, dtype=np.int64))
 
     @classmethod
     def constant(cls, M, d: int) -> "TorusMap":
@@ -203,7 +219,7 @@ class TorusMap:
         keep = self.modulus() <= N
         return TorusMap(self.d, self.half_k[keep], self.coeffs[keep],
                         reality=self.reality,
-                        truncation_debt=self.truncation_debt, _canonical=True)
+                        truncation_debt=self.truncation_debt, _keys=self._keys[keep])
 
     def cap_support(self, max_modes: int = DEFAULT_MODE_CAP, r: float = 0.0) -> "TorusMap":
         """Drop the smallest-weighted coefficients beyond max_modes.
@@ -230,7 +246,7 @@ class TorusMap:
         return TorusMap(self.d, self.half_k[keep_mask], self.coeffs[keep_mask],
                         reality=self.reality,
                         truncation_debt=self.truncation_debt + debt,
-                        _canonical=True)
+                        _keys=self._keys[keep_mask])
 
     # -- algebra -----------------------------------------------------------
 
@@ -264,26 +280,13 @@ class TorusMap:
         n1, n2 = self.n_modes, other.n_modes
         if n1 == 0 or n2 == 0:
             return TorusMap.zero(self.d)
-        off = _pack(np.zeros((1, self.d), dtype=np.int64))[0]
-        pieces_k, pieces_c = [], []
-        rows = max(1, MUL_CHUNK // max(n2, 1))
-        for lo in range(0, n1, rows):
-            hi = min(lo + rows, n1)
-            keys = (self._keys[lo:hi, None] + other._keys[None, :] - off).ravel()
-            prods = np.einsum("iab,jbc->ijac", self.coeffs[lo:hi], other.coeffs)
-            prods = prods.reshape(-1, 2, 2)
-            uk, inv = np.unique(keys, return_inverse=True)
-            acc = _accumulate(prods, inv, uk.shape[0])
-            pieces_k.append(uk)
-            pieces_c.append(acc)
-        keys = np.concatenate(pieces_k)
-        coeffs = np.concatenate(pieces_c)
-        hk = _unpack(keys, self.d)
+        keys, hk, coeffs = _convolve(self, other)
+        hk, coeffs, keys = _prune(hk, coeffs, keys)
         debt = (self.truncation_debt * (other.weighted_norm(0.0) + other.truncation_debt)
                 + other.truncation_debt * self.weighted_norm(0.0))
         return TorusMap(self.d, hk, coeffs,
                         reality=self.reality and other.reality,
-                        truncation_debt=debt)
+                        truncation_debt=debt, _keys=keys)
 
     def dir_derivative(self, omega) -> "TorusMap":
         """Derivative along the torus flow: mode m picks up 2*i*pi*<m,omega>."""
@@ -309,17 +312,16 @@ class TorusMap:
         """Remove the trace part of every coefficient (sl(2) projection)."""
         return TorusMap(self.d, self.half_k, project_traceless(self.coeffs),
                         reality=self.reality,
-                        truncation_debt=self.truncation_debt, _canonical=True)
+                        truncation_debt=self.truncation_debt, _keys=self._keys)
 
     def realified(self) -> "TorusMap":
         """Symmetrize coefficients to exact conjugate symmetry."""
         if self.n_modes == 0:
             return self
-        neg = TorusMap(self.d, -self.half_k, np.conj(self.coeffs),
-                       truncation_debt=0.0)
-        out = self.add(neg).scale(0.5)
+        out = TorusMap(self.d, np.concatenate([self.half_k, -self.half_k]),
+                       np.concatenate([self.coeffs, np.conj(self.coeffs)])).scale(0.5)
         return TorusMap(out.d, out.half_k, out.coeffs, reality=True,
-                        truncation_debt=self.truncation_debt, _canonical=True)
+                        truncation_debt=self.truncation_debt, _keys=out._keys)
 
     # -- serialization -----------------------------------------------------
 
@@ -345,7 +347,7 @@ class TorusMap:
         if not modes:
             out = cls.zero(d)
             return cls(d, out.half_k, out.coeffs, reality=obj.get("reality_flag", True),
-                       truncation_debt=obj.get("truncation_debt", 0.0), _canonical=True)
+                       truncation_debt=obj.get("truncation_debt", 0.0), _keys=out._keys)
         hk = np.array([m["half_k"] for m in modes], dtype=np.int64)
         cf = np.array([m["re"] for m in modes], dtype=float) \
             + 1j * np.array([m["im"] for m in modes], dtype=float)
@@ -358,21 +360,117 @@ class TorusMap:
 
 
 def _merge(keys, half_k, coeffs, d):
+    """Sum the coefficients of equal indices; the result is sorted by key."""
+    if (keys[1:] > keys[:-1]).all():
+        return keys, half_k, coeffs
     uk, inv = np.unique(keys, return_inverse=True)
-    if uk.shape[0] == keys.shape[0]:
-        order = np.argsort(keys, kind="stable")
-        return keys[order], half_k[order], coeffs[order]
-    acc = _accumulate(coeffs, inv, uk.shape[0])
-    return uk, _unpack(uk, d), acc
-
-
-def _accumulate(coeffs, inv, n_out):
     flat = coeffs.reshape(-1, 4)
-    out = np.empty((n_out, 4), dtype=complex)
-    for j in range(4):
-        out[:, j] = (np.bincount(inv, weights=flat[:, j].real, minlength=n_out)
-                     + 1j * np.bincount(inv, weights=flat[:, j].imag, minlength=n_out))
-    return out.reshape(-1, 2, 2)
+    sums = np.zeros((8, uk.shape[0]))
+    _accumulate(sums, inv, np.concatenate([flat.real.T, flat.imag.T]))
+    return uk, _unpack(uk, d), _blocks(sums)
+
+
+def _accumulate(sums, index, parts):
+    """Add parts[e, p] to sums[e, index[p]] for each of the eight parts e, in
+    the order of p.
+
+    The parts of a 2x2 block are the real parts of its entries (0, 0),
+    (0, 1), (1, 0), (1, 1), then their imaginary parts.
+    """
+    n_out = sums.shape[1]
+    slots = index[None, :] + np.arange(0, 8 * n_out, n_out)[:, None]
+    np.add.at(sums.reshape(-1), slots.ravel(), parts.ravel())
+
+
+def _blocks(sums):
+    return np.ascontiguousarray((sums[:4] + 1j * sums[4:]).T).reshape(-1, 2, 2)
+
+
+def _pair_products(a, b):
+    """terms(lo, hi): the parts of the products a[i] @ b[j] for i in lo:hi,
+    all j, as an (8, pairs) array, row-major over (i, j).
+
+    Entry (r, c) is (ar_r0 br_0c - ai_r0 bi_0c) + (ar_r1 br_1c - ai_r1 bi_1c)
+    and (ar_r0 bi_0c + ai_r0 br_0c) + (ar_r1 bi_1c + ai_r1 br_1c).
+    """
+    # (entry row, entry column, mode) layout: one broadcast product makes all
+    # four entries of a block of pairs
+    ar, ai, br, bi = (np.ascontiguousarray(x.transpose(1, 2, 0))
+                      for x in (a.real, a.imag, b.real, b.imag))
+
+    def terms(lo, hi):
+        def p(x, k, y):
+            return x[:, k, None, lo:hi, None] * y[None, k, :, None, :]
+
+        out = np.empty((2, 2, 2, hi - lo, b.shape[0]))
+        np.add(p(ar, 0, br) - p(ai, 0, bi), p(ar, 1, br) - p(ai, 1, bi), out=out[0])
+        np.add(p(ar, 0, bi) + p(ai, 0, br), p(ar, 1, bi) + p(ai, 1, br), out=out[1])
+        return out.reshape(8, -1)
+
+    return terms
+
+
+def _convolve(a: TorusMap, b: TorusMap):
+    """Sum a.coeffs[i] @ b.coeffs[j] at each index a.half_k[i] + b.half_k[j].
+
+    The pairs are taken MUL_CHUNK // n2 values of i per pass, in blocks of
+    about BLOCK pairs; each index sums a pass's products in pair order from
+    0, and the passes add up in order.  The sums are indexed by the cells of
+    the dense box (`_box`) when it has at most BOX_FILL cells per pair and at
+    most MUL_CHUNK cells (all-zero cells are dropped), else by np.unique on
+    the packed keys of each pass.  Returns keys, half_k and coeffs, unique
+    and sorted by key, not pruned.
+    """
+    d, n1, n2 = a.d, a.n_modes, b.n_modes
+    terms = _pair_products(a.coeffs, b.coeffs)
+    rows, block = max(1, MUL_CHUNK // n2), max(1, BLOCK // n2)
+    passes = [(lo, min(lo + rows, n1)) for lo in range(0, n1, rows)]
+
+    def pass_sums(lo, hi, index, n_out):
+        # index[p] is the output slot of pair p of the pass
+        sums = np.zeros((8, n_out))
+        for b_lo in range(lo, hi, block):
+            b_hi = min(b_lo + block, hi)
+            _accumulate(sums, index[(b_lo - lo) * n2:(b_hi - lo) * n2], terms(b_lo, b_hi))
+        return sums
+
+    box = _box(a.half_k, b.half_k, min(BOX_FILL * n1 * n2, MUL_CHUNK))
+    if box is not None:
+        origin, step, shape, c1, c2 = box
+        sums = sum(pass_sums(lo, hi, (c1[lo:hi, None] + c2).ravel(), math.prod(shape))
+                   for lo, hi in passes)
+        cell = np.flatnonzero(sums.any(axis=0))
+        hk = origin + np.stack(np.unravel_index(cell, shape), axis=1) * step
+        return _pack(hk), hk, _blocks(sums[:, cell])
+    shift, base = _pack_base(d)
+    # key(h1 + h2) = key(h1) + key(h2) - key(0)
+    k2 = b._keys - sum(base << (shift * i) for i in range(d))
+    pieces = []
+    for lo, hi in passes:
+        uk, inv = np.unique((a._keys[lo:hi, None] + k2).ravel(), return_inverse=True)
+        pieces.append((uk, pass_sums(lo, hi, inv, uk.shape[0])))
+    keys = np.concatenate([uk for uk, _ in pieces])
+    sums = np.concatenate([s for _, s in pieces], axis=1)
+    # a single pass is already sorted and unique; several are merged
+    return _merge(keys, _unpack(keys, d), _blocks(sums), d)
+
+
+def _box(hk1, hk2, limit):
+    """The dense row-major box over the sums hk1[i] + hk2[j], if it has at
+    most `limit` cells: (origin, step, shape, c1, c2) with c1[i] + c2[j] the
+    cell of hk1[i] + hk2[j].  A dimension where each operand keeps one
+    parity steps by 2."""
+    lo1, lo2 = hk1.min(axis=0), hk2.min(axis=0)
+    ext = hk1.max(axis=0) - lo1 + hk2.max(axis=0) - lo2
+    if math.prod((ext // 2 + 1).tolist()) > limit:  # too large even at step 2
+        return None
+    off1, off2 = hk1 - lo1, hk2 - lo2
+    step = 2 - ((np.bitwise_or.reduce(off1, axis=0) | np.bitwise_or.reduce(off2, axis=0)) & 1)
+    shape = (ext // step + 1).tolist()
+    if math.prod(shape) > limit:
+        return None
+    strides = np.cumprod([1] + shape[:0:-1])[::-1]
+    return lo1 + lo2, step, tuple(shape), (off1 // step) @ strides, (off2 // step) @ strides
 
 
 def _prune(half_k, coeffs, keys):
@@ -408,5 +506,5 @@ def exp_series_tail(X: TorusMap, r: float, tol: float = 1e-30) -> tuple[TorusMap
         acc = acc.add(term)
     if X.reality:
         acc = TorusMap(acc.d, acc.half_k, acc.coeffs, reality=True,
-                       truncation_debt=acc.truncation_debt, _canonical=True)
+                       truncation_debt=acc.truncation_debt, _keys=acc._keys)
     return acc, tail

@@ -252,7 +252,7 @@ def test_cmd_audit_detects_tampering(tmp_path):
     assert not report["item4_f_norm_ok"]
 
 
-def test_cmd_audit_resonant_run(tmp_path):
+def resonant_config():
     delta = 1e-3
     beta = math.pi * GOLDEN[0] + delta
     cfg = base_config(A=[[0.0, beta], [-beta, 0.0]],
@@ -265,13 +265,29 @@ def test_cmd_audit_resonant_run(tmp_path):
                            "im": [[0.0, 0.0], [0.0, 0.0]]}]})
     for k in ("E", "V"):
         cfg.pop(k, None)
-    path = write_config(tmp_path, cfg)
+    return cfg
+
+
+def test_cmd_audit_resonant_run(tmp_path):
+    path = write_config(tmp_path, resonant_config())
     assert main(["run", "--config", str(path)]) == 0
     assert main(["audit", "--trace", str(tmp_path / "trace.csv"),
                  "--config", str(path), "--T", "2000"]) == 0
     report = json.loads((tmp_path / "audit_report.json").read_text())
     assert report["additivity_ok"]
     assert report["budget"]["resonances_after_n0"] == 1
+
+
+def test_cmd_audit_integrator_step_too_large(tmp_path, capsys):
+    # h = 5000 stays too coarse after every halving: exit 3, one error line
+    path = write_config(tmp_path, resonant_config())
+    assert main(["run", "--config", str(path)]) == 0
+    capsys.readouterr()
+    assert main(["audit", "--trace", str(tmp_path / "trace.csv"),
+                 "--config", str(path), "--T", "40000", "--h", "5000"]) == 3
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: rotation number")
+    assert not (tmp_path / "audit_report.json").exists()
 
 
 def test_cmd_audit_malformed_trace(tmp_path):
@@ -296,3 +312,15 @@ def test_cmd_rotnum(tmp_path, capsys):
     assert data["T"] == 200.0
     printed = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
     assert printed == data
+
+
+def test_cmd_rotnum_step_too_large(tmp_path, capsys):
+    path = write_config(tmp_path, resonant_config())
+    out = tmp_path / "rho.json"
+    assert main(["rotnum", "--config", str(path), "--T", "40000", "--h", "5000",
+                 "--out", str(out)]) == 3
+    captured = capsys.readouterr()
+    err = captured.err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: rotation number")
+    assert "StepTooLarge" not in captured.err and captured.out == ""
+    assert not out.exists()

@@ -1,10 +1,13 @@
+import itertools
 import json
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from kamcocycle import torus_fourier
 from kamcocycle.torus_fourier import (
+    PRUNE_TOL,
     TorusMap,
     exp_series_tail,
     mode_modulus,
@@ -123,6 +126,165 @@ def test_submultiplicativity():
         G = random_map(n_modes=10, rng=rng)
         r = rng.uniform(0.0, 0.4)
         assert F.mul(G).weighted_norm(r) <= F.weighted_norm(r) * G.weighted_norm(r) * (1 + 1e-12)
+
+
+# -- convolution against a dict oracle --------------------------------------------
+
+EPS = np.finfo(float).eps
+
+
+def diamond(d, radius, step=2, shift=0):
+    """Index rows h = step * m + shift with |m|_1 <= radius."""
+    rows = [m for m in itertools.product(range(-radius, radius + 1), repeat=d)
+            if sum(map(abs, m)) <= radius]
+    return step * np.array(rows, dtype=np.int64) + shift
+
+
+def diagonal(d, n, start, spacing, rng):
+    """n sparse index rows on the diagonal t * (1, ..., 1), far from 0."""
+    t = start + spacing * np.sort(rng.choice(1000 * n, size=n, replace=False))
+    return np.repeat(t[:, None], d, axis=1)
+
+
+def random_coeffs(n, rng):
+    return rng.standard_normal((n, 2, 2)) + 1j * rng.standard_normal((n, 2, 2))
+
+
+def dict_mul(a, b):
+    """Convolution one mode pair at a time, with the bound sum |a||b| per mode."""
+    out, bound = {}, {}
+    for ka, ca in zip(map(tuple, a.half_k.tolist()), a.coeffs):
+        for kb, cb in zip(map(tuple, b.half_k.tolist()), b.coeffs):
+            k = tuple(x + y for x, y in zip(ka, kb))
+            out[k] = out.get(k, 0) + ca @ cb
+            bound[k] = bound.get(k, 0) + np.abs(ca) @ np.abs(cb)
+    return out, bound
+
+
+def modes_of(F):
+    return {tuple(k): c for k, c in zip(F.half_k.tolist(), F.coeffs)}
+
+
+def pruned(modes):
+    return {k: c for k, c in modes.items()
+            if torus_fourier.op_norm_2x2(c) >= PRUNE_TOL}
+
+
+def assert_mul_matches_oracle(a, b):
+    prod = a.mul(b)
+    want, bound = dict_mul(a, b)
+    want = pruned(want)
+    got = modes_of(prod)
+    assert sorted(got) == sorted(want)
+    assert list(map(tuple, prod.half_k.tolist())) == sorted(got)  # canonical order
+    for k, c in got.items():
+        assert np.all(np.abs(c - want[k]) <= 4 * EPS * bound[k]), k
+    return prod
+
+
+def assert_add_and_realified_unchanged(a, b):
+    want = modes_of(a)
+    for k, c in modes_of(b).items():
+        want[k] = want.get(k, 0) + c
+    assert_modes_equal(a.add(b), pruned(want))
+    cur = modes_of(a)
+    want = {}
+    for k, c in cur.items():
+        for key, term in ((k, c), (tuple(-x for x in k), np.conj(c))):
+            want[key] = want.get(key, 0) + term
+    assert_modes_equal(a.realified(), pruned({k: 0.5 * c for k, c in want.items()}))
+
+
+def assert_modes_equal(F, want):
+    got = modes_of(F)
+    assert sorted(got) == sorted(want)
+    for k, c in got.items():
+        assert np.array_equal(c, want[k]), k
+
+
+@pytest.fixture
+def unique_calls(monkeypatch):
+    """Counts np.unique calls: the sort path makes them, the box path does not."""
+    calls = []
+    unique = np.unique
+
+    def spy(*args, **kwargs):
+        calls.append(1)
+        return unique(*args, **kwargs)
+
+    monkeypatch.setattr(np, "unique", spy)
+    return calls
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("lattice", ["integer", "half"])
+def test_mul_matches_dict_oracle_dense_box(d, lattice, unique_calls):
+    rng = np.random.default_rng(100 + 10 * d + (lattice == "half"))
+    radius = {1: 12, 2: 5, 3: 3}[d]
+    if lattice == "integer":
+        h1, h2 = diamond(d, radius), diamond(d, radius - 1)
+    else:
+        # odd shift in dimension 0 for one operand, all integers for the other
+        h1 = diamond(d, radius, shift=np.eye(1, d, dtype=np.int64)[0])
+        h2 = diamond(d, 2 * radius - 2, step=1)
+    a = TorusMap(d, h1, random_coeffs(len(h1), rng))
+    b = TorusMap(d, h2, random_coeffs(len(h2), rng))
+    assert a.lattice == lattice
+    for x, y in ((a, b), (b, a), (a, a), (TorusMap.constant(random_coeffs(1, rng)[0], d), b)):
+        unique_calls.clear()
+        assert_mul_matches_oracle(x, y)
+        assert not unique_calls
+    assert_add_and_realified_unchanged(a, b)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("lattice", ["integer", "half"])
+def test_mul_matches_dict_oracle_sparse_diagonal(d, lattice, unique_calls):
+    rng = np.random.default_rng(200 + 10 * d + (lattice == "half"))
+    shift = 1 if lattice == "half" else 0
+    h1 = diagonal(d, 12, 4000 + shift, 2, rng)
+    h2 = diagonal(d, 9, -9000, 2, rng)
+    a = TorusMap(d, h1, random_coeffs(len(h1), rng))
+    b = TorusMap(d, h2, random_coeffs(len(h2), rng))
+    assert a.lattice == lattice
+    for x, y in ((a, b), (b, a), (a, a)):
+        unique_calls.clear()
+        assert_mul_matches_oracle(x, y)
+        assert unique_calls
+    assert_add_and_realified_unchanged(a, b)
+
+
+@pytest.mark.parametrize("support", ["box", "sort"])
+def test_mul_several_passes_matches_dict_oracle(support, monkeypatch, unique_calls):
+    rng = np.random.default_rng(300)
+    if support == "box":
+        d, h1, h2 = 1, diamond(1, 20), diamond(1, 15)
+    else:
+        d, h1, h2 = 2, diagonal(2, 40, 500, 2, rng), diagonal(2, 30, 0, 2, rng)
+    a = TorusMap(d, h1, random_coeffs(len(h1), rng))
+    b = TorusMap(a.d, h2, random_coeffs(len(h2), rng))
+    single = a.mul(b)
+    monkeypatch.setattr(torus_fourier, "MUL_CHUNK", 256)  # 8 rows of b per pass
+    monkeypatch.setattr(torus_fourier, "BLOCK", 64)  # 2 rows per block
+    unique_calls.clear()
+    prod = assert_mul_matches_oracle(a, b)
+    assert bool(unique_calls) == (support == "sort")
+    np.testing.assert_allclose(prod.coeffs, single.coeffs, rtol=0, atol=1e-13)
+    assert np.array_equal(prod.half_k, single.half_k)
+
+
+def test_mul_prunes_cancelled_modes():
+    # (I + P e_1)(I - P e_1) = I - P^2 e_2: the e_1 terms cancel exactly, and
+    # e_2 vanishes too since P^2 = 0; a 1e-301 mode stays below PRUNE_TOL
+    P = np.array([[0.0, 1.0], [0.0, 0.0]])
+    a = TorusMap(1, [[0], [2], [40]], [np.eye(2), P, 1e-301 * np.eye(2)])
+    b = TorusMap(1, [[0], [2]], [np.eye(2), -P])
+    prod = assert_mul_matches_oracle(a, b)
+    assert prod.half_k.tolist() == [[0]]
+    np.testing.assert_array_equal(prod.coeffs[0], np.eye(2))
+    tiny = TorusMap(2, diamond(2, 3), 1e-160 * random_coeffs(25, np.random.default_rng(4)))
+    assert tiny.mul(tiny).n_modes == 0
+    assert_mul_matches_oracle(tiny, tiny)
 
 
 def test_dir_derivative_basics():
