@@ -45,17 +45,17 @@ from .kam_driver import (
     ScheduleViolation,
     a_bar_of,
     brjuno_sum_threshold,
-    item2_holds,
-    item6_holds,
+    item4_holds,
     make_schedule,
     resonance_budget_check,
     run,
     sequence_N,
     smallness_explicit,
+    step_residual_holds,
 )
 from .kam_step import MultipleResonances, PreconditionFailure
 from .rotation_number import StepTooLarge, rotation_number, verify_additivity
-from .sl2_algebra import BoundViolation, SingularOperator, check_sl2
+from .sl2_algebra import BoundViolation, SingularOperator, check_sl2, shifted_alpha
 from .torus_fourier import TorusMap
 
 
@@ -117,6 +117,11 @@ class RunConfig:
         if not (eps0 in ("auto:dioph", "auto:brjuno-sum")
                 or (isinstance(eps0, (int, float)) and eps0 > 0)):
             raise ConfigError("eps0", "must be positive or 'auto:dioph'/'auto:brjuno-sum'")
+        for name, kind in (("r0", "number"), ("C_prime", "number"), ("fit_N", "integer")):
+            v = obj.get(name, _DEFAULTS.get(name))
+            types = int if kind == "integer" else (int, float)
+            if isinstance(v, bool) or not isinstance(v, types) or not v > 0:
+                raise ConfigError(name, f"must be a positive {kind}")
         A = obj["A"]
         if A == "schrodinger":
             if "E" not in obj or "V" not in obj:
@@ -158,7 +163,11 @@ class RunConfig:
                 check_scan_order(self.fit_N, self.omega.size)
             except ValueError as exc:
                 raise ConfigError("fit_N", str(exc)) from exc
-            return fit_kappa(self.omega, G, self.fit_N)
+            kappa = fit_kappa(self.omega, G, self.fit_N)
+            if not kappa > 0:
+                raise ConfigError("kappa", f"the fitted kappa is {kappa!r}: <m, omega> = 0 "
+                                  f"for some 0 < |m| <= fit_N = {self.fit_N}")
+            return kappa
         return float(self.kappa)
 
     def system(self) -> tuple[np.ndarray, TorusMap]:
@@ -179,16 +188,24 @@ class RunConfig:
         a = self.a
         a_val = a if a is not None else 1.0 - a_bar_of(G, g)
         eps0 = self.eps0
-        if eps0 == "auto:dioph":
-            if not (G.kind == "power" and g.kind == "power"):
-                raise ConfigError("eps0", "auto:dioph needs power-law G and g")
-            eps0 = smallness_explicit(("dioph", G.mu + g.mu), kappa,
-                                      self.r0, self.n0, a_val)
-        elif eps0 == "auto:brjuno-sum":
-            eps0 = brjuno_sum_threshold(kappa, self.r0, self.n0, a_val, G, g)
-        return make_schedule(kappa, self.kappa_prime, G, g, self.r0, self.n0,
-                             float(eps0), a=a, C_prime=self.C_prime,
-                             require_feasible=False)
+        if eps0 == "auto:dioph" and not (G.kind == "power" and g.kind == "power"):
+            raise ConfigError("eps0", "auto:dioph needs power-law G and g")
+        try:
+            if eps0 == "auto:dioph":
+                eps0 = smallness_explicit(("dioph", G.mu + g.mu), kappa,
+                                          self.r0, self.n0, a_val)
+            elif eps0 == "auto:brjuno-sum":
+                eps0 = brjuno_sum_threshold(kappa, self.r0, self.n0, a_val, G, g)
+        except (ValueError, DivergentIntegral) as exc:
+            raise ConfigError("eps0", f"{self.eps0}: {exc}") from exc
+        if not eps0 > 0:
+            raise ConfigError("eps0", f"{self.eps0} underflows to {eps0!r}")
+        try:
+            return make_schedule(kappa, self.kappa_prime, G, g, self.r0, self.n0,
+                                 float(eps0), a=a, C_prime=self.C_prime,
+                                 require_feasible=False)
+        except ValueError as exc:  # kappa, r0, eps0 and C_prime are positive by now
+            raise ConfigError("a", str(exc)) from exc
 
 
 def build_schrodinger(E: float, v0: float, modes: list, d: int):
@@ -266,8 +283,7 @@ def _run_single(config_path: str, out_dir: str | None) -> int:
         print(f"{cfg.name}: PreconditionFailure: {exc}", file=sys.stderr)
         return 3
     trace.to_csv(out / "trace.csv")
-    (out / "certificate.json").write_text(
-        json.dumps(cert.to_json_obj(), sort_keys=True, indent=2) + "\n")
+    _write_json(out / "certificate.json", cert.to_json_obj())
     _write_meta(out, "run")
     print(f"{cfg.name}: {cert.status} steps={cert.steps} "
           f"residual={cert.residual:.3e} r_final={cert.r_final:.6f}")
@@ -371,36 +387,24 @@ def cmd_audit(args) -> int:
     except (OSError, KeyError, ValueError) as exc:
         print(f"error: malformed trace {args.trace}: {exc}", file=sys.stderr)
         return 1
-    item4_ok = True
-    n_ok = True
-    residual_ok = True
-    prev = None
-    for rec in trace.records:
-        if rec.f_norm > schedule.eps_n(rec.n) * (1.0 + 1e-9):
-            item4_ok = False
-        if rec.N_n != sequence_N(schedule, rec.n):
-            n_ok = False
-        if rec.residual > 1e-10 * (1.0 + rec.f_norm):
-            residual_ok = False
-        if rec.resonant:
-            rec.item2_ok = item2_holds(schedule, rec.alpha, rec.m, cfg.omega, rec.N_n)
-        if prev is not None:
-            shifted = prev.alpha - 1j * math.pi * float(np.dot(prev.m, cfg.omega))
-            rec.item6_ok = item6_holds(shifted, rec.alpha, schedule.log_eps(prev.n))
-        prev = rec
-    budget = resonance_budget_check(trace, schedule)
+    recs = trace.records
+    item4_ok = all(item4_holds(schedule, r.n, r.f_norm) for r in recs)
+    n_ok = all(r.N_n == sequence_N(schedule, r.n) for r in recs)
+    residual_ok = all(step_residual_holds(r.residual, r.f_norm) for r in recs)
+    est = None
+    if any(r.resonant for r in recs):
+        A, F = cfg.system()
+        est = _measure_rho(A, F, cfg.omega, args.T, args.h)
+        if est is None:
+            return 3
+    budget = resonance_budget_check(trace, schedule, rho_target=est.rho if est else None)
     report = {
         "item4_f_norm_ok": item4_ok,
         "truncation_orders_ok": n_ok,
         "residuals_ok": residual_ok,
         "budget": budget,
     }
-    has_resonance = any(r.resonant for r in trace.records)
-    if has_resonance:
-        A, F = cfg.system()
-        est = _measure_rho(A, F, cfg.omega, args.T, args.h)
-        if est is None:
-            return 3
+    if est is not None:
         add = verify_additivity(est.rho, _final_B(trace, cfg.omega), trace, cfg.omega,
                                 tol=2.0 * est.error_estimate)
         report["rho_measured"] = est.rho
@@ -410,7 +414,7 @@ def cmd_audit(args) -> int:
         report["additivity_sign"] = add.matched_sign
     verdicts = [item4_ok, n_ok, residual_ok, budget["cumulative_m_ok"],
                 budget["item2_ok"], budget["item6_ok"], budget["interlacing_ok"]]
-    if has_resonance:
+    if est is not None:
         verdicts.append(report["additivity_ok"])
     report["pass"] = bool(all(verdicts))
     out = Path(args.out) if args.out else Path(args.trace).parent
@@ -426,8 +430,7 @@ def _final_B(trace: RunTrace, omega) -> np.ndarray:
     # resonance; the sqrt(eps) drift this ignores is inside the additivity
     # allowance anyway
     last = trace.records[-1]
-    shifted = last.alpha - 1j * math.pi * float(np.dot(last.m, omega))
-    beta = abs(shifted.imag)
+    beta = abs(shifted_alpha(last.alpha, last.m, omega).imag)
     return np.array([[0.0, beta], [-beta, 0.0]])
 
 

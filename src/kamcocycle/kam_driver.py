@@ -34,7 +34,7 @@ from .kam_step import (
     step_nonresonant,
     step_resonant,
 )
-from .sl2_algebra import eigen
+from .sl2_algebra import CERT_SLACK, eigen, resonance_shift, shifted_alpha
 from .torus_fourier import DEFAULT_MODE_CAP, TorusMap
 
 LOG_EPS_FLOOR = math.log(1e-300)
@@ -192,16 +192,24 @@ def sequence_N(schedule: KamSchedule, n: int) -> int:
 def item2_holds(schedule: KamSchedule, alpha: complex, m, omega, N: int) -> bool:
     """Closeness at a resonant step: |alpha - i pi <m, omega>| <= kappa/(4 G(N))."""
     thr = schedule.kappa / (4.0 * float(schedule.G.value(N)))
-    return bool(abs(alpha - 1j * math.pi * float(np.dot(m, omega)))
-                <= thr * (1.0 + 1e-9))
+    return bool(abs(shifted_alpha(alpha, m, omega)) <= thr * CERT_SLACK)
 
 
-def item6_holds(prev_shifted_alpha: complex, alpha: complex,
-                prev_log_eps: float) -> bool:
-    """Eigenvalue drift: the entry value moves at most sqrt(eps_{n-1}) from
-    the previous step's shifted value."""
-    return bool(abs(prev_shifted_alpha - alpha)
-                <= math.exp(0.5 * prev_log_eps) * (1.0 + 1e-9))
+def item4_holds(schedule: KamSchedule, n: int, f_norm: float) -> bool:
+    """The ladder bound |F_n|_{r_n} <= eps_n; only a measured excess fails it."""
+    return not f_norm > schedule.eps_n(n) * CERT_SLACK
+
+
+def step_residual_holds(residual: float, f_norm: float) -> bool:
+    """A step's residual is within STEP_RESIDUAL_TOL (1 + |F_n|); only an excess fails."""
+    return not residual > STEP_RESIDUAL_TOL * (1.0 + f_norm)
+
+
+def item6_holds(schedule: KamSchedule, prev: "StepRecord", alpha: complex, omega) -> bool:
+    """Eigenvalue drift: the entry value alpha moves at most sqrt(eps_{n-1})
+    from the previous step's value shifted by its resonance (if any)."""
+    return bool(abs(shifted_alpha(prev.alpha, prev.m, omega) - alpha)
+                <= math.exp(0.5 * schedule.log_eps(prev.n)) * CERT_SLACK)
 
 
 @dataclass
@@ -324,15 +332,13 @@ def run(A, F: TorusMap, omega, schedule: KamSchedule, max_steps: int = 200,
     records: list[StepRecord] = []
     resonances_after_n0 = 0
     rotation_sum = 0.0
-    prev_shifted_alpha = None
-    prev_log_eps = None
     global_residual = 0.0
     terminated = None
 
     for n in range(max_steps):
         f_norm = F_n.weighted_norm(r_n)
         eps_n = schedule.eps_n(n)
-        if f_norm > eps_n * (1.0 + 1e-9):
+        if not item4_holds(schedule, n, f_norm):
             raise ScheduleViolation(
                 f"step {n}: |F|_r = {f_norm:.6e} exceeds eps_n = {eps_n:.6e}")
         if f_norm <= cert_tol:
@@ -341,7 +347,6 @@ def run(A, F: TorusMap, omega, schedule: KamSchedule, max_steps: int = 200,
         N_n = sequence_N(schedule, n)
         rep = find_resonance(alpha_n, omega, schedule.kappa, schedule.G,
                              schedule.g, N_n)
-        item2_ok = None
         if rep.m is None:
             r_next = r_n - schedule.c0 * abs(math.log1p(-schedule.a)) \
                 / (2.0 * math.pi * N_n)
@@ -354,11 +359,9 @@ def run(A, F: TorusMap, omega, schedule: KamSchedule, max_steps: int = 200,
                 resonances_after_n0 += 1
             out = step_resonant(A_n, F_n, r_n, N_n, schedule.a, schedule.c0,
                                 ctx, resonance=rep)
-            rotation_sum += math.pi * float(np.dot(rep.m, omega))
-            item2_ok = item2_holds(schedule, alpha_n, rep.m, omega, N_n)
-        item6_ok = None
-        if prev_shifted_alpha is not None:
-            item6_ok = item6_holds(prev_shifted_alpha, alpha_n, prev_log_eps)
+            rotation_sum += resonance_shift(rep.m, omega)
+        item2_ok = item2_holds(schedule, alpha_n, rep.m, omega, N_n) if out.resonant else None
+        item6_ok = item6_holds(schedule, records[-1], alpha_n, omega) if records else None
         Z = Z.mul(out.Z_step).cap_support(DEFAULT_MODE_CAP, out.r_next)
         global_residual = conjugation_residual(A, F, Z, out.A_next, out.F_next,
                                                omega, out.r_next)
@@ -371,9 +374,6 @@ def run(A, F: TorusMap, omega, schedule: KamSchedule, max_steps: int = 200,
             debt=Z.truncation_debt + out.F_next.truncation_debt,
             item2_ok=item2_ok, item6_ok=item6_ok, margin=out.info.get("margin", 0.0),
             preconditions=out.preconditions))
-        prev_shifted_alpha = alpha_n - (
-            1j * math.pi * float(np.dot(out.m, omega)) if out.m is not None else 0.0)
-        prev_log_eps = schedule.log_eps(n)
         A_n, F_n, r_n, alpha_n = out.A_next, out.F_next, out.r_next, out.alpha_next
 
     f_final = F_n.weighted_norm(r_n)
@@ -475,7 +475,8 @@ def resonance_budget_check(trace: RunTrace, schedule: KamSchedule,
     """Post-hoc audit of the resonance bookkeeping along a trace.
 
     Verifies the cumulative bound sum_{j<=n} |m_j| <= N_n^2, the closeness
-    inequality at every resonant step, the eigenvalue drift inequality, the
+    inequality at every resonant step and the eigenvalue drift inequality
+    (both recomputed from the rows with run's item2_holds and item6_holds), the
     strict growth of truncation orders between resonances, and (when
     kappa' and a measured rotation number are supplied) the hypothesis
     kappa' > kappa * sup g(t^2)/G(t) together with its consequence that no
@@ -485,7 +486,6 @@ def resonance_budget_check(trace: RunTrace, schedule: KamSchedule,
     cum = 0
     sum_ok = True
     item2_ok = True
-    item6_ok = True
     resonant_orders = []
     late_resonances = 0
     for rec in recs:
@@ -497,10 +497,9 @@ def resonance_budget_check(trace: RunTrace, schedule: KamSchedule,
             resonant_orders.append(rec.N_n)
             if rec.n >= schedule.n0:
                 late_resonances += 1
-            if rec.item2_ok is False:
-                item2_ok = False
-        if rec.item6_ok is False:
-            item6_ok = False
+            item2_ok &= item2_holds(schedule, rec.alpha, rec.m, trace.omega, rec.N_n)
+    item6_ok = all(item6_holds(schedule, prev, rec.alpha, trace.omega)
+                   for prev, rec in zip(recs, recs[1:]))
     interlacing_ok = all(b > a for a, b in zip(resonant_orders, resonant_orders[1:]))
     bounded, sup_est = ratio_bounded(schedule.g, schedule.G,
                                      t_min=max(schedule.n0, 1.0), t_max=1e6)

@@ -25,7 +25,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .arithmetics import ApproxFn, check_nr_alpha, scan_min_weighted_distance
-from .sl2_algebra import BoundViolation, DefectiveConstantPart, eigen, lm_solve
+from .sl2_algebra import (
+    CERT_SLACK,
+    BoundViolation,
+    DefectiveConstantPart,
+    eigen,
+    lm_solve,
+    shifted_alpha,
+)
 from .torus_fourier import DEFAULT_MODE_CAP, TorusMap, exp_series_tail, project_traceless
 
 EXP_TOL = 1e-30  # certified tail of the exp(+-X) series
@@ -119,7 +126,7 @@ def find_resonance(alpha: complex, omega, kappa: float, G: ApproxFn, g: ApproxFn
             raise MultipleResonances(
                 f"violators {m0} and {m1} tie at score {s0:.3e}")
     s0, m0 = violators[0]
-    shifted = alpha - 1j * math.pi * float(np.dot(m0, omega))
+    shifted = shifted_alpha(alpha, m0, omega)
     check = check_nr_alpha(shifted, omega, kappa / float(G.value(N)), g, N)
     if not check.ok:
         raise BoundViolation(
@@ -146,7 +153,7 @@ def eliminate_resonance(A, m, omega, tol_defect: float = 1e-12):
         raise DefectiveConstantPart(
             "constant part is near-nilpotent; treat as non-resonant with alpha = 0")
     alpha = ed.alpha
-    alpha_t = alpha - 1j * math.pi * float(m @ omega)
+    alpha_t = shifted_alpha(alpha, m, omega)
     ratio = A.astype(complex) / alpha
     pi_plus = 0.5 * (np.eye(2, dtype=complex) + ratio)
     pi_minus = 0.5 * (np.eye(2, dtype=complex) - ratio)
@@ -182,7 +189,7 @@ def solve_homological(Atilde, F: TorusMap, N: int, omega, kappa: float,
     x_norm = X.weighted_norm(r_prime)
     bound = 4.0 * a_prime * float(G.value(N)) * float(g.value(N)) \
         * FN.weighted_norm(r_prime) / kappa
-    if x_norm > bound * (1.0 + 1e-9):
+    if x_norm > bound * CERT_SLACK:
         raise BoundViolation(
             f"|X|_r' = {x_norm:.3e} exceeds 4 a' G(N) g(N) |F^N|_r'/kappa = {bound:.3e}")
     return X
@@ -280,7 +287,7 @@ def step_nonresonant(A, F: TorusMap, r: float, r_prime: float, N: int,
     contraction = F_next.weighted_norm(r_prime) / eps if eps > 0 else 0.0
     if a_prime < 1.0 and not failed and eps > 0:
         limit = math.sqrt(1.0 - a_prime)
-        if contraction > limit * (1.0 + 1e-9):
+        if contraction > limit * CERT_SLACK:
             raise BoundViolation(
                 f"contraction {contraction:.3e} exceeds sqrt(1-a') = {limit:.3e}")
     return StepOutput(
@@ -330,7 +337,7 @@ def step_resonant(A, F: TorusMap, r: float, N: int, a: float, c0: float,
 
     Phi, Atilde_c, Phi_inv = eliminate_resonance(A, m, ctx.omega)
     alpha_t = resonance.alpha_shifted
-    if abs(alpha_t) >= ctx.kappa / (4.0 * float(ctx.G.value(N))) * (1.0 + 1e-9):
+    if abs(alpha_t) >= ctx.kappa / (4.0 * float(ctx.G.value(N))) * CERT_SLACK:
         raise BoundViolation("shifted eigenvalue escaped the kappa/(4G(N)) disc")
     Atilde = project_traceless(_realify(Atilde_c, "Atilde"))
     F_t = Phi_inv.mul(F).mul(Phi)
@@ -344,7 +351,7 @@ def step_resonant(A, F: TorusMap, r: float, N: int, a: float, c0: float,
 
     residual = conjugation_residual(A, F, Z_step, A_next, F_next, ctx.omega, r_prime)
     contraction = F_next.weighted_norm(r_prime) / eps if eps > 0 else 0.0
-    if not failed and eps > 0 and contraction > (1.0 - a) * (1.0 + 1e-9):
+    if not failed and eps > 0 and contraction > (1.0 - a) * CERT_SLACK:
         raise BoundViolation(
             f"resonant contraction {contraction:.3e} exceeds 1-a = {1.0 - a:.3e}")
     return StepOutput(

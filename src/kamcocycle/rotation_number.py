@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sl2_algebra import alpha_of
+from .sl2_algebra import alpha_of, resonance_shift
 from .torus_fourier import TorusMap, op_norms
 
 CHUNK = 2048
@@ -193,7 +193,7 @@ def verify_additivity(rho_full: float, B_final, trace, omega,
     rot_sum = 0.0
     drift = 0.0
     for rec in trace.records:
-        rot_sum += math.pi * float(np.dot(rec.m, omega))
+        rot_sum += resonance_shift(rec.m, omega)
         drift += math.sqrt(rec.eps_bound)
     allowance = tol + drift
     # the integrator reports |winding| and |Im alpha| forgets the

@@ -33,6 +33,7 @@ class DefectiveConstantPart(Exception):
 
 
 SPECTRUM_FLOOR = 1e-300
+CERT_SLACK = 1.0 + 1e-9  # relative rounding allowance of every certified inequality
 
 
 def check_sl2(A, tol: float = 1e-12) -> np.ndarray:
@@ -104,6 +105,16 @@ def eigen(A, tol_defect: float = 1e-12) -> EigenData:
     detP = P[0, 0] * P[1, 1] - P[0, 1] * P[1, 0]
     P_inv = np.array([[P[1, 1], -P[0, 1]], [-P[1, 0], P[0, 0]]]) / detP
     return EigenData(alpha=alpha, P=P, P_inv=P_inv, defective=False)
+
+
+def resonance_shift(m, omega) -> float:
+    """pi <m, omega>: the resonance rotation at m moves alpha by -i times this."""
+    return math.pi * float(np.dot(m, omega))
+
+
+def shifted_alpha(alpha: complex, m, omega) -> complex:
+    """alpha - i pi <m, omega>, the eigenvalue after the resonance rotation at m."""
+    return alpha - 1j * resonance_shift(m, omega)
 
 
 def lm_spectrum(m, omega, alpha: complex):
@@ -191,7 +202,7 @@ def operator_bound_check(m, omega, Atilde, kappa: float, G, g, N: int) -> float:
     measured = max(1.0 / abs(s) for s in spectrum)
     mod = float(np.abs(np.asarray(m)).sum())
     bound = 4.0 * float(G.value(N)) * float(g.value(mod)) / kappa
-    if measured > bound * (1.0 + 1e-9):
+    if measured > bound * CERT_SLACK:
         raise BoundViolation(
             f"||L_m^-1|| = {measured:.6e} exceeds 4 G(N) g(|m|)/kappa = {bound:.6e}")
     return measured

@@ -282,8 +282,10 @@ class TorusMap:
             return TorusMap.zero(self.d)
         keys, hk, coeffs = _convolve(self, other)
         hk, coeffs, keys = _prune(hk, coeffs, keys)
-        debt = (self.truncation_debt * (other.weighted_norm(0.0) + other.truncation_debt)
-                + other.truncation_debt * self.weighted_norm(0.0))
+        debt = 0.0
+        if self.truncation_debt or other.truncation_debt:
+            debt = (self.truncation_debt * (other.weighted_norm(0.0) + other.truncation_debt)
+                    + other.truncation_debt * self.weighted_norm(0.0))
         return TorusMap(self.d, hk, coeffs,
                         reality=self.reality and other.reality,
                         truncation_debt=debt, _keys=keys)

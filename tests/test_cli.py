@@ -196,6 +196,9 @@ def test_cmd_check_arith_failures(tmp_path):
     rational = base_config(omega=[1.0, 0.5], kappa=0.3)
     path = write_config(tmp_path, rational, "rat.json")
     assert main(["check-arith", "--config", str(path), "--N", "10"]) == 1
+    # a fitted kappa of 0 is a config error, not a passing kappa
+    fitted = write_config(tmp_path, base_config(omega=[1.0, 0.5], kappa="fit"), "fit.json")
+    assert main(["check-arith", "--config", str(fitted), "--N", "10"]) == 1
     divergent = base_config(g={"kind": "exppow", "alpha": 1.0})
     path2 = write_config(tmp_path, divergent, "div.json")
     assert main(["check-arith", "--config", str(path2), "--N", "10"]) == 1
@@ -224,6 +227,38 @@ def test_cmd_check_arith_order_beyond_exhaustive_ball_d3(tmp_path, capsys):
     assert "Traceback" not in err
     assert err.strip().count("\n") == 0 and "--N" in err
     assert not (tmp_path / "arith_report.json").exists()
+
+
+_POWER_1 = {"kind": "power", "mu": 1.0}
+_SCHEDULE_ERRORS = {
+    "fitted-kappa-zero": ({"omega": [1.0, 0.5]}, "kappa"),
+    "fitted-kappa-zero-brjuno": ({"omega": [1.0, 0.5], "eps0": "auto:brjuno-sum"}, "kappa"),
+    "dioph-mu-sum-2": ({"eps0": "auto:dioph", "G": _POWER_1, "g": _POWER_1}, "eps0"),
+    "brjuno-divergent": (
+        {"eps0": "auto:brjuno-sum", "G": {"kind": "exppow", "alpha": 1.0}}, "eps0"),
+    "negative-r0": ({"r0": -0.5}, "r0"),
+    "a-below-range": ({"a": 0.5}, "a"),
+    "zero-C_prime": ({"C_prime": 0}, "C_prime"),
+    "zero-fit_N": ({"fit_N": 0}, "fit_N"),
+}
+
+
+@pytest.mark.parametrize("command", ["run", "audit"])
+@pytest.mark.parametrize("case", sorted(_SCHEDULE_ERRORS))
+def test_schedule_config_errors_exit_1(tmp_path, capsys, case, command):
+    # each config passes from_obj or fails it with a ConfigError; none may
+    # end in a traceback while its schedule is built
+    changes, fieldname = _SCHEDULE_ERRORS[case]
+    cfg = base_config(kappa="fit", cert_tol=1e-130, name="ladder", max_steps=3)
+    path = write_config(tmp_path, dict(cfg, **changes))
+    argv = {"run": ["run", "--config", str(path)],
+            "audit": ["audit", "--trace", str(tmp_path / "trace.csv"),
+                      "--config", str(path)]}[command]
+    assert main(argv) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert f"config field '{fieldname}': " in err[0]
+    assert not (tmp_path / "certificate.json").exists()
 
 
 # -- audit -----------------------------------------------------------------------
@@ -276,6 +311,17 @@ def test_cmd_audit_resonant_run(tmp_path):
     report = json.loads((tmp_path / "audit_report.json").read_text())
     assert report["additivity_ok"]
     assert report["budget"]["resonances_after_n0"] == 1
+
+
+def test_cmd_audit_reports_rho_hypothesis(tmp_path):
+    # the measured rotation number reaches the kappa' hypothesis; it is
+    # reported, and does not gate the verdict
+    path = write_config(tmp_path, dict(resonant_config(), kappa_prime=1.0))
+    assert main(["run", "--config", str(path)]) == 0
+    main(["audit", "--trace", str(tmp_path / "trace.csv"), "--config", str(path),
+          "--T", "200", "--h", "0.02"])
+    report = json.loads((tmp_path / "audit_report.json").read_text())
+    assert isinstance(report["budget"]["rho_hypothesis"], bool)
 
 
 def test_cmd_audit_integrator_step_too_large(tmp_path, capsys):

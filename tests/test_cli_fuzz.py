@@ -1,0 +1,78 @@
+"""Derandomized fuzz of the command line over small valid configs.
+
+Every config drawn here passes RunConfig.from_obj.  Each subcommand must end
+with a documented exit code, never a traceback, and every run that ends
+Stalled (2) or in a failed precondition (3) must leave a certificate.
+"""
+
+import json
+import math
+import tempfile
+from pathlib import Path
+
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from kamcocycle.cli import RunConfig, main
+
+IRRATIONALS = (math.sqrt(2.0), 0.5 * (1.0 + math.sqrt(5.0)), math.sqrt(3.0), 0.5, math.pi)
+FUNCTIONS = st.sampled_from([
+    {"kind": "power", "mu": 1.0}, {"kind": "power", "mu": 2.0},
+    {"kind": "power", "mu": 4.0}, {"kind": "exppow", "alpha": 0.5},
+    {"kind": "exppow", "alpha": 1.0}, {"kind": "explog", "delta": 2.0},
+])
+MAX_EXAMPLES = 40
+
+
+@st.composite
+def configs(draw):
+    d = draw(st.integers(1, 3))
+    omega = [1.0] + [draw(st.sampled_from([1.0, -1.0])) * draw(st.sampled_from(IRRATIONALS))
+                     for _ in range(d - 1)]
+    m = [draw(st.integers(-1, 1)) for _ in range(d)]
+    if not any(m):
+        m[0] = 1
+    c = draw(st.sampled_from([1e-14, 1e-10, 1e-4]))
+    cfg = {
+        "omega": omega,
+        "kappa": draw(st.sampled_from(["fit", 0.01, 1.0])),
+        "G": draw(FUNCTIONS),
+        "g": draw(FUNCTIONS),
+        "r0": draw(st.sampled_from([0.1, 0.5, 1.0])),
+        "n0": draw(st.integers(0, 2)),
+        "eps0": draw(st.sampled_from([1e-20, 1e-10, 1e-3, "auto:dioph", "auto:brjuno-sum"])),
+        "max_steps": draw(st.integers(0, 3)),
+        "fit_N": draw(st.integers(1, 50)),
+    }
+    if draw(st.booleans()):
+        cfg.update(A="schrodinger", E=draw(st.sampled_from([0.5, 6.25])),
+                   V={"v0": 0.0, "modes": [{"m": m, "c": c}]})
+    else:
+        beta = draw(st.sampled_from([math.pi + 1e-3, 1.5]))
+        pair = [{"half_k": [s * 2 * v for v in m], "re": [[0.0, c], [c, 0.0]],
+                 "im": [[0.0, 0.0], [0.0, 0.0]]} for s in (1, -1)]
+        cfg.update(A=[[0.0, beta], [-beta, 0.0]], F={"reality_flag": True, "modes": pair})
+    return cfg
+
+
+@settings(derandomize=True, max_examples=MAX_EXAMPLES, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(cfg=configs(), arith_N=st.integers(1, 200))
+def test_cli_ends_with_documented_exit_code(cfg, arith_N):
+    RunConfig.from_obj(cfg)  # the domain holds valid configs only
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        path = tmp / "config.json"
+        path.write_text(json.dumps(cfg))
+        out = tmp / "out"
+        code = main(["run", "--config", str(path), "--out", str(out)])
+        assert code in (0, 1, 2, 3)
+        if code in (2, 3):
+            assert (out / "certificate.json").exists()
+        if (out / "trace.csv").exists():
+            assert main(["audit", "--trace", str(out / "trace.csv"), "--config", str(path),
+                         "--T", "20", "--h", "0.05"]) in (0, 1, 2, 3)
+        assert main(["check-arith", "--config", str(path), "--N", str(arith_N),
+                     "--out", str(tmp / "arith")]) in (0, 1, 2, 3)
+        assert main(["rotnum", "--config", str(path), "--T", "20",
+                     "--h", "0.05"]) in (0, 1, 2, 3)

@@ -18,6 +18,7 @@ from kamcocycle.kam_driver import (
     StepRecord,
     brjuno_sum_threshold,
     check_condepsilon,
+    item4_holds,
     make_schedule,
     resonance_budget_check,
     rn_lower_bound,
@@ -320,6 +321,36 @@ def test_budget_check_with_resonance():
     rep2 = resonance_budget_check(trace, sched2, rho_target=beta)
     assert rep2["ratio_bounded"]
     assert rep2["kappa_prime_condition"] is not None
+
+
+def test_item4_holds_fails_only_on_a_measured_excess():
+    sched = golden_schedule()
+    eps1 = sched.eps_n(1)
+    assert item4_holds(sched, 1, eps1) and item4_holds(sched, 1, eps1 * (1.0 + 5e-10))
+    assert not item4_holds(sched, 1, eps1 * (1.0 + 2e-9))
+    assert item4_holds(sched, 1, float("nan"))  # the check fails on '>' only
+
+
+def test_budget_check_recomputes_items_2_and_6_from_rows(tmp_path):
+    # rows read back from trace.csv carry no verdicts: the check must derive
+    # closeness and drift from alpha, m and N_n, as run does
+    beta = math.pi * GOLDEN[0] + 1e-3
+    A = np.array([[0.0, beta], [-beta, 0.0]])
+    _, F = schrodinger_instance(eps=1e-10)
+    sched = golden_schedule(eps0=F.weighted_norm(0.5))
+    trace, _ = run(A, F, GOLDEN, sched, max_steps=4, cert_tol=1e-100)
+    assert trace.records[0].resonant and len(trace.records) >= 3
+    trace.to_csv(tmp_path / "trace.csv")
+    rows = RunTrace.from_csv(tmp_path / "trace.csv", omega=GOLDEN)
+    rep = resonance_budget_check(rows, sched)
+    assert rep["item2_ok"] and rep["item6_ok"]
+    rows.records[0].alpha += 0.1j  # off the resonance: closeness and drift fail
+    rep = resonance_budget_check(rows, sched)
+    assert not rep["item2_ok"] and not rep["item6_ok"]
+    rows = RunTrace.from_csv(tmp_path / "trace.csv", omega=GOLDEN)
+    rows.records[2].alpha += 1e-3  # one entry value drifts past sqrt(eps_1)
+    rep = resonance_budget_check(rows, sched)
+    assert rep["item2_ok"] and not rep["item6_ok"]
 
 
 def test_budget_check_rho_hypothesis_at_full_order():

@@ -287,6 +287,27 @@ def test_mul_prunes_cancelled_modes():
     assert_mul_matches_oracle(tiny, tiny)
 
 
+def test_mul_debt_needs_norms_only_when_a_debt_is_nonzero(monkeypatch):
+    rng = np.random.default_rng(43)
+    a = random_map(n_modes=8, rng=rng)
+    b = random_map(n_modes=8, rng=rng)
+    calls = []
+    weighted_norm = TorusMap.weighted_norm
+
+    def spy(self, r):
+        calls.append(r)
+        return weighted_norm(self, r)
+
+    monkeypatch.setattr(TorusMap, "weighted_norm", spy)
+    assert a.mul(b).truncation_debt == 0.0
+    assert calls == []
+    for da, db in ((1e-12, 0.0), (0.0, 3e-13), (1e-12, 3e-13)):
+        a_d = TorusMap(a.d, a.half_k, a.coeffs, reality=True, truncation_debt=da)
+        b_d = TorusMap(b.d, b.half_k, b.coeffs, reality=True, truncation_debt=db)
+        bound = da * (weighted_norm(b, 0.0) + db) + db * weighted_norm(a, 0.0)
+        assert a_d.mul(b_d).truncation_debt == bound
+
+
 def test_dir_derivative_basics():
     omega = np.array([1.0, 0.5 * (1 + np.sqrt(5))])
     C = TorusMap.constant(np.eye(2), 2)
