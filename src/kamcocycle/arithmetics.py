@@ -26,7 +26,6 @@ import math
 from collections import namedtuple
 
 import numpy as np
-from scipy import integrate
 
 FULL_SCAN_LIMIT = 2_000_000
 SMALL_BALL = 8
@@ -693,6 +692,9 @@ def _explog_tail(delta: float, lower: float, s: float) -> float:
     if s == 2.0:
         total += math.log(a) ** (1.0 - delta) / (delta - 1.0)
         return total
+    # the only use of scipy, imported here because no CLI command reaches it
+    from scipy import integrate
+
     # substitute u = log t: integral of e^{(2-s)u} / u^delta over [log a, inf)
     val, err = integrate.quad(
         lambda u: math.exp((2.0 - s) * u) * u ** (-delta),

@@ -75,6 +75,12 @@ _DEFAULTS = {
 }
 
 
+def _is_json(v, kind: str) -> bool:
+    # a JSON number or integer; a JSON boolean is neither
+    types = int if kind == "integer" else (int, float)
+    return isinstance(v, types) and not isinstance(v, bool)
+
+
 @dataclass
 class RunConfig:
     omega: np.ndarray
@@ -119,13 +125,22 @@ class RunConfig:
             raise ConfigError("eps0", "must be positive or 'auto:dioph'/'auto:brjuno-sum'")
         for name, kind in (("r0", "number"), ("C_prime", "number"), ("fit_N", "integer")):
             v = obj.get(name, _DEFAULTS.get(name))
-            types = int if kind == "integer" else (int, float)
-            if isinstance(v, bool) or not isinstance(v, types) or not v > 0:
+            if not (_is_json(v, kind) and v > 0):
                 raise ConfigError(name, f"must be a positive {kind}")
+        for name in ("n0", "max_steps"):
+            v = obj.get(name, _DEFAULTS.get(name))
+            if not (_is_json(v, "integer") and v >= 0):
+                raise ConfigError(name, "must be a non-negative integer")
+        for name in ("a", "cert_tol"):
+            v = obj.get(name)
+            if not (v is None or _is_json(v, "number")):
+                raise ConfigError(name, "must be a number or null")
         A = obj["A"]
         if A == "schrodinger":
             if "E" not in obj or "V" not in obj:
                 raise ConfigError("E", "the schrodinger preset requires E and V")
+            if not _is_json(obj["E"], "number"):
+                raise ConfigError("E", "must be a number")
         elif not (isinstance(A, list) and np.asarray(A, dtype=float).shape == (2, 2)):
             raise ConfigError("A", "must be a 2x2 matrix or 'schrodinger'")
         for fn_field in ("G", "g"):
@@ -389,7 +404,11 @@ def cmd_audit(args) -> int:
         return 1
     recs = trace.records
     item4_ok = all(item4_holds(schedule, r.n, r.f_norm) for r in recs)
-    n_ok = all(r.N_n == sequence_N(schedule, r.n) for r in recs)
+    try:
+        n_ok = all(r.N_n == sequence_N(schedule, r.n) for r in recs)
+    except ScheduleViolation as exc:  # the schedule has no N_n for some row's n
+        print(f"error: {args.trace}: {exc}", file=sys.stderr)
+        return 3
     residual_ok = all(step_residual_holds(r.residual, r.f_norm) for r in recs)
     est = None
     if any(r.resonant for r in recs):

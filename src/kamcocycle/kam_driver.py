@@ -178,10 +178,10 @@ def sequence_N(schedule: KamSchedule, n: int) -> int:
     Gg = schedule.Gg
     if 2.0 * float(Gg.log_value(1.0)) + 1.0 > log_bound:
         raise ScheduleViolation(
-            f"eps_{n} too large for any truncation order to exist")
+            f"step {n}: eps_{n} too large for any truncation order to exist")
     N = int(Gg.log_inverse(0.5 * log_bound))
     if N > 2 ** 52:
-        raise ScheduleViolation("truncation order exceeds the exact integer range")
+        raise ScheduleViolation(f"step {n}: truncation order exceeds the exact integer range")
     while 2.0 * float(Gg.log_value(N + 1.0)) <= log_bound:
         N += 1
     while N > 1 and 2.0 * float(Gg.log_value(float(N))) > log_bound:

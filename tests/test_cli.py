@@ -1,5 +1,8 @@
 import json
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -240,6 +243,17 @@ _SCHEDULE_ERRORS = {
     "a-below-range": ({"a": 0.5}, "a"),
     "zero-C_prime": ({"C_prime": 0}, "C_prime"),
     "zero-fit_N": ({"fit_N": 0}, "fit_N"),
+    # fields that from_obj types: a wrong JSON type is a config error too
+    "string-n0": ({"n0": "x"}, "n0"),
+    "fractional-n0": ({"n0": 1.5}, "n0"),
+    "negative-n0": ({"n0": -1}, "n0"),
+    "string-max_steps": ({"max_steps": "x"}, "max_steps"),
+    "negative-max_steps": ({"max_steps": -1}, "max_steps"),
+    "string-a": ({"a": "x"}, "a"),
+    "bool-cert_tol": ({"cert_tol": True}, "cert_tol"),
+    "string-cert_tol": ({"cert_tol": "x"}, "cert_tol"),
+    "string-E": ({"E": "x"}, "E"),
+    "null-E": ({"E": None}, "E"),
 }
 
 
@@ -336,6 +350,25 @@ def test_cmd_audit_integrator_step_too_large(tmp_path, capsys):
     assert not (tmp_path / "audit_report.json").exists()
 
 
+def test_cmd_audit_infeasible_schedule_exit_3(tmp_path, capsys):
+    # eps0 = 1e-3 leaves step 0 without a truncation order: run and audit
+    # both exit 3, audit with one error line naming the step
+    cfg = base_config(kappa="fit", cert_tol=1e-130, name="ladder", max_steps=3)
+    path = write_config(tmp_path, cfg)
+    assert main(["run", "--config", str(path)]) == 2
+    bad = write_config(tmp_path, dict(cfg, eps0=1e-3), "bad.json")
+    capsys.readouterr()
+    assert main(["audit", "--trace", str(tmp_path / "trace.csv"),
+                 "--config", str(bad)]) == 3
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and "step 0" in err[0]
+    assert not (tmp_path / "audit_report.json").exists()
+    out = tmp_path / "bad_out"
+    assert main(["run", "--config", str(bad), "--out", str(out)]) == 3
+    cert = json.loads((out / "certificate.json").read_text())
+    assert cert["status"] == "PreconditionFailure"
+
+
 def test_cmd_audit_malformed_trace(tmp_path):
     path = write_config(tmp_path, base_config())
     bad = tmp_path / "junk.csv"
@@ -370,3 +403,16 @@ def test_cmd_rotnum_step_too_large(tmp_path, capsys):
     assert len(err) == 1 and err[0].startswith("error: rotation number")
     assert "StepTooLarge" not in captured.err and captured.out == ""
     assert not out.exists()
+
+
+# -- import set --------------------------------------------------------------------
+
+def test_cli_import_loads_no_scipy():
+    # every CLI process pays for what `import kamcocycle.cli` loads; scipy
+    # serves only a tail quadrature that no command evaluates
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import kamcocycle.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code, str(src)], check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
