@@ -6,6 +6,7 @@ and rotation numbers are controlled by approximation functions of
 Brjuno-Russmann type; every step emits machine-checkable residuals.
 """
 
+from .errors import KamFailure
 from .torus_fourier import TorusMap, mode_modulus
 from .sl2_algebra import EigenData, eigen, lm_inverse, lm_dense_solve, operator_bound_check
 from .arithmetics import (

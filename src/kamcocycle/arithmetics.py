@@ -27,6 +27,8 @@ from collections import namedtuple
 
 import numpy as np
 
+from .errors import KamFailure
+
 FULL_SCAN_LIMIT = 2_000_000
 SMALL_BALL = 8
 _NEAR = 4096        # slices |m_i| <= _NEAR of a d <= 2 scan are always scored
@@ -36,11 +38,11 @@ _HIT_COST = 2048    # an enumerated slice costs about as much as scoring this ma
 NrReport = namedtuple("NrReport", ["ok", "m", "value"])
 
 
-class DivergentIntegral(Exception):
+class DivergentIntegral(KamFailure):
     """The requested Brjuno-type tail integral diverges."""
 
 
-class ScanOrderTooLarge(ValueError):
+class ScanOrderTooLarge(KamFailure):
     """No lattice scan reaches the requested order in this dimension."""
 
 
@@ -66,7 +68,7 @@ class ApproxFn:
         while float(self.log_value(math.exp(hi))) < logx:
             hi *= 2.0
             if hi > 1e6:
-                raise OverflowError("inverse argument out of range")
+                raise KamFailure("inverse argument out of range")
         for _ in range(200):
             mid = 0.5 * (lo + hi)
             if float(self.log_value(math.exp(mid))) < logx:
@@ -337,7 +339,7 @@ def scan_min_weighted_distance(omega, N, weight_fn, target=0.0, scale=1.0,
 
     Scans 0 < |m| <= N.  The l1 ball is scanned exhaustively up to order
     SMALL_BALL at d <= 2, where _slice_scan covers the higher orders, and
-    up to N at d >= 3 (ValueError past FULL_SCAN_LIMIT points).  Complete
+    up to N at d >= 3 (ScanOrderTooLarge past FULL_SCAN_LIMIT points).  Complete
     for scores below thr.  Returns (min_score, argmin_m, violators sorted
     by score then lex order).
     """
@@ -602,11 +604,11 @@ def fit_G(omega, N_max: int) -> tuple[float, TabulatedFn]:
     """
     omega = np.asarray(omega, dtype=float)
     if N_max < 1:
-        raise ValueError("N_max must be at least 1")
+        raise KamFailure("N_max must be at least 1")
     kappa = float(np.min(np.abs(omega)))
     d = omega.shape[0]
     if l1_ball_size(N_max, d) > FULL_SCAN_LIMIT:
-        raise ValueError("N_max too large for the tabulating scan")
+        raise ScanOrderTooLarge("N_max too large for the tabulating scan")
     pts = l1_ball(N_max, d)
     mod = np.abs(pts).sum(axis=1)
     keep = mod > 0
@@ -625,7 +627,7 @@ def fit_G(omega, N_max: int) -> tuple[float, TabulatedFn]:
                 best = pairing[k]
                 best_m = tuple(int(v) for v in pts[k])
         if best == 0.0:
-            raise ArithmeticError(
+            raise KamFailure(
                 f"frequencies are rationally dependent: <m, omega> = 0 at m = {best_m}")
         vals[n - 1] = kappa / best * (1.0 + 1e-12)
         argmins.append(best_m)
@@ -700,7 +702,7 @@ def _explog_tail(delta: float, lower: float, s: float) -> float:
         lambda u: math.exp((2.0 - s) * u) * u ** (-delta),
         math.log(a), np.inf, epsabs=0.0, epsrel=1e-11, limit=200)
     if val > 0 and err > 1e-8 * val:
-        raise ArithmeticError("quadrature error above the certified bound")
+        raise KamFailure("quadrature error above the certified bound")
     return total + val
 
 

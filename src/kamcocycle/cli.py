@@ -8,19 +8,20 @@ Subcommands:
   rotnum       measure the rotation number of the configured system
 
 All data files are deterministic (no timestamps); provenance lives in a
-sidecar run_meta.json.  Exit codes: 0 success/Reduced, 1 config error,
-2 Stalled, 3 precondition or certified-bound failure.
+sidecar run_meta.json.  Exit codes: 0 success/Reduced, 1 input error,
+2 Stalled, 3 a failed certified condition (KamFailure), 4 internal error.
 """
 
 from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import contextlib
 import datetime
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -38,11 +39,10 @@ from .arithmetics import (
     ratio_bounded,
     tail_integral,
 )
+from .errors import KamFailure
 from .kam_driver import (
     KamSchedule,
-    NoFeasibleEpsilon,
     RunTrace,
-    ScheduleViolation,
     a_bar_of,
     brjuno_sum_threshold,
     item4_holds,
@@ -53,13 +53,16 @@ from .kam_driver import (
     smallness_explicit,
     step_residual_holds,
 )
-from .kam_step import MultipleResonances, PreconditionFailure
-from .rotation_number import StepTooLarge, rotation_number, verify_additivity
-from .sl2_algebra import BoundViolation, SingularOperator, check_sl2, shifted_alpha
+from .rotation_number import rotation_number, verify_additivity
+from .sl2_algebra import check_sl2, shifted_alpha
 from .torus_fourier import TorusMap
 
 
-class ConfigError(Exception):
+class InputError(Exception):
+    """Input that cannot be used: an unreadable or malformed file, or a bad option."""
+
+
+class ConfigError(InputError):
     def __init__(self, fieldname: str, message: str):
         self.fieldname = fieldname
         super().__init__(f"config field '{fieldname}': {message}")
@@ -79,6 +82,15 @@ def _is_json(v, kind: str) -> bool:
     # a JSON number or integer; a JSON boolean is neither
     types = int if kind == "integer" else (int, float)
     return isinstance(v, types) and not isinstance(v, bool)
+
+
+@contextlib.contextmanager
+def _field(name: str):
+    # a value that cannot be built into what its field describes
+    try:
+        yield
+    except (AttributeError, KeyError, TypeError, ValueError, KamFailure) as exc:
+        raise ConfigError(name, str(exc)) from exc
 
 
 @dataclass
@@ -101,7 +113,6 @@ class RunConfig:
     cert_tol: float | None = None
     fit_N: int = 200
     name: str = "run"
-    raw: dict = field(default_factory=dict, repr=False)
 
     @classmethod
     def from_obj(cls, obj: dict) -> "RunConfig":
@@ -113,7 +124,8 @@ class RunConfig:
         for req in ("omega", "kappa", "G", "g", "r0", "n0", "eps0", "A"):
             if req not in obj:
                 raise ConfigError(req, "missing required field")
-        omega = np.asarray(obj["omega"], dtype=float)
+        with _field("omega"):
+            omega = np.asarray(obj["omega"], dtype=float)
         if omega.ndim != 1 or omega.size < 1:
             raise ConfigError("omega", "must be a nonempty vector")
         kappa = obj["kappa"]
@@ -135,13 +147,16 @@ class RunConfig:
             v = obj.get(name)
             if not (v is None or _is_json(v, "number")):
                 raise ConfigError(name, "must be a number or null")
+        kappa_prime = obj.get("kappa_prime")
+        if not (kappa_prime is None or (_is_json(kappa_prime, "number") and kappa_prime > 0)):
+            raise ConfigError("kappa_prime", "must be a positive number or null")
         A = obj["A"]
         if A == "schrodinger":
             if "E" not in obj or "V" not in obj:
                 raise ConfigError("E", "the schrodinger preset requires E and V")
             if not _is_json(obj["E"], "number"):
                 raise ConfigError("E", "must be a number")
-        elif not (isinstance(A, list) and np.asarray(A, dtype=float).shape == (2, 2)):
+        elif not isinstance(A, list):
             raise ConfigError("A", "must be a 2x2 matrix or 'schrodinger'")
         for fn_field in ("G", "g"):
             try:
@@ -152,7 +167,9 @@ class RunConfig:
         kwargs["omega"] = omega
         merged = dict(_DEFAULTS)
         merged.update(kwargs)
-        return cls(raw=dict(obj), **merged)
+        cfg = cls(**merged)
+        cfg.system()  # A, V and F must build
+        return cfg
 
     def to_obj(self) -> dict:
         out = {
@@ -176,7 +193,7 @@ class RunConfig:
             # d <= 2 is windowed past the exhaustive ball, d >= 3 is not
             try:
                 check_scan_order(self.fit_N, self.omega.size)
-            except ValueError as exc:
+            except ScanOrderTooLarge as exc:
                 raise ConfigError("fit_N", str(exc)) from exc
             kappa = fit_kappa(self.omega, G, self.fit_N)
             if not kappa > 0:
@@ -186,16 +203,21 @@ class RunConfig:
         return float(self.kappa)
 
     def system(self) -> tuple[np.ndarray, TorusMap]:
+        """The constant part A and the perturbation F; a field they cannot
+        be built from is a ConfigError."""
         d = self.omega.size
         if self.A == "schrodinger":
-            v0 = float(self.V.get("v0", 0.0))
-            modes = [(tuple(int(x) for x in mode["m"]), float(mode["c"]))
-                     for mode in self.V.get("modes", [])]
-            return build_schrodinger(float(self.E), v0, modes, d)
-        A = check_sl2(np.asarray(self.A, dtype=float))
+            with _field("V"):
+                v0 = float(self.V.get("v0", 0.0))
+                modes = [(tuple(int(x) for x in mode["m"]), float(mode["c"]))
+                         for mode in self.V.get("modes", [])]
+                return build_schrodinger(float(self.E), v0, modes, d)
+        with _field("A"):
+            A = check_sl2(np.asarray(self.A, dtype=float))
         if self.F is None:
             return A, TorusMap.zero(d)
-        return A, TorusMap.from_json_obj({"d": d, **self.F})
+        with _field("F"):
+            return A, TorusMap.from_json_obj({"d": d, **self.F})
 
     def schedule(self) -> KamSchedule:
         G, g = self.approx_fns()
@@ -250,13 +272,11 @@ def _load_json(path: Path):
     try:
         text = path.read_text()
     except OSError as exc:
-        print(f"error: cannot read {path}: {exc}", file=sys.stderr)
-        return None
+        raise InputError(f"cannot read {path}: {exc}") from exc
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
-        print(f"error: {path}:{exc.lineno}:{exc.colno}: {exc.msg}", file=sys.stderr)
-        return None
+        raise InputError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
 
 
 def _write_json(path: Path, obj) -> None:
@@ -269,33 +289,27 @@ def _write_meta(out_dir: Path, name: str) -> None:
     _write_json(out_dir / f"{name}_meta.json", meta)
 
 
-_FAILURES = (PreconditionFailure, ScheduleViolation, NoFeasibleEpsilon,
-             MultipleResonances, SingularOperator, BoundViolation,
-             DivergentIntegral, ArithmeticError, ScanOrderTooLarge)
-
-
 def _run_single(config_path: str, out_dir: str | None) -> int:
+    # a batch goes on past a failed member, and a failed run leaves a certificate
     path = Path(config_path)
-    obj = _load_json(path)
-    if obj is None:
-        return 1
     try:
-        cfg = RunConfig.from_obj(obj)
+        cfg = RunConfig.from_obj(_load_json(path))
         A, F = cfg.system()
         schedule = cfg.schedule()
-    except ConfigError as exc:
-        print(f"error: {path}: {exc}", file=sys.stderr)
+    except InputError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 1
     out = Path(out_dir) if out_dir else path.parent
     out.mkdir(parents=True, exist_ok=True)
     try:
         trace, cert = run(A, F, cfg.omega, schedule, max_steps=cfg.max_steps,
                           cert_tol=cfg.cert_tol)
-    except _FAILURES as exc:
+    except KamFailure as exc:
+        detail = f"{type(exc).__name__} at step {exc.step}: {exc}"
         _write_json(out / "certificate.json",
-                    {"status": "PreconditionFailure", "status_detail": str(exc)})
+                    {"status": "PreconditionFailure", "status_detail": detail})
         _write_meta(out, "run")
-        print(f"{cfg.name}: PreconditionFailure: {exc}", file=sys.stderr)
+        print(f"{cfg.name}: PreconditionFailure: {detail}", file=sys.stderr)
         return 3
     trace.to_csv(out / "trace.csv")
     _write_json(out / "certificate.json", cert.to_json_obj())
@@ -307,8 +321,6 @@ def _run_single(config_path: str, out_dir: str | None) -> int:
 
 def cmd_run(args) -> int:
     obj = _load_json(Path(args.config))
-    if obj is None:
-        return 1
     if isinstance(obj, dict) and "batch" in obj:
         paths = obj["batch"]
         base = Path(args.config).parent
@@ -329,22 +341,14 @@ def cmd_run(args) -> int:
 
 def cmd_check_arith(args) -> int:
     path = Path(args.config)
-    obj = _load_json(path)
-    if obj is None:
-        return 1
-    try:
-        cfg = RunConfig.from_obj(obj)
-        G, g = cfg.approx_fns()
-        kappa = cfg.resolve_kappa(G)
-    except ConfigError as exc:
-        print(f"error: {path}: {exc}", file=sys.stderr)
-        return 1
+    cfg = RunConfig.from_obj(_load_json(path))
+    G, g = cfg.approx_fns()
+    kappa = cfg.resolve_kappa(G)
     N = args.N
     try:
         check_scan_order(N, cfg.omega.size)
-    except ValueError as exc:
-        print(f"error: --N: {exc}", file=sys.stderr)
-        return 1
+    except ScanOrderTooLarge as exc:
+        raise InputError(f"--N: {exc}") from exc
     omega_rep = check_nr_omega(cfg.omega, kappa, G, N)
     report = {
         "kappa": kappa,
@@ -372,8 +376,8 @@ def cmd_check_arith(args) -> int:
             for i in range(fit_n):
                 m = G_fit.argmins[i]
                 fh.write(f"{i + 1},{G_fit.vals[i]!r},{';'.join(str(v) for v in m)}\n")
-    except (ArithmeticError, ValueError) as exc:
-        # rational dependence, or an order past the tabulating scan
+    except KamFailure as exc:
+        # rational dependence, or an order outside the tabulating scan
         report["fit_kappa"] = None
         report["fit_error"] = str(exc)
     # the ratio condition constrains the (g, G) pairing for the
@@ -388,34 +392,19 @@ def cmd_check_arith(args) -> int:
 
 
 def cmd_audit(args) -> int:
-    cfg_obj = _load_json(Path(args.config))
-    if cfg_obj is None:
-        return 1
-    try:
-        cfg = RunConfig.from_obj(cfg_obj)
-        schedule = cfg.schedule()
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    cfg = RunConfig.from_obj(_load_json(Path(args.config)))
+    schedule = cfg.schedule()
     try:
         trace = RunTrace.from_csv(args.trace, omega=cfg.omega)
     except (OSError, KeyError, ValueError) as exc:
-        print(f"error: malformed trace {args.trace}: {exc}", file=sys.stderr)
-        return 1
+        raise InputError(f"malformed trace {args.trace}: {exc}") from exc
     recs = trace.records
     item4_ok = all(item4_holds(schedule, r.n, r.f_norm) for r in recs)
-    try:
-        n_ok = all(r.N_n == sequence_N(schedule, r.n) for r in recs)
-    except ScheduleViolation as exc:  # the schedule has no N_n for some row's n
-        print(f"error: {args.trace}: {exc}", file=sys.stderr)
-        return 3
+    n_ok = all(r.N_n == sequence_N(schedule, r.n) for r in recs)
     residual_ok = all(step_residual_holds(r.residual, r.f_norm) for r in recs)
     est = None
     if any(r.resonant for r in recs):
-        A, F = cfg.system()
-        est = _measure_rho(A, F, cfg.omega, args.T, args.h)
-        if est is None:
-            return 3
+        est = _measure_rho(cfg, args.T, args.h)
     budget = resonance_budget_check(trace, schedule, rho_target=est.rho if est else None)
     report = {
         "item4_f_norm_ok": item4_ok,
@@ -453,28 +442,15 @@ def _final_B(trace: RunTrace, omega) -> np.ndarray:
     return np.array([[0.0, beta], [-beta, 0.0]])
 
 
-def _measure_rho(A, F: TorusMap, omega, T: float, h: float):
-    """rotation_number of A + F, or None after a one-line error."""
-    try:
-        return rotation_number(TorusMap.constant(A, omega.size).add(F), omega, T=T, h=h)
-    except (StepTooLarge, ArithmeticError) as exc:
-        print(f"error: rotation number at T = {T:g}, h = {h:g}: {exc}", file=sys.stderr)
-        return None
+def _measure_rho(cfg: RunConfig, T: float, h: float):
+    """rotation_number of the configured system A + F."""
+    A, F = cfg.system()
+    return rotation_number(TorusMap.constant(A, cfg.omega.size).add(F), cfg.omega, T=T, h=h)
 
 
 def cmd_rotnum(args) -> int:
-    obj = _load_json(Path(args.config))
-    if obj is None:
-        return 1
-    try:
-        cfg = RunConfig.from_obj(obj)
-        A, F = cfg.system()
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    est = _measure_rho(A, F, cfg.omega, args.T, args.h)
-    if est is None:
-        return 3
+    cfg = RunConfig.from_obj(_load_json(Path(args.config)))
+    est = _measure_rho(cfg, args.T, args.h)
     out = {"rho": est.rho, "T": est.T, "h": est.h,
            "error_estimate": est.error_estimate}
     print(json.dumps(out, sort_keys=True))
@@ -517,7 +493,20 @@ def main(argv=None) -> int:
     p_rot.set_defaults(func=cmd_rotnum)
 
     args = parser.parse_args(argv)
-    return args.func(args)
+    # the one exit map: bad input exits 1, a failed certified condition 3,
+    # anything else is a defect of the program
+    try:
+        return args.func(args)
+    except InputError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except KamFailure as exc:
+        at = "" if exc.step is None else f"step {exc.step}: "
+        print(f"error: {at}{exc}", file=sys.stderr)
+        return 3
+    except Exception as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

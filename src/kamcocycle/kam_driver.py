@@ -27,6 +27,7 @@ from .arithmetics import (
     ratio_bounded,
     tail_integral,
 )
+from .errors import KamFailure
 from .kam_step import (
     StepContext,
     conjugation_residual,
@@ -41,11 +42,11 @@ LOG_EPS_FLOOR = math.log(1e-300)
 STEP_RESIDUAL_TOL = 1e-10  # per-step share of the global residual budget
 
 
-class ScheduleViolation(Exception):
+class ScheduleViolation(KamFailure):
     """A measured quantity broke the schedule's certified inequality."""
 
 
-class NoFeasibleEpsilon(Exception):
+class NoFeasibleEpsilon(KamFailure):
     """No representable eps_0 satisfies the smallness conditions."""
 
 
@@ -178,10 +179,10 @@ def sequence_N(schedule: KamSchedule, n: int) -> int:
     Gg = schedule.Gg
     if 2.0 * float(Gg.log_value(1.0)) + 1.0 > log_bound:
         raise ScheduleViolation(
-            f"step {n}: eps_{n} too large for any truncation order to exist")
+            f"eps_{n} too large for any truncation order to exist", step=n)
     N = int(Gg.log_inverse(0.5 * log_bound))
     if N > 2 ** 52:
-        raise ScheduleViolation(f"step {n}: truncation order exceeds the exact integer range")
+        raise ScheduleViolation("truncation order exceeds the exact integer range", step=n)
     while 2.0 * float(Gg.log_value(N + 1.0)) <= log_bound:
         N += 1
     while N > 1 and 2.0 * float(Gg.log_value(float(N))) > log_bound:
@@ -259,7 +260,6 @@ class StepRecord:
 class RunTrace:
     records: list
     omega: np.ndarray
-    resonance_count_after_n0: int = 0
 
     def to_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:
@@ -315,8 +315,9 @@ def run(A, F: TorusMap, omega, schedule: KamSchedule, max_steps: int = 200,
     """Iterate KAM steps until the perturbation falls below cert_tol.
 
     Raises ScheduleViolation when a measured |F_n| exceeds its ladder bound
-    eps_n.  The conjugation Z_n is accumulated on the double torus and the
-    global residual against the original system is measured every step.
+    eps_n, and a KamFailure that escapes step n leaves with step = n.  The
+    conjugation Z_n is accumulated on the double torus and the global
+    residual against the original system is measured every step.
     """
     omega = np.asarray(omega, dtype=float)
     A = np.asarray(A, dtype=float)
@@ -335,46 +336,50 @@ def run(A, F: TorusMap, omega, schedule: KamSchedule, max_steps: int = 200,
     global_residual = 0.0
     terminated = None
 
-    for n in range(max_steps):
-        f_norm = F_n.weighted_norm(r_n)
-        eps_n = schedule.eps_n(n)
-        if not item4_holds(schedule, n, f_norm):
-            raise ScheduleViolation(
-                f"step {n}: |F|_r = {f_norm:.6e} exceeds eps_n = {eps_n:.6e}")
-        if f_norm <= cert_tol:
-            terminated = "converged"
-            break
-        N_n = sequence_N(schedule, n)
-        rep = find_resonance(alpha_n, omega, schedule.kappa, schedule.G,
-                             schedule.g, N_n)
-        if rep.m is None:
-            r_next = r_n - schedule.c0 * abs(math.log1p(-schedule.a)) \
-                / (2.0 * math.pi * N_n)
-            if r_next <= 0:
-                raise ScheduleViolation(f"step {n}: strip width exhausted")
-            out = step_nonresonant(A_n, F_n, r_n, r_next, N_n, schedule.a, ctx,
-                                   resonance=rep)
-        else:
-            if n >= schedule.n0:
-                resonances_after_n0 += 1
-            out = step_resonant(A_n, F_n, r_n, N_n, schedule.a, schedule.c0,
-                                ctx, resonance=rep)
-            rotation_sum += resonance_shift(rep.m, omega)
-        item2_ok = item2_holds(schedule, alpha_n, rep.m, omega, N_n) if out.resonant else None
-        item6_ok = item6_holds(schedule, records[-1], alpha_n, omega) if records else None
-        Z = Z.mul(out.Z_step).cap_support(DEFAULT_MODE_CAP, out.r_next)
-        global_residual = conjugation_residual(A, F, Z, out.A_next, out.F_next,
-                                               omega, out.r_next)
-        records.append(StepRecord(
-            n=n, r_n=r_n, N_n=N_n, eps_bound=eps_n, f_norm=f_norm,
-            resonant=out.resonant, m=out.m if out.m is not None else (0,) * d,
-            alpha=alpha_n, residual=out.residual_norm,
-            contraction=out.contraction_observed, r_next=out.r_next,
-            x_norm=out.x_norm, global_residual=global_residual,
-            debt=Z.truncation_debt + out.F_next.truncation_debt,
-            item2_ok=item2_ok, item6_ok=item6_ok, margin=out.info.get("margin", 0.0),
-            preconditions=out.preconditions))
-        A_n, F_n, r_n, alpha_n = out.A_next, out.F_next, out.r_next, out.alpha_next
+    try:
+        for n in range(max_steps):
+            f_norm = F_n.weighted_norm(r_n)
+            eps_n = schedule.eps_n(n)
+            if not item4_holds(schedule, n, f_norm):
+                raise ScheduleViolation(
+                    f"|F|_r = {f_norm:.6e} exceeds eps_n = {eps_n:.6e}")
+            if f_norm <= cert_tol:
+                terminated = "converged"
+                break
+            N_n = sequence_N(schedule, n)
+            rep = find_resonance(alpha_n, omega, schedule.kappa, schedule.G,
+                                 schedule.g, N_n)
+            if rep.m is None:
+                r_next = r_n - schedule.c0 * abs(math.log1p(-schedule.a)) \
+                    / (2.0 * math.pi * N_n)
+                if r_next <= 0:
+                    raise ScheduleViolation("strip width exhausted")
+                out = step_nonresonant(A_n, F_n, r_n, r_next, N_n, schedule.a, ctx,
+                                       resonance=rep)
+            else:
+                if n >= schedule.n0:
+                    resonances_after_n0 += 1
+                out = step_resonant(A_n, F_n, r_n, N_n, schedule.a, schedule.c0,
+                                    ctx, resonance=rep)
+                rotation_sum += resonance_shift(rep.m, omega)
+            item2_ok = item2_holds(schedule, alpha_n, rep.m, omega, N_n) if out.resonant else None
+            item6_ok = item6_holds(schedule, records[-1], alpha_n, omega) if records else None
+            Z = Z.mul(out.Z_step).cap_support(DEFAULT_MODE_CAP, out.r_next)
+            global_residual = conjugation_residual(A, F, Z, out.A_next, out.F_next,
+                                                   omega, out.r_next)
+            records.append(StepRecord(
+                n=n, r_n=r_n, N_n=N_n, eps_bound=eps_n, f_norm=f_norm,
+                resonant=out.resonant, m=out.m if out.m is not None else (0,) * d,
+                alpha=alpha_n, residual=out.residual_norm,
+                contraction=out.contraction_observed, r_next=out.r_next,
+                x_norm=out.x_norm, global_residual=global_residual,
+                debt=Z.truncation_debt + out.F_next.truncation_debt,
+                item2_ok=item2_ok, item6_ok=item6_ok, margin=out.info.get("margin", 0.0),
+                preconditions=out.preconditions))
+            A_n, F_n, r_n, alpha_n = out.A_next, out.F_next, out.r_next, out.alpha_next
+    except KamFailure as exc:
+        exc.step = n
+        raise
 
     f_final = F_n.weighted_norm(r_n)
     debt = Z.truncation_debt + F_n.truncation_debt
@@ -390,8 +395,7 @@ def run(A, F: TorusMap, omega, schedule: KamSchedule, max_steps: int = 200,
             status, detail = "Stalled", "strip-width-below-floor"
     else:
         status, detail = "Stalled", "max-steps"
-    trace = RunTrace(records=records, omega=omega,
-                     resonance_count_after_n0=resonances_after_n0)
+    trace = RunTrace(records=records, omega=omega)
     cert = Certificate(
         status=status, status_detail=detail, B=A_n, Z=Z, r_final=r_n,
         residual=residual, rotation_sum=rotation_sum, steps=len(records),

@@ -25,6 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .arithmetics import ApproxFn, check_nr_alpha, scan_min_weighted_distance
+from .errors import KamFailure
 from .sl2_algebra import (
     CERT_SLACK,
     BoundViolation,
@@ -38,12 +39,12 @@ from .torus_fourier import DEFAULT_MODE_CAP, TorusMap, exp_series_tail, project_
 EXP_TOL = 1e-30  # certified tail of the exp(+-X) series
 
 
-class MultipleResonances(Exception):
+class MultipleResonances(KamFailure):
     """Two distinct resonance violators tied; the (kappa, G, g) inputs are
     inconsistent, since a valid configuration admits at most one."""
 
 
-class PreconditionFailure(Exception):
+class PreconditionFailure(KamFailure):
     def __init__(self, failed: list[str], details: dict):
         self.failed = failed
         self.details = details
@@ -204,7 +205,7 @@ def _realify(M: np.ndarray, what: str, tol: float = 1e-9) -> np.ndarray:
     scale = 1.0 + float(np.abs(M).max())
     defect = float(np.abs(M.imag).max()) if np.iscomplexobj(M) else 0.0
     if defect > tol * scale:
-        raise ArithmeticError(
+        raise KamFailure(
             f"{what} has imaginary residue {defect:.3e}; the reduction left sl(2,R)")
     return np.ascontiguousarray(M.real, dtype=float)
 
@@ -296,7 +297,7 @@ def step_nonresonant(A, F: TorusMap, r: float, r_prime: float, N: int,
         contraction_observed=contraction, alpha=alpha,
         alpha_next=eigen(A_next).alpha, x_norm=x_norm,
         preconditions=pre,
-        info={"exp_tail": exp_tail, "margin": resonance.margin, "eps_in": eps},
+        info={"exp_tail": exp_tail, "margin": resonance.margin},
     )
 
 
@@ -342,7 +343,7 @@ def step_resonant(A, F: TorusMap, r: float, N: int, a: float, c0: float,
     Atilde = project_traceless(_realify(Atilde_c, "Atilde"))
     F_t = Phi_inv.mul(F).mul(Phi)
     if F_t.lattice != "integer":
-        raise ArithmeticError("conjugated perturbation left the integer lattice")
+        raise KamFailure("conjugated perturbation left the integer lattice")
     if F.reality:
         F_t = F_t.realified()
     A_next, F_next, Z_x, x_norm, exp_tail = _conjugate(
@@ -363,12 +364,8 @@ def step_resonant(A, F: TorusMap, r: float, N: int, a: float, c0: float,
         info={
             "exp_tail": exp_tail,
             "margin": resonance.margin,
-            "eps_in": eps,
-            "alpha_shifted": alpha_t,
             "phi_norm": Phi.weighted_norm(r_prime),
             "phi_inv_norm": Phi_inv.weighted_norm(r_prime),
             "phi_bound": 2.0 * ed.cond * math.exp(math.pi * N * r_prime),
-            "c_prime_measured": max(1.0, ed.cond) * math.e,
-            "f_conj_norm": F_t.weighted_norm(r),
         },
     )

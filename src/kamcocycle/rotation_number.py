@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import KamFailure
 from .sl2_algebra import alpha_of, resonance_shift
 from .torus_fourier import TorusMap, op_norms
 
@@ -28,7 +29,7 @@ CHUNK = 2048
 MAX_HALVINGS = 10
 
 
-class StepTooLarge(Exception):
+class StepTooLarge(KamFailure):
     """A single step turns the phase by more than pi even after refinement."""
 
 
@@ -38,7 +39,6 @@ class RotationEstimate:
     T: float
     h: float
     error_estimate: float
-    signed_rate: float
 
 
 def _eval_system(Asys: TorusMap, omega, theta0, times) -> np.ndarray:
@@ -98,8 +98,9 @@ def _integrate_block(Asys, omega, theta0, t0, v0, n_steps, h, depth=0):
     if speed * h > 0.5 * math.pi:
         if depth >= MAX_HALVINGS:
             raise StepTooLarge(
-                f"phase speed {speed:.3e} needs h below {0.5 * math.pi / speed:.3e}, "
-                f"unreachable from h = {h:.3e} within {MAX_HALVINGS} halvings")
+                f"rotation number: phase speed {speed:.3e} needs h below "
+                f"{0.5 * math.pi / speed:.3e}, unreachable from h = {h:.3e} "
+                f"within {MAX_HALVINGS} halvings")
         return _integrate_block(Asys, omega, theta0, t0, v0, 2 * n_steps,
                                 0.5 * h, depth + 1)
     mats = _rk4_step_matrices(nodes[:-1], midvals, nodes[1:], h)
@@ -111,14 +112,14 @@ def _integrate_block(Asys, omega, theta0, t0, v0, n_steps, h, depth=0):
     if np.abs(deltas).max(initial=0.0) > 0.5 * math.pi:
         if depth >= MAX_HALVINGS:
             raise StepTooLarge(
-                f"phase turns by {np.abs(deltas).max():.3f} rad in one step "
-                f"at h = {h:.3e} after {depth} halvings")
+                f"rotation number: phase turns by {np.abs(deltas).max():.3f} rad "
+                f"in one step at h = {h:.3e} after {depth} halvings")
         return _integrate_block(Asys, omega, theta0, t0, v0, 2 * n_steps,
                                 0.5 * h, depth + 1)
     v_end = vs[-1]
     norm = float(np.hypot(v_end[0], v_end[1]))
     if norm == 0.0 or not math.isfinite(norm):
-        raise ArithmeticError("trajectory norm left the representable range")
+        raise KamFailure("rotation number: trajectory norm left the representable range")
     return v_end / norm, float(deltas.sum())
 
 
@@ -160,8 +161,7 @@ def rotation_number(Asys: TorusMap, omega, theta0=None, phi0=None,
     rho_h = abs(rate_h)
     rho = abs(rate_h2)
     err = abs(rho_h - rho) + abs(rho - abs(rate_half_T)) + 2.0 * math.pi / T
-    return RotationEstimate(rho=rho, T=T, h=h, error_estimate=err,
-                            signed_rate=rate_h2)
+    return RotationEstimate(rho=rho, T=T, h=h, error_estimate=err)
 
 
 def rho_of_constant(B) -> float:

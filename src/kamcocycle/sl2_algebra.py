@@ -17,18 +17,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import KamFailure
 from .torus_fourier import op_norm_2x2, project_traceless
 
 
-class SingularOperator(Exception):
+class SingularOperator(KamFailure):
     """A spectrum element of L_m is numerically zero."""
 
 
-class BoundViolation(AssertionError):
+class BoundViolation(KamFailure):
     """A certified inequality failed on inputs that were supposed to satisfy it."""
 
 
-class DefectiveConstantPart(Exception):
+class DefectiveConstantPart(KamFailure):
     """The constant part is (near-)nilpotent and cannot be diagonalized."""
 
 

@@ -28,6 +28,8 @@ import math
 
 import numpy as np
 
+from .errors import KamFailure
+
 TWO_PI = 2.0 * math.pi
 PRUNE_TOL = 1e-300
 DEFAULT_MODE_CAP = 4096
@@ -46,7 +48,7 @@ def _pack(half_k: np.ndarray) -> np.ndarray:
     d = half_k.shape[1]
     shift, base = _pack_base(d)
     if half_k.size and int(np.abs(half_k).max()) >= base:
-        raise OverflowError("frequency index out of packable range")
+        raise KamFailure("frequency index out of packable range")
     keys = np.zeros(half_k.shape[0], dtype=np.int64)
     for i in range(d):
         keys = (keys << shift) + (half_k[:, i].astype(np.int64) + base)
@@ -493,7 +495,7 @@ def exp_series_tail(X: TorusMap, r: float, tol: float = 1e-30) -> tuple[TorusMap
     """
     nx = X.weighted_norm(r)
     if nx > 1.0:
-        raise ValueError(f"|X|_r = {nx:.3e} > 1, outside the certified regime")
+        raise KamFailure(f"|X|_r = {nx:.3e} > 1, outside the certified regime")
     if X.n_modes == 0:
         return TorusMap.zero(X.d), 0.0
     acc = X
@@ -506,7 +508,4 @@ def exp_series_tail(X: TorusMap, r: float, tol: float = 1e-30) -> tuple[TorusMap
         k += 1
         term = term.mul(X).scale(1.0 / k)
         acc = acc.add(term)
-    if X.reality:
-        acc = TorusMap(acc.d, acc.half_k, acc.coeffs, reality=True,
-                       truncation_debt=acc.truncation_debt, _keys=acc._keys)
     return acc, tail

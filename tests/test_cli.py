@@ -1,5 +1,7 @@
+import importlib
 import json
 import math
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -7,7 +9,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from kamcocycle.cli import ConfigError, RunConfig, build_schrodinger, main
+import kamcocycle
+from kamcocycle import kam_driver
+from kamcocycle.cli import ConfigError, InputError, RunConfig, build_schrodinger, main
+from kamcocycle.errors import KamFailure
+from kamcocycle.kam_step import PreconditionFailure
 
 GOLDEN = [1.0, 0.5 * (1.0 + math.sqrt(5.0))]
 
@@ -273,6 +279,109 @@ def test_schedule_config_errors_exit_1(tmp_path, capsys, case, command):
     assert len(err) == 1 and err[0].startswith("error: ")
     assert f"config field '{fieldname}': " in err[0]
     assert not (tmp_path / "certificate.json").exists()
+
+
+def _mode(half_k):
+    return {"half_k": half_k, "re": [[0.0, 1e-14], [1e-14, 0.0]], "im": [[0.0, 0.0], [0.0, 0.0]]}
+
+
+_MATRIX = {"A": [[0.0, 1.5], [-1.5, 0.0]], "F": {"modes": [_mode([2, 0]), _mode([-2, 0])]}}
+_WRONG_TYPES = {
+    "string-omega": ({"omega": ["x", 1.0]}, "omega"),
+    "string-V": ({"V": "x"}, "V"),
+    "string-v0": ({"V": {"v0": "x"}}, "V"),
+    "string-A-entry": (dict(_MATRIX, A=[[0.0, "x"], [-1.5, 0.0]]), "A"),
+    "A-with-trace": (dict(_MATRIX, A=[[1.0, 1.5], [-1.5, 0.0]]), "A"),
+    "string-F": (dict(_MATRIX, F="x"), "F"),
+    "F-index-past-packing": (dict(_MATRIX, F={"modes": [_mode([2 ** 40, 0])]}), "F"),
+    "string-kappa_prime": ({"kappa_prime": "x"}, "kappa_prime"),
+    "zero-kappa_prime": ({"kappa_prime": 0.0}, "kappa_prime"),
+}
+
+
+@pytest.mark.parametrize("command", ["run", "check-arith", "audit", "rotnum"])
+@pytest.mark.parametrize("case", sorted(_WRONG_TYPES))
+def test_wrong_typed_config_fields_exit_1(tmp_path, capsys, case, command):
+    # a value that cannot be built into what its field describes is a config
+    # error of every command, reported in one line
+    changes, fieldname = _WRONG_TYPES[case]
+    cfg = base_config(kappa="fit", cert_tol=1e-130, name="ladder", max_steps=3)
+    path = write_config(tmp_path, dict(cfg, **changes))
+    argv = {"run": ["run"], "check-arith": ["check-arith", "--N", "10"],
+            "audit": ["audit", "--trace", str(tmp_path / "trace.csv")],
+            "rotnum": ["rotnum", "--T", "20"]}[command]
+    assert main(argv + ["--config", str(path)]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: config field '{fieldname}': ")
+    assert not (tmp_path / "certificate.json").exists()
+
+
+# -- the exit map -----------------------------------------------------------------
+
+def _exception_classes():
+    # every exception class defined in a kamcocycle module
+    for info in pkgutil.iter_modules(kamcocycle.__path__):
+        module = importlib.import_module(f"kamcocycle.{info.name}")
+        for obj in vars(module).values():
+            if (isinstance(obj, type) and issubclass(obj, BaseException)
+                    and obj.__module__ == module.__name__):
+                yield obj
+
+
+_FAILURE_CLASSES = sorted((c for c in _exception_classes() if issubclass(c, KamFailure)),
+                   key=lambda c: c.__name__)
+
+
+def test_failure_taxonomy_is_closed():
+    # a new exception class is either bad input (exit 1) or a failed
+    # certified condition (exit 3); nothing in between
+    classes = list(_exception_classes())
+    assert all(issubclass(c, (InputError, KamFailure)) for c in classes), classes
+    assert len(_FAILURE_CLASSES) == 11  # KamFailure and its ten subclasses
+
+
+def _fail_at_step_1(monkeypatch, exc):
+    # the driver scans for a resonance once per step: fail the second scan
+    real, calls = kam_driver.find_resonance, []
+
+    def find_resonance(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == 2:
+            raise exc
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(kam_driver, "find_resonance", find_resonance)
+
+
+@pytest.mark.parametrize("cls", _FAILURE_CLASSES, ids=lambda c: c.__name__)
+def test_every_failure_exits_3_with_certificate(tmp_path, capsys, monkeypatch, cls):
+    exc = cls(["forced"], {}) if cls is PreconditionFailure else cls("forced")
+    _fail_at_step_1(monkeypatch, exc)
+    path = write_config(tmp_path, base_config())
+    assert main(["run", "--config", str(path)]) == 3
+    cert = json.loads((tmp_path / "certificate.json").read_text())
+    assert cert["status"] == "PreconditionFailure"
+    assert cert["status_detail"] == f"{cls.__name__} at step 1: {exc}"
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_internal_error_exits_4(tmp_path, capsys, monkeypatch):
+    # a builtin arithmetic error is a defect of the program, not a certified
+    # failure: no certificate, one line naming it
+    _fail_at_step_1(monkeypatch, ZeroDivisionError("float division by zero"))
+    path = write_config(tmp_path, base_config())
+    assert main(["run", "--config", str(path)]) == 4
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == ["internal error: ZeroDivisionError: float division by zero"]
+    assert not (tmp_path / "certificate.json").exists()
+
+
+def test_check_arith_order_zero_reports_fit_error(tmp_path):
+    path = write_config(tmp_path, base_config(kappa=0.2))
+    assert main(["check-arith", "--config", str(path), "--N", "0"]) == 0
+    report = json.loads((tmp_path / "arith_report.json").read_text())
+    assert report["fit_kappa"] is None
+    assert report["fit_error"] == "N_max must be at least 1"
 
 
 # -- audit -----------------------------------------------------------------------

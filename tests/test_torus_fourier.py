@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from kamcocycle import torus_fourier
+from kamcocycle.errors import KamFailure
 from kamcocycle.torus_fourier import (
     PRUNE_TOL,
     TorusMap,
@@ -354,7 +355,7 @@ def test_exp_inverse_property():
 
 def test_exp_rejects_large_norm():
     X = TorusMap.constant(3.0 * np.eye(2), 1)
-    with pytest.raises(ValueError):
+    with pytest.raises(KamFailure):
         exp_map(X, r=0.0)
 
 
