@@ -6,22 +6,23 @@ vector omega is non-resonant at level (kappa, G) when
 complex number alpha is non-resonant relative to omega at level
 (kappa', g) up to order N when |alpha - i*pi*<m, omega>| >= kappa'/g(|m|)
 for 0 < |m| <= N.  Both checks reduce to minimizing a weighted distance
-over an l1 ball of lattice points.  At d <= 2 the ball is scanned
-literally up to order SMALL_BALL; past it, each slice of the lattice
-contributes only the few points whose pairing <m, omega> lies nearest the
+over an l1 ball of lattice points.  At d <= 2 the inputs are floats, hence
+dyadic rationals, and the gap target - scale <m, omega> is taken exactly
+as an integer over a power of two: every candidate is scored from its
+exact integer remainder, so only the float of the gap, the hypot and the
+weight round.  The ball is scanned literally up to order SMALL_BALL; past
+it, each slice of the lattice contributes only the few points nearest the
 target, which is complete for violations, and a certified floor bounds
 every point left out, so the reported minimum is a lower bound over the
-whole ball.  Slices far from the origin are not visited one by one: exact
-integer arithmetic on the dyadic rationals stored in omega selects the
-few whose candidates can still matter, and they are scored in the same
-floating point as the others, so a d <= 2 scan to order N costs
-O(log N log D + hits), D the common denominator, with the floor and the
-scores unchanged.  At d >= 3 the ball is scanned literally, up to
-FULL_SCAN_LIMIT points.
+whole ball.  The slices whose candidates can still matter are found by
+exact integer arithmetic, band by band, so a d <= 2 scan to order N costs
+O(log N log D + hits), D the common denominator.  At d >= 3 the ball is
+scanned literally in floating point, up to FULL_SCAN_LIMIT points.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections import namedtuple
 
@@ -31,9 +32,6 @@ from .errors import KamFailure
 
 FULL_SCAN_LIMIT = 2_000_000
 SMALL_BALL = 8
-_NEAR = 4096        # slices |m_i| <= _NEAR of a d <= 2 scan are always scored
-_CHUNK = 1 << 20    # slices per scored array
-_HIT_COST = 2048    # an enumerated slice costs about as much as scoring this many
 
 NrReport = namedtuple("NrReport", ["ok", "m", "value"])
 
@@ -282,12 +280,15 @@ def check_scan_order(N: int, d: int) -> None:
             f"{FULL_SCAN_LIMIT:,}-point exhaustive scan")
 
 
-def _score_points(points, omega, weight_fn, target, scale, re_off):
-    pairing = points.astype(float) @ omega
-    gap = target - scale * pairing
-    dist = np.hypot(re_off, gap)
-    mod = np.abs(points).sum(axis=1).astype(float)
-    return dist * np.asarray(weight_fn(mod), dtype=float)
+def _integer_form(omega, target, scale):
+    """(T, SW, D): the integers with target - scale <m, omega> = (T - <m, SW>) / D
+    exactly, D a power of two (the float inputs are dyadic rationals)."""
+    sn, sd = float(scale).as_integer_ratio()
+    ratios = [float(target).as_integer_ratio()] + [
+        (sn * wn, sd * wd) for wn, wd in (float(w).as_integer_ratio() for w in omega)]
+    D = max(den for _, den in ratios)
+    T, *SW = (num * (D // den) for num, den in ratios)
+    return T, SW, D
 
 
 def _lex_min(points, scores):
@@ -308,15 +309,17 @@ class _ScanState:
         self.best_m = None
         self.violators = []
 
-    def update(self, points, scores):
-        if points.shape[0] == 0:
-            return
+    def update(self, points, dist, w):
+        """Score dist * w; a violator has dist < thr / w.  A weight that
+        overflows to inf leaves its points unscored (inf) and never violating."""
+        with np.errstate(invalid="ignore"):
+            scores = dist * w
+        scores[np.isnan(scores)] = np.inf  # 0 * inf
         i = _lex_min(points, scores)
         self.offer(float(scores[i]), tuple(int(v) for v in points[i]))
         if self.thr is not None:
-            bad = scores < self.thr
-            for j in np.flatnonzero(bad):
-                self.violators.append((float(scores[j]), tuple(int(v) for v in points[j])))
+            bad = dist < self.thr / w
+            self.violators.extend(zip(scores[bad].tolist(), map(tuple, points[bad].tolist())))
 
     def offer(self, score: float, m: tuple):
         if score < self.best_score or (
@@ -339,9 +342,17 @@ def scan_min_weighted_distance(omega, N, weight_fn, target=0.0, scale=1.0,
 
     Scans 0 < |m| <= N.  The l1 ball is scanned exhaustively up to order
     SMALL_BALL at d <= 2, where _slice_scan covers the higher orders, and
-    up to N at d >= 3 (ScanOrderTooLarge past FULL_SCAN_LIMIT points).  Complete
-    for scores below thr.  Returns (min_score, argmin_m, violators sorted
-    by score then lex order).
+    up to N at d >= 3 (ScanOrderTooLarge past FULL_SCAN_LIMIT points).  A
+    violator has hypot(...) < thr / weight(|m|); the scan is complete for
+    them.  Returns (min_score, argmin_m, violators sorted by score then lex
+    order).
+
+    At d <= 2 every score is taken from the exact integer remainder of the
+    gap (_integer_form), so only the float of the gap, the hypot, the
+    weight and their product round: the score lies within a relative 2^-50
+    of hypot(re_off, gap) * w, gap the exact target - scale <m, omega> of
+    the float inputs and w the float weight(|m|).  At d >= 3 the gap is the
+    float pairing.
     """
     omega = np.asarray(omega, dtype=float)
     d = omega.shape[0]
@@ -350,54 +361,61 @@ def scan_min_weighted_distance(omega, N, weight_fn, target=0.0, scale=1.0,
         return math.inf, None, []
     check_scan_order(N, d)
     state = _ScanState(thr)
-    nb = min(N, SMALL_BALL) if d <= 2 else N
-    pts = _SMALL_BALLS[d - 1] if d <= 2 and nb == SMALL_BALL else _punctured(l1_ball(nb, d))
-    state.update(pts, _score_points(pts, omega, weight_fn, target, scale, re_off))
+    if d <= 2:
+        nb = min(N, SMALL_BALL)
+        pts = _SMALL_BALLS[d - 1] if nb == SMALL_BALL else _punctured(l1_ball(nb, d))
+        T, SW, D = form = _integer_form(omega, target, scale)
+        gaps = ((T - pts.astype(object) @ np.array(SW, dtype=object)) / D).astype(float)
+    else:
+        nb = N
+        pts = _punctured(l1_ball(N, d))
+        gaps = target - scale * (pts.astype(float) @ omega)
+    mod = np.abs(pts).sum(axis=1).astype(float)
+    state.update(pts, np.hypot(re_off, gaps), np.asarray(weight_fn(mod), dtype=float))
     if nb < N:
-        _slice_scan(state, omega, N, weight_fn, target, scale, re_off, thr, nb)
+        _slice_scan(state, omega, form, N, weight_fn, target, scale, re_off, thr, nb)
     state.violators.sort()
     return state.best_score, state.best_m, state.violators
 
 
-def _slice_scan(state, omega, N, weight_fn, target, scale, re_off, thr, lo_mod):
+def _slice_scan(state, omega, form, N, weight_fn, target, scale, re_off, thr,
+                lo_mod):
     """Orders lo_mod < |m| <= N at d <= 2: a window of candidates per
     slice, and a certified floor for everything else.
 
     The slices run over the coordinate m_i of the smaller frequency (a
-    single slice at d = 1); in each, the candidates are the integers m_j
-    within width of the point t = (c' - m_i w_i) / w_j where <m, omega>
-    meets the target c' = target / scale.  A candidate left out lies at
-    least width + 1/2 lattice spacings off the target line, so it scores
-    at least the floor.  With thr <= spacing the nearest candidate alone
-    (width 0) is complete for violations, since the floor spacing *
-    weight(lo_mod + 1) is >= thr; a wider violation window gets width >=
-    thr / (2 spacing) + 3/2, so the floor is >= thr + 3 spacing.  The floor
-    also caps the reported minimum, making it a certified lower bound over
-    the whole range.
+    single slice at d = 1).  With the integer form (T, SW, D) of the gap,
+    slice m_i holds the candidates m_j within width of the one that leaves
+    the smallest remainder R = T - SW_i m_i - SW_j m_j, and each scores
+    from hypot(re_off, R / D) exactly like the exhaustive ball.  A
+    candidate left out lies at least width + 1/2 lattice spacings off the
+    target line, so it scores at least the floor.  With thr <= spacing the
+    nearest candidate alone (width 0) is complete for violations, since the
+    floor spacing * weight(lo_mod + 1) is >= thr; a wider violation window
+    gets width >= thr / (2 spacing) + 3/2, so the floor is >= thr + 3
+    spacing.  The floor also caps the reported minimum, making it a
+    certified lower bound over the whole range.
 
-    Slices with |m_i| <= _NEAR are scored directly; the others come in
-    bands lo <= |m_i| < 2 lo.  A candidate of a band scores at most B =
-    max(best so far, thr) only if its float t lies within delta =
-    sqrt((B / weight(lo))^2 - re_off^2) / (scale |w_j|) of an integer
-    (delta carries a relative allowance for the rounding of the score).
-    With c = C/D and r = P/D the float quotients c'/w_j and w_i/w_j over
-    one power of two D, the float t differs from the exact C/D - m_i P/D
-    by less than eta = 2^-50 (|c| + hi |r| + 1) for |m_i| <= hi.  The band
-    rule: when (2 (delta + eta) |band| + 1) _HIT_COST <= |band| (few
-    expected hits), the slices with dist(C - P m_i, D Z) <= (delta + eta) D
-    are enumerated exactly (_window_hits, O(log D) per hit); otherwise, or
-    when the hits overrun |band| / _HIT_COST, the band is scored directly.
-    Every slice so selected gets the same float window scores as a direct
-    scan, with ties broken in the direct scan's visiting order (2^20-slice
-    chunk from -mi_max, offset, ascending m_i), so the result is that of
-    scoring every slice, at a cost of O(log N log D + hits) when the bands
-    are enumerated.  A score 0 * inf (an overflowed weight at an exact
-    hit) is dropped alone.
+    The slices are not visited one by one.  They come in bands lo <= |m_i|
+    <= hi (slice 0, then hi = 2 lo - 1), whose candidates weigh at least
+    w_lo = weight(max(lo, lo_mod + 1)).  A candidate of the band can still
+    score at most the best so far, or violate, only if its remainder |R| is
+    at most the window W of _band_window.  Below half the modulus A = |SW_j|
+    only a slice's nearest candidate can pass, so the band's slices with
+    dist(T - SW_i m_i, A Z) <= W, found exactly by _window_hits, are scored
+    and the others cannot change the result; a window of half the modulus
+    or more holds every slice.  This costs O(log N log A + hits), the
+    result is that of scoring every slice, and exact ties go to the
+    lexicographically smaller m.
     """
+    T, SW, D = form
     d = omega.shape[0]
     j = int(np.argmax(np.abs(omega)))
     wj = omega[j]
     wi = omega[1 - j] if d == 2 else 0.0
+    P = SW[1 - j] if d == 2 else 0
+    A, sign = abs(SW[j]), (1 if SW[j] > 0 else -1)
+    h = A // 2
     spacing = 0.5 * scale * abs(wj)
     u = 0.0 if thr is None else thr / (2.0 * spacing)
     if u > 0.5:
@@ -406,125 +424,95 @@ def _slice_scan(state, omega, N, weight_fn, target, scale, re_off, thr, lo_mod):
     else:
         width = 0
         floor = spacing * float(weight_fn(float(lo_mod + 1)))
-
-    def point(mi, mj):
-        return (mj,) if d == 1 else ((mi, mj) if j == 1 else (mj, mi))
-
     cprime = target / scale
     mi_max = 0 if d == 1 else min(N, int((N + 0.5 + abs(cprime) / abs(wj))
                                          / (1.0 + abs(wi / wj))) + 2 + width)
-    re2 = re_off * re_off
-    k2 = (scale * wj) ** 2
-    thr2 = None if thr is None else thr * thr
-    best = [math.inf, None, None]  # squared score, visiting-order key, m
+    cols = [1] if d == 1 else [0, 1] if j == 1 else [1, 0]  # (m_i, m_j) -> m
 
-    def score(mi):
-        # the window candidates of the ascending float slices mi
-        t = (cprime - mi * wi) / wj
-        base = np.rint(t)
-        for off in range(-width, width + 1):
-            mj = base + off if off else base
-            s2 = t - mj
-            np.square(s2, out=s2)
-            s2 *= k2
-            s2 += re2
-            mod = np.abs(mi)
-            mod += np.abs(mj)
-            w = np.asarray(weight_fn(mod), dtype=np.float64)
-            np.square(w, out=w)
-            s2 *= w
-            s2[(mod <= lo_mod) | (mod > N)] = np.inf
-            k = int(np.argmin(s2))
-            if s2[k] != s2[k]:  # 0 * inf: an exact hit with an overflowed weight
-                s2[np.isnan(s2)] = np.inf
-                k = int(np.argmin(s2))
-            mk = int(mi[k])
-            key = ((mk + mi_max) // _CHUNK, off, mk)
-            if s2[k] < best[0] or (s2[k] == best[0] and best[1] is not None
-                                   and key < best[1]):
-                best[:] = float(s2[k]), key, point(mk, int(mj[k]))
-            if thr2 is not None and float(s2[k]) < thr2:
-                for vi in np.flatnonzero(s2 < thr2):
-                    state.violators.append(
-                        (math.sqrt(float(s2[vi])), point(int(mi[vi]), int(mj[vi]))))
+    def score(slices, W):
+        # the candidates with remainder at most W, 2^16 slices at a time
+        slices = iter(slices)
+        while batch := list(itertools.islice(slices, 1 << 16)):
+            mis, mjs, gaps = [], [], []
+            for mi in batch:
+                X = T - P * mi
+                y = (X + h) // A  # X - A y is the smallest remainder
+                for k in range(max(y - width, -((W - X) // A)),
+                               min(y + width, (X + W) // A) + 1):
+                    mis.append(mi)
+                    mjs.append(sign * k)
+                    gaps.append((X - A * k) / D)
+            pts = np.array([mis, mjs], dtype=np.int64).T[:, cols]
+            mod = np.abs(pts).sum(axis=1)
+            keep = (mod > lo_mod) & (mod <= N)
+            if keep.any():
+                state.update(pts[keep], np.hypot(re_off, np.array(gaps)[keep]),
+                             np.asarray(weight_fn(mod[keep].astype(float)), dtype=float))
 
-    def band_hits(a, b, w_lo):
-        # the slices a..b (weight >= w_lo) that can hold a candidate scoring
-        # at most B, or None to score the band directly
-        n = b - a + 1
-        B2 = max(min(state.best_score * state.best_score, best[0]), thr2 or 0.0)
-        rhs = B2 * (1.0 + 1e-8) / (w_lo * w_lo) - re2
-        if rhs < 0.0:
-            return []
-        x = _hit_width(line, max(-a, b), math.sqrt(rhs / k2) * (1.0 + 1e-9))
-        if not (x < 0.5 and (2.0 * x * n + 1.0) * _HIT_COST <= n):
-            return None
-        C, P, D = line[2:]
-        xn, xd = x.as_integer_ratio()
-        return _window_hits(C, P, D, a, n, xn * D // xd, n // _HIT_COST)
-
-    near = min(_NEAR, mi_max)
-    score(np.arange(-near, near + 1, dtype=np.float64))
-    lo = near + 1
-    line = _exact_line(cprime, wi, wj) if lo <= mi_max else None
+    lo = 0
     while lo <= mi_max:
-        hi = min(2 * lo - 1, mi_max)
+        hi = min(max(2 * lo - 1, lo), mi_max)
         w_lo = float(weight_fn(float(max(lo, lo_mod + 1))))
-        for a, b in ((-hi, -lo), (lo, hi)):
-            hits = band_hits(a, b, w_lo)
-            if hits is None:
-                for s in range(a, b + 1, _CHUNK):
-                    score(np.arange(s, min(s + _CHUNK - 1, b) + 1, dtype=np.float64))
-            elif hits:
-                score(np.array(hits, dtype=np.float64))
+        W = min(_band_window(state, w_lo, re_off, thr, D), (width + 1) * A)
+        if W >= 0:
+            for a, b in ((-hi, -lo), (lo, hi)) if lo else ((0, 0),):
+                score(_window_hits(T, P, A, a, b - a + 1, W), W)
         lo = hi + 1
-    if best[2] is not None:
-        state.offer(math.sqrt(best[0]), best[2])
     state.apply_floor(floor)
 
 
-def _exact_line(cprime, wi, wj):
-    """(c, r, C, P, D): the float quotients c = c'/w_j and r = w_i/w_j,
-    and the integers with c = C/D and r = P/D exactly, D a power of two."""
-    c = float(cprime) / float(wj)
-    r = float(wi) / float(wj)
-    (cn, cd), (pn, pd) = c.as_integer_ratio(), r.as_integer_ratio()
-    D = max(cd, pd)
-    return c, r, cn * (D // cd), pn * (D // pd), D
+def _band_window(state, w_lo, re_off, thr, D):
+    """A bound W on the remainder |R| of every candidate of weight >= w_lo
+    that can still score at most state.best_score or violate thr: -1 if
+    none can, inf if all can.
 
-
-def _hit_width(line, hi, delta):
-    """delta plus eta = 2^-50 (|c| + hi |r| + 1), which bounds the gap
-    between the float t = (c' - m_i w_i) / w_j and the exact c - m_i r
-    over |m_i| <= hi with a margin of nearly 2: the five roundings (the
-    product, the difference and the quotient in t, and those of c and r)
-    stay within (4 u + 8 u^2) (|c| + hi |r|), u = 2^-53, and the + 1
-    covers underflow."""
-    c, r = line[0], line[1]
-    return delta + 2.0 ** -50 * (abs(c) + hi * abs(r) + 1.0)
-
-
-def _window_hits(C, P, D, start, n, W, budget):
-    """The integers x in [start, start + n) with dist(C - P x, D Z) <= W,
-    ascending, or None when there are more than budget of them.
-
-    2 W < D.  Each hit, and the end, costs one _first_hit descent.
+    Such a candidate has dist * w_lo <= best or dist < thr / w_lo, dist =
+    hypot(re_off, R / D), two tests monotone in |R|.  W starts from the
+    float estimate sqrt(y^2 - re_off^2) D, y the largest dist they admit,
+    rounded up by one ulp, and steps up until the remainder W + 1 fails
+    both tests, so no candidate past W passes them.
     """
+    lim = -math.inf if thr is None else thr / w_lo
+
+    def matters(r):
+        dist = float(np.hypot(re_off, r / D))
+        return dist * w_lo <= state.best_score or dist < lim
+
+    if not matters(0):
+        return -1
+    y, re = max(state.best_score / w_lo, lim), abs(re_off)
+    gap = math.sqrt(max(y - re, 0.0)) * math.sqrt(y + re)
+    if gap == math.inf:
+        return math.inf
+    gn, gd = math.nextafter(gap, math.inf).as_integer_ratio()
+    W = gn * D // gd
+    step = max(1, W >> 52)
+    while matters(W + 1):
+        W, step = W + step, 2 * step
+    return W
+
+
+def _window_hits(C, P, D, start, n, W):
+    """Yield the integers x in [start, start + n) with dist(C - P x, D Z)
+    <= W, ascending.
+
+    Each hit, and the end, costs one _first_hit descent; a window of half
+    of D or more holds every x.
+    """
+    if W >= D // 2:
+        yield from range(start, start + n)
+        return
     a = -P % D
     b = (C - P * start + W) % D  # dist <= W iff (a y + b) % D <= 2 W, x = start + y
-    hits = []
     y = 0
     while y < n:
         step = _first_hit(a, b, D, 2 * W, n - y)
         if step is None:
-            break
-        if len(hits) == budget:
-            return None
+            return
         y += step
-        hits.append(start + y)
+        yield start + y
         y += 1
         b = (b + a * (step + 1)) % D
-    return hits
 
 
 def _first_hit(a, b, m, w, n):

@@ -84,6 +84,12 @@ def _is_json(v, kind: str) -> bool:
     return isinstance(v, types) and not isinstance(v, bool)
 
 
+def _mode_index(v) -> int:
+    if not _is_json(v, "integer"):
+        raise ValueError(f"mode index {v!r} is not an integer")
+    return v
+
+
 @contextlib.contextmanager
 def _field(name: str):
     # a value that cannot be built into what its field describes
@@ -129,11 +135,11 @@ class RunConfig:
         if omega.ndim != 1 or omega.size < 1:
             raise ConfigError("omega", "must be a nonempty vector")
         kappa = obj["kappa"]
-        if not (kappa == "fit" or (isinstance(kappa, (int, float)) and kappa > 0)):
+        if not (kappa == "fit" or (_is_json(kappa, "number") and kappa > 0)):
             raise ConfigError("kappa", "must be a positive number or 'fit'")
         eps0 = obj["eps0"]
         if not (eps0 in ("auto:dioph", "auto:brjuno-sum")
-                or (isinstance(eps0, (int, float)) and eps0 > 0)):
+                or (_is_json(eps0, "number") and eps0 > 0)):
             raise ConfigError("eps0", "must be positive or 'auto:dioph'/'auto:brjuno-sum'")
         for name, kind in (("r0", "number"), ("C_prime", "number"), ("fit_N", "integer")):
             v = obj.get(name, _DEFAULTS.get(name))
@@ -209,7 +215,7 @@ class RunConfig:
         if self.A == "schrodinger":
             with _field("V"):
                 v0 = float(self.V.get("v0", 0.0))
-                modes = [(tuple(int(x) for x in mode["m"]), float(mode["c"]))
+                modes = [(tuple(_mode_index(x) for x in mode["m"]), float(mode["c"]))
                          for mode in self.V.get("modes", [])]
                 return build_schrodinger(float(self.E), v0, modes, d)
         with _field("A"):

@@ -227,7 +227,6 @@ class StepRecord:
     contraction: float
     r_next: float = 0.0
     x_norm: float = 0.0
-    global_residual: float = 0.0
     debt: float = 0.0
     item2_ok: bool | None = None
     item6_ok: bool | None = None
@@ -316,8 +315,9 @@ def run(A, F: TorusMap, omega, schedule: KamSchedule, max_steps: int = 200,
 
     Raises ScheduleViolation when a measured |F_n| exceeds its ladder bound
     eps_n, and a KamFailure that escapes step n leaves with step = n.  The
-    conjugation Z_n is accumulated on the double torus and the global
-    residual against the original system is measured every step.
+    conjugation Z_n is accumulated on the double torus, and the global
+    residual of the final Z against the original system is measured once,
+    after the last step (0 when no step ran).
     """
     omega = np.asarray(omega, dtype=float)
     A = np.asarray(A, dtype=float)
@@ -333,7 +333,6 @@ def run(A, F: TorusMap, omega, schedule: KamSchedule, max_steps: int = 200,
     records: list[StepRecord] = []
     resonances_after_n0 = 0
     rotation_sum = 0.0
-    global_residual = 0.0
     terminated = None
 
     try:
@@ -365,15 +364,12 @@ def run(A, F: TorusMap, omega, schedule: KamSchedule, max_steps: int = 200,
             item2_ok = item2_holds(schedule, alpha_n, rep.m, omega, N_n) if out.resonant else None
             item6_ok = item6_holds(schedule, records[-1], alpha_n, omega) if records else None
             Z = Z.mul(out.Z_step).cap_support(DEFAULT_MODE_CAP, out.r_next)
-            global_residual = conjugation_residual(A, F, Z, out.A_next, out.F_next,
-                                                   omega, out.r_next)
             records.append(StepRecord(
                 n=n, r_n=r_n, N_n=N_n, eps_bound=eps_n, f_norm=f_norm,
                 resonant=out.resonant, m=out.m if out.m is not None else (0,) * d,
                 alpha=alpha_n, residual=out.residual_norm,
                 contraction=out.contraction_observed, r_next=out.r_next,
-                x_norm=out.x_norm, global_residual=global_residual,
-                debt=Z.truncation_debt + out.F_next.truncation_debt,
+                x_norm=out.x_norm, debt=Z.truncation_debt + out.F_next.truncation_debt,
                 item2_ok=item2_ok, item6_ok=item6_ok, margin=out.info.get("margin", 0.0),
                 preconditions=out.preconditions))
             A_n, F_n, r_n, alpha_n = out.A_next, out.F_next, out.r_next, out.alpha_next
@@ -381,6 +377,7 @@ def run(A, F: TorusMap, omega, schedule: KamSchedule, max_steps: int = 200,
         exc.step = n
         raise
 
+    global_residual = conjugation_residual(A, F, Z, A_n, F_n, omega, r_n) if records else 0.0
     f_final = F_n.weighted_norm(r_n)
     debt = Z.truncation_debt + F_n.truncation_debt
     budget = len(records) * STEP_RESIDUAL_TOL * (1.0 + f0_norm) + debt

@@ -352,7 +352,10 @@ class TorusMap:
             out = cls.zero(d)
             return cls(d, out.half_k, out.coeffs, reality=obj.get("reality_flag", True),
                        truncation_debt=obj.get("truncation_debt", 0.0), _keys=out._keys)
-        hk = np.array([m["half_k"] for m in modes], dtype=np.int64)
+        hk = [m["half_k"] for m in modes]
+        if any(abs(v) >= 1 << 63 for row in hk for v in row):
+            raise ValueError("half_k outside int64")
+        hk = np.array(hk, dtype=np.int64)
         cf = np.array([m["re"] for m in modes], dtype=float) \
             + 1j * np.array([m["im"] for m in modes], dtype=float)
         return cls(d, hk, cf, reality=obj.get("reality_flag", False),

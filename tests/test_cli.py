@@ -258,6 +258,8 @@ _SCHEDULE_ERRORS = {
     "string-a": ({"a": "x"}, "a"),
     "bool-cert_tol": ({"cert_tol": True}, "cert_tol"),
     "string-cert_tol": ({"cert_tol": "x"}, "cert_tol"),
+    "bool-kappa": ({"kappa": True}, "kappa"),
+    "bool-eps0": ({"eps0": True}, "eps0"),
     "string-E": ({"E": "x"}, "E"),
     "null-E": ({"E": None}, "E"),
 }
@@ -290,10 +292,12 @@ _WRONG_TYPES = {
     "string-omega": ({"omega": ["x", 1.0]}, "omega"),
     "string-V": ({"V": "x"}, "V"),
     "string-v0": ({"V": {"v0": "x"}}, "V"),
+    "fractional-V-index": ({"V": {"modes": [{"m": [1.5, 1], "c": 1e-14}]}}, "V"),
     "string-A-entry": (dict(_MATRIX, A=[[0.0, "x"], [-1.5, 0.0]]), "A"),
     "A-with-trace": (dict(_MATRIX, A=[[1.0, 1.5], [-1.5, 0.0]]), "A"),
     "string-F": (dict(_MATRIX, F="x"), "F"),
     "F-index-past-packing": (dict(_MATRIX, F={"modes": [_mode([2 ** 40, 0])]}), "F"),
+    "F-index-past-int64": (dict(_MATRIX, F={"modes": [_mode([2 ** 70, 0])]}), "F"),
     "string-kappa_prime": ({"kappa_prime": "x"}, "kappa_prime"),
     "zero-kappa_prime": ({"kappa_prime": 0.0}, "kappa_prime"),
 }

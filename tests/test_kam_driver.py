@@ -386,10 +386,18 @@ def test_run_single_frequency():
 
 
 def test_run_global_residual_budget():
+    # the global residual is measured once, after the last step: the
+    # certificate of a run cut after k steps keeps it within k step shares
     A, F = schrodinger_instance()
     sched = golden_schedule(eps0=F.weighted_norm(0.5))
-    trace, cert = run(A, F, GOLDEN, sched, max_steps=30)
     f0 = F.weighted_norm(0.5)
-    for k, rec in enumerate(trace.records):
-        budget = (k + 1) * 1e-10 * (1.0 + f0) + rec.debt
-        assert rec.global_residual <= budget
+    steps = run(A, F, GOLDEN, sched, max_steps=30)[1].steps
+    assert steps >= 5
+    for k in range(steps + 1):
+        trace, cert = run(A, F, GOLDEN, sched, max_steps=k)
+        assert cert.steps == len(trace.records) == k
+        budget = k * 1e-10 * (1.0 + f0) + cert.truncation_debt
+        assert cert.residual_budget == budget
+        assert cert.residual <= budget + cert.f_final_norm
+        if k == 0:
+            assert cert.residual == cert.f_final_norm
