@@ -41,7 +41,6 @@ from .kam_step import (
 from .kam_driver import (
     Certificate,
     KamSchedule,
-    NoFeasibleEpsilon,
     RunTrace,
     ScheduleViolation,
     StepRecord,

@@ -572,16 +572,6 @@ def check_nr_alpha(alpha: complex, omega, kappa_prime: float, g: ApproxFn,
     return NrReport(bool(score >= kappa_prime), m, score)
 
 
-def check_nr_rho(rho: float, omega, kappa_prime: float, g: ApproxFn,
-                 N: int) -> NrReport:
-    """Real-line variant: |rho - pi*<m, omega>| >= kappa'/g(|m|)."""
-    if N < 1:
-        return NrReport(True, None, math.inf)
-    score, m, _ = scan_min_weighted_distance(
-        omega, N, g.value, target=float(rho), scale=math.pi, thr=kappa_prime)
-    return NrReport(bool(score >= kappa_prime), m, score)
-
-
 def fit_G(omega, N_max: int) -> tuple[float, TabulatedFn]:
     """Empirical (kappa, G): kappa = min_i |omega_i|,
     G(N) = max_{0<|m|<=N} kappa / |<m, omega>|.

@@ -130,10 +130,14 @@ class RunConfig:
         for req in ("omega", "kappa", "G", "g", "r0", "n0", "eps0", "A"):
             if req not in obj:
                 raise ConfigError(req, "missing required field")
+        for name in sorted(obj):
+            # json reads NaN, Infinity and 1e400, and no field takes them
+            with _field(name):
+                json.dumps(obj[name], allow_nan=False)
         with _field("omega"):
             omega = np.asarray(obj["omega"], dtype=float)
-        if omega.ndim != 1 or omega.size < 1:
-            raise ConfigError("omega", "must be a nonempty vector")
+        if omega.ndim != 1 or omega.size < 1 or not omega.any():
+            raise ConfigError("omega", "must be a nonempty vector with a nonzero entry")
         kappa = obj["kappa"]
         if not (kappa == "fit" or (_is_json(kappa, "number") and kappa > 0)):
             raise ConfigError("kappa", "must be a positive number or 'fit'")
@@ -245,8 +249,7 @@ class RunConfig:
             raise ConfigError("eps0", f"{self.eps0} underflows to {eps0!r}")
         try:
             return make_schedule(kappa, self.kappa_prime, G, g, self.r0, self.n0,
-                                 float(eps0), a=a, C_prime=self.C_prime,
-                                 require_feasible=False)
+                                 float(eps0), a=a, C_prime=self.C_prime)
         except ValueError as exc:  # kappa, r0, eps0 and C_prime are positive by now
             raise ConfigError("a", str(exc)) from exc
 

@@ -21,9 +21,8 @@ import numpy as np
 
 from .arithmetics import (
     ApproxFn,
-    DivergentIntegral,
     ProductFn,
-    check_nr_rho,
+    check_nr_alpha,
     ratio_bounded,
     tail_integral,
 )
@@ -46,10 +45,6 @@ class ScheduleViolation(KamFailure):
     """A measured quantity broke the schedule's certified inequality."""
 
 
-class NoFeasibleEpsilon(KamFailure):
-    """No representable eps_0 satisfies the smallness conditions."""
-
-
 @dataclass
 class KamSchedule:
     kappa: float
@@ -63,7 +58,6 @@ class KamSchedule:
     eps0: float
     C_prime: float = 10.0
     kappa_prime: float | None = None
-    flags: dict = field(default_factory=dict)
 
     @property
     def Gg(self) -> ProductFn:
@@ -113,64 +107,25 @@ def check_condepsilon(G: ApproxFn, g: ApproxFn, kappa: float, r0: float,
     return integral <= budget, integral, budget
 
 
-def check_condepsilon2(C_prime: float, kappa: float, a: float, c0: float,
-                       eps0: float) -> tuple[bool, float, float]:
-    """e C' eps0^{c0/4} <= (1-a)^2 kappa^2, evaluated in the log domain."""
-    log_lhs = 1.0 + math.log(C_prime) + 0.25 * c0 * math.log(eps0)
-    log_rhs = 2.0 * (math.log1p(-a) + math.log(kappa))
-    return log_lhs <= log_rhs, log_lhs, log_rhs
-
-
 def make_schedule(kappa: float, kappa_prime: float | None, G: ApproxFn,
-                  g: ApproxFn, r0: float, n0: int, eps0_hint: float,
-                  a: float | None = None, C_prime: float = 10.0,
-                  require_feasible: bool = True) -> KamSchedule:
-    """Fix the iteration constants and validate eps0.
+                  g: ApproxFn, r0: float, n0: int, eps0: float,
+                  a: float | None = None, C_prime: float = 10.0) -> KamSchedule:
+    """Fix the iteration constants a (default 1 - a_bar) and c0 for eps0.
 
-    With require_feasible the hint is halved until both smallness conditions
-    pass (NoFeasibleEpsilon below 1e-300); otherwise the hint is adopted
-    as-is and the condition verdicts are recorded in schedule.flags.
+    eps0 is adopted as given: the smallness conditions are premises of the
+    theorem, not of the run, which certifies itself from its residuals, its
+    ladder and its scans.
     """
-    if min(kappa, r0, eps0_hint) <= 0:
+    if min(kappa, r0, eps0) <= 0:
         raise ValueError("kappa, r0 and eps0 must be positive")
     a_bar = a_bar_of(G, g)
     if a is None:
         a = 1.0 - a_bar
     if not 1.0 - a_bar <= a < 1.0:
         raise ValueError(f"a = {a} outside [1 - a_bar, 1) with a_bar = {a_bar:.3e}")
-    c0 = _c0_of(G, g, r0, n0)
-
-    def verdicts(eps0):
-        ok1, integral, budget = check_condepsilon(G, g, kappa, r0, n0, a, eps0)
-        ok2, lhs2, rhs2 = check_condepsilon2(C_prime, kappa, a, c0, eps0)
-        return ok1, ok2, {"condepsilon_ok": ok1, "condepsilon_integral": integral,
-                          "condepsilon_budget": budget, "condepsilon2_ok": ok2,
-                          "condepsilon2_log_lhs": lhs2, "condepsilon2_log_rhs": rhs2}
-
-    eps0 = float(eps0_hint)
-    if require_feasible:
-        while True:
-            try:
-                ok1, ok2, flags = verdicts(eps0)
-            except DivergentIntegral as exc:
-                raise NoFeasibleEpsilon(str(exc)) from exc
-            if ok1 and ok2:
-                break
-            eps0 *= 0.5
-            if eps0 < 1e-300:
-                raise NoFeasibleEpsilon(
-                    "no eps0 above 1e-300 satisfies the smallness conditions")
-    else:
-        try:
-            ok1, ok2, flags = verdicts(eps0)
-        except DivergentIntegral as exc:
-            ok2, lhs2, rhs2 = check_condepsilon2(C_prime, kappa, a, c0, eps0)
-            flags = {"condepsilon_ok": False, "condepsilon_divergent": str(exc),
-                     "condepsilon2_ok": ok2, "condepsilon2_log_lhs": lhs2,
-                     "condepsilon2_log_rhs": rhs2}
     return KamSchedule(kappa=kappa, G=G, g=g, r0=r0, n0=n0, a=a, a_bar=a_bar,
-                       c0=c0, eps0=eps0, C_prime=C_prime,
-                       kappa_prime=kappa_prime, flags=flags)
+                       c0=_c0_of(G, g, r0, n0), eps0=float(eps0), C_prime=C_prime,
+                       kappa_prime=kappa_prime)
 
 
 def sequence_N(schedule: KamSchedule, n: int) -> int:
@@ -353,13 +308,13 @@ def run(A, F: TorusMap, omega, schedule: KamSchedule, max_steps: int = 200,
                     / (2.0 * math.pi * N_n)
                 if r_next <= 0:
                     raise ScheduleViolation("strip width exhausted")
-                out = step_nonresonant(A_n, F_n, r_n, r_next, N_n, schedule.a, ctx,
-                                       resonance=rep)
+                out = step_nonresonant(A_n, F_n, r_n, r_next, N_n, schedule.a,
+                                       ctx, rep)
             else:
                 if n >= schedule.n0:
                     resonances_after_n0 += 1
                 out = step_resonant(A_n, F_n, r_n, N_n, schedule.a, schedule.c0,
-                                    ctx, resonance=rep)
+                                    ctx, rep)
                 rotation_sum += resonance_shift(rep.m, omega)
             item2_ok = item2_holds(schedule, alpha_n, rep.m, omega, N_n) if out.resonant else None
             item6_ok = item6_holds(schedule, records[-1], alpha_n, omega) if records else None
@@ -370,7 +325,7 @@ def run(A, F: TorusMap, omega, schedule: KamSchedule, max_steps: int = 200,
                 alpha=alpha_n, residual=out.residual_norm,
                 contraction=out.contraction_observed, r_next=out.r_next,
                 x_norm=out.x_norm, debt=Z.truncation_debt + out.F_next.truncation_debt,
-                item2_ok=item2_ok, item6_ok=item6_ok, margin=out.info.get("margin", 0.0),
+                item2_ok=item2_ok, item6_ok=item6_ok, margin=rep.margin,
                 preconditions=out.preconditions))
             A_n, F_n, r_n, alpha_n = out.A_next, out.F_next, out.r_next, out.alpha_next
     except KamFailure as exc:
@@ -405,9 +360,9 @@ def rn_lower_bound(schedule: KamSchedule) -> float:
     """Certified lower bound on lim r_n when no late resonances occur.
 
     Evaluates r0/4^{n0} + log((G g)(N_{n0}))/(pi N_{n0})
-    - (1/pi) * integral_{N_{n0}}^inf log(G g)(t)/t^2 dt and checks it clears
-    the floor r0 / 4^{n0+1}.  Raises DivergentIntegral when the product
-    G*g is not of Brjuno-Russmann type.
+    - (1/pi) * integral_{N_{n0}}^inf log(G g)(t)/t^2 dt; the caller compares
+    it with the floor r0 / 4^{n0+1}.  Raises DivergentIntegral when the
+    product G*g is not of Brjuno-Russmann type.
     """
     N0 = sequence_N(schedule, schedule.n0)
     Gg = schedule.Gg
@@ -521,8 +476,8 @@ def resonance_budget_check(trace: RunTrace, schedule: KamSchedule,
         report["kappa_prime_condition"] = cond
         report["kappa_prime_consistent"] = (not cond) or late_resonances == 0
     if rho_target is not None and schedule.kappa_prime is not None and recs:
-        rep = check_nr_rho(rho_target, trace.omega, schedule.kappa_prime,
-                           schedule.g, max(r.N_n for r in recs))
+        rep = check_nr_alpha(1j * rho_target, trace.omega, schedule.kappa_prime,
+                             schedule.g, max(r.N_n for r in recs))
         report["rho_hypothesis"] = bool(rep.ok)
         report["rho_worst_offender"] = rep.m
     return report

@@ -86,11 +86,6 @@ class StepOutput:
     alpha_next: complex
     x_norm: float
     preconditions: dict = field(default_factory=dict)
-    info: dict = field(default_factory=dict)
-
-    @property
-    def truncation_debt(self) -> float:
-        return self.F_next.truncation_debt + self.Z_step.truncation_debt
 
 
 def conjugation_residual(A, F: TorusMap, Z: TorusMap, A_next, F_next: TorusMap,
@@ -216,12 +211,12 @@ def _conjugate(A, alpha: complex, F: TorusMap, N: int, a_prime: float,
 
     X solves the homological equation at a' (its size bound asserted),
     A' = A + a' F^(0), and F' is defined by the conjugation identity.
-    Returns (A', F', Z, |X|_{r'}, exp tail).
+    Returns (A', F', Z, |X|_{r'}).
     """
     X = solve_homological(A, F, N, ctx.omega, ctx.kappa, ctx.G, ctx.g,
                           a_prime, r_prime, alpha=alpha)
-    P, tail_p = exp_series_tail(X, r_prime, EXP_TOL)
-    Q, tail_m = exp_series_tail(X.scale(-1.0), r_prime, EXP_TOL)
+    P, _ = exp_series_tail(X, r_prime, EXP_TOL)
+    Q, _ = exp_series_tail(X.scale(-1.0), r_prime, EXP_TOL)
 
     F0 = F.coeff(np.zeros(F.d, dtype=np.int64))
     A_next = project_traceless(_realify(A + a_prime * F0, "A'"))
@@ -243,13 +238,16 @@ def _conjugate(A, alpha: complex, F: TorusMap, N: int, a_prime: float,
         F_next = F_next.realified()
     F_next = F_next.cap_support(DEFAULT_MODE_CAP, r_prime)
     Z = TorusMap.identity(d).add(P).cap_support(DEFAULT_MODE_CAP, r_prime)
-    return A_next, F_next, Z, X.weighted_norm(r_prime), tail_p + tail_m
+    return A_next, F_next, Z, X.weighted_norm(r_prime)
 
 
 def step_nonresonant(A, F: TorusMap, r: float, r_prime: float, N: int,
                      a_prime: float, ctx: StepContext,
-                     resonance: ResonanceReport | None = None) -> StepOutput:
+                     resonance: ResonanceReport) -> StepOutput:
     """Non-resonant step: A' = A + a' F^(0), Z = exp(X).
+
+    resonance is find_resonance's report for eigen(A).alpha at order N; a
+    report with a resonance is a PreconditionFailure.
 
     Preconditions (petitesse3) 2 G(N) g(N) eps <= kappa (1-a')/2 and the
     truncation gap e^{-2 pi N (r - r')} <= 1 - a' are recorded in
@@ -267,8 +265,6 @@ def step_nonresonant(A, F: TorusMap, r: float, r_prime: float, N: int,
     if not 0.0 < r_prime <= r:
         raise PreconditionFailure(["strip"], {"r": r, "r_prime": r_prime})
     alpha = eigen(A).alpha
-    if resonance is None:
-        resonance = find_resonance(alpha, ctx.omega, ctx.kappa, ctx.G, ctx.g, N)
     if resonance.m is not None:
         raise PreconditionFailure(
             ["nonresonant"], {"m": resonance.m, "margin": resonance.margin})
@@ -282,8 +278,7 @@ def step_nonresonant(A, F: TorusMap, r: float, r_prime: float, N: int,
         pre["N_gap"] = (lhs_gap <= 1.0 - a_prime, lhs_gap, 1.0 - a_prime)
     failed = [k for k, v in pre.items() if not v[0]]
 
-    A_next, F_next, Z_step, x_norm, exp_tail = _conjugate(
-        A, alpha, F, N, a_prime, r_prime, ctx)
+    A_next, F_next, Z_step, x_norm = _conjugate(A, alpha, F, N, a_prime, r_prime, ctx)
     residual = conjugation_residual(A, F, Z_step, A_next, F_next, ctx.omega, r_prime)
     contraction = F_next.weighted_norm(r_prime) / eps if eps > 0 else 0.0
     if a_prime < 1.0 and not failed and eps > 0:
@@ -297,15 +292,16 @@ def step_nonresonant(A, F: TorusMap, r: float, r_prime: float, N: int,
         contraction_observed=contraction, alpha=alpha,
         alpha_next=eigen(A_next).alpha, x_norm=x_norm,
         preconditions=pre,
-        info={"exp_tail": exp_tail, "margin": resonance.margin},
     )
 
 
 def step_resonant(A, F: TorusMap, r: float, N: int, a: float, c0: float,
-                  ctx: StepContext,
-                  resonance: ResonanceReport | None = None) -> StepOutput:
+                  ctx: StepContext, resonance: ResonanceReport) -> StepOutput:
     """Resonant step: eliminate the resonance with Phi, then conjugate the
     rotated system Atilde + F_t by exp(X) at a' = 1; Z = Phi exp(X).
+
+    resonance is find_resonance's report for eigen(A).alpha at order N; a
+    report without a resonance is a PreconditionFailure.
 
     r' = r/2 - c0 log((G g)(N+1)) / (4 pi N).  The smallness conditions
     (petitesse, petitesse2, strip_width) are recorded in out.preconditions,
@@ -314,10 +310,7 @@ def step_resonant(A, F: TorusMap, r: float, N: int, a: float, c0: float,
     """
     A = np.asarray(A, dtype=float)
     eps = F.weighted_norm(r)
-    ed = eigen(A)
-    alpha = ed.alpha
-    if resonance is None:
-        resonance = find_resonance(alpha, ctx.omega, ctx.kappa, ctx.G, ctx.g, N)
+    alpha = eigen(A).alpha
     if resonance.m is None:
         raise PreconditionFailure(["resonant"], {"margin": resonance.margin})
     m = resonance.m
@@ -346,7 +339,7 @@ def step_resonant(A, F: TorusMap, r: float, N: int, a: float, c0: float,
         raise KamFailure("conjugated perturbation left the integer lattice")
     if F.reality:
         F_t = F_t.realified()
-    A_next, F_next, Z_x, x_norm, exp_tail = _conjugate(
+    A_next, F_next, Z_x, x_norm = _conjugate(
         Atilde, eigen(Atilde).alpha, F_t, N, 1.0, r_prime, ctx)
     Z_step = Phi.mul(Z_x).cap_support(DEFAULT_MODE_CAP, r_prime)
 
@@ -361,11 +354,4 @@ def step_resonant(A, F: TorusMap, r: float, N: int, a: float, c0: float,
         contraction_observed=contraction, alpha=alpha,
         alpha_next=eigen(A_next).alpha, x_norm=x_norm,
         preconditions=pre,
-        info={
-            "exp_tail": exp_tail,
-            "margin": resonance.margin,
-            "phi_norm": Phi.weighted_norm(r_prime),
-            "phi_inv_norm": Phi_inv.weighted_norm(r_prime),
-            "phi_bound": 2.0 * ed.cond * math.exp(math.pi * N * r_prime),
-        },
     )

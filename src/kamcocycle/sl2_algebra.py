@@ -68,10 +68,6 @@ class EigenData:
     P_inv: np.ndarray
     defective: bool
 
-    @property
-    def cond(self) -> float:
-        return op_norm_2x2(self.P) * op_norm_2x2(self.P_inv)
-
 
 def eigen(A, tol_defect: float = 1e-12) -> EigenData:
     """Eigen-decomposition A = P diag(alpha, -alpha) P^{-1}, ||P|| = 1.

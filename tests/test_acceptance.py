@@ -59,8 +59,7 @@ def long_run(fitted_kappa):
     c = 1e-10 / (2.0 * math.exp(2.0 * math.pi * 2.0 * R0))
     A, F = build_schrodinger(E, 0.0, [((1, 1), c)], d=2)
     eps0 = F.weighted_norm(R0)
-    sched = make_schedule(fitted_kappa, None, G2, G2, R0, 0, eps0,
-                          require_feasible=False)
+    sched = make_schedule(fitted_kappa, None, G2, G2, R0, 0, eps0)
     t0 = time.perf_counter()
     trace, cert = run(A, F, GOLDEN, sched, max_steps=50, cert_tol=1e-300)
     elapsed = time.perf_counter() - t0
@@ -77,8 +76,7 @@ def resonant_run(fitted_kappa):
     c = 1e-10 / (2.0 * math.exp(2.0 * math.pi * 2.0 * R0))
     _, F = build_schrodinger(6.25, 0.0, [((1, 1), c)], d=2)
     eps0 = F.weighted_norm(R0)
-    sched = make_schedule(fitted_kappa, None, G2, G2, R0, 0, eps0,
-                          require_feasible=False)
+    sched = make_schedule(fitted_kappa, None, G2, G2, R0, 0, eps0)
     trace, cert = run(A, F, GOLDEN, sched, max_steps=30)
     return {"trace": trace, "cert": cert, "sched": sched, "A": A, "F": F,
             "delta": delta, "m0": (1, 0)}

@@ -17,7 +17,6 @@ from kamcocycle.arithmetics import (
     approxfn_from_spec,
     check_nr_alpha,
     check_nr_omega,
-    check_nr_rho,
     fit_G,
     fit_kappa,
     l1_ball,
@@ -263,7 +262,7 @@ def _scan_cases(d, rng):
             target, scale = rng.uniform(0.0, 60.0), math.pi
             re_off, thr = abs(rng.normal(scale=0.05)), spacing * 10.0 ** rng.uniform(-4.0, 0.0)
         elif kind == 2:
-            # check_nr_rho above spacing (width 3 or 4)
+            # a rotation number's check above spacing (width 3 or 4)
             target, scale = rng.uniform(0.0, 60.0), math.pi
             re_off, thr = 0.0, spacing * 10.0 ** rng.uniform(0.0, 0.5)
         else:
@@ -439,10 +438,11 @@ def test_check_nr_alpha_monotone_in_kappa():
 
 
 def test_check_nr_rho():
+    # a rotation number rho is checked as the eigenvalue i rho
     g = PowerFn(2.0)
     rho = math.pi * (GOLDEN[0] + GOLDEN[1])
-    assert not check_nr_rho(rho, GOLDEN, 0.1, g, N=5).ok
-    assert check_nr_rho(10.0, GOLDEN, 0.05, g, N=3).ok
+    assert not check_nr_alpha(1j * rho, GOLDEN, 0.1, g, N=5).ok
+    assert check_nr_alpha(10.0j, GOLDEN, 0.05, g, N=3).ok
 
 
 def test_fit_G_golden():

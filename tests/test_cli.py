@@ -2,6 +2,7 @@ import importlib
 import json
 import math
 import pkgutil
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -300,6 +301,16 @@ _WRONG_TYPES = {
     "F-index-past-int64": (dict(_MATRIX, F={"modes": [_mode([2 ** 70, 0])]}), "F"),
     "string-kappa_prime": ({"kappa_prime": "x"}, "kappa_prime"),
     "zero-kappa_prime": ({"kappa_prime": 0.0}, "kappa_prime"),
+    # json reads NaN and Infinity: a non-finite number is a config error
+    # wherever it sits, and so is a frequency vector with no nonzero entry
+    "nan-omega": ({"omega": [math.nan, 1.0]}, "omega"),
+    "inf-omega": ({"omega": [math.inf, 1.0]}, "omega"),
+    "zero-omega": ({"omega": [0.0, 0.0]}, "omega"),
+    "inf-kappa": ({"kappa": math.inf}, "kappa"),
+    "nan-E": ({"E": math.nan}, "E"),
+    "inf-E": ({"E": math.inf}, "E"),
+    "inf-eps0": ({"eps0": math.inf}, "eps0"),
+    "nan-V-coefficient": ({"V": {"modes": [{"m": [1, 1], "c": math.nan}]}}, "V"),
 }
 
 
@@ -341,7 +352,14 @@ def test_failure_taxonomy_is_closed():
     # certified condition (exit 3); nothing in between
     classes = list(_exception_classes())
     assert all(issubclass(c, (InputError, KamFailure)) for c in classes), classes
-    assert len(_FAILURE_CLASSES) == 11  # KamFailure and its ten subclasses
+    assert len(_FAILURE_CLASSES) == 10  # KamFailure and its nine subclasses
+
+
+def test_readme_exit_3_row_names_every_failure_class():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    row = next(line for line in readme.splitlines() if line.startswith("| `3` |"))
+    cause = row.split(" | ")[1]
+    assert set(re.findall(r"`(\w+)`", cause)) == {c.__name__ for c in _FAILURE_CLASSES}
 
 
 def _fail_at_step_1(monkeypatch, exc):

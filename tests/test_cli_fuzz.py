@@ -1,10 +1,11 @@
 """Derandomized fuzz of the command line over small configs.
 
-About half the configs drawn here carry one wrong-typed or out-of-range
-field.  A config that RunConfig.from_obj rejects must exit 1 from every
-subcommand.  On any other config each subcommand must end with a documented
-exit code, never a traceback or an internal error (4), and every run that
-ends Stalled (2) or in a failed precondition (3) must leave a certificate.
+About half the configs drawn here carry one wrong-typed, out-of-range or
+non-finite field.  A config that RunConfig.from_obj rejects must exit 1 from
+every subcommand.  On any other config each subcommand must end with a
+documented exit code, never a traceback or an internal error (4), and every
+run that ends Stalled (2) or in a failed precondition (3) must leave a
+certificate.
 """
 
 import json
@@ -24,7 +25,8 @@ FUNCTIONS = st.sampled_from([
     {"kind": "exppow", "alpha": 1.0}, {"kind": "explog", "delta": 2.0},
 ])
 MAX_EXAMPLES = 60
-WRONG_TYPED = [("omega", ["x", 1.0]), ("kappa_prime", "x"), ("kappa_prime", -1.0)]
+WRONG_TYPED = [("omega", ["x", 1.0]), ("kappa_prime", "x"), ("kappa_prime", -1.0),
+               ("omega", [math.nan, 1.0]), ("kappa", math.inf), ("eps0", math.inf)]
 
 
 @st.composite
@@ -52,14 +54,16 @@ def configs(draw):
     if draw(st.booleans()):
         cfg.update(A="schrodinger", E=draw(st.sampled_from([0.5, 6.25])),
                    V={"v0": 0.0, "modes": [{"m": m, "c": c}]})
-        wrong = [("V", "x"), ("V", {"v0": "x"}), ("V", {"modes": [{"m": m}]})]
+        wrong = [("V", "x"), ("V", {"v0": "x"}), ("V", {"modes": [{"m": m}]}),
+                 ("V", {"modes": [{"m": m, "c": math.nan}]}), ("E", math.inf)]
     else:
         beta = draw(st.sampled_from([math.pi + 1e-3, 1.5]))
         pair = [{"half_k": [s * 2 * v for v in m], "re": [[0.0, c], [c, 0.0]],
                  "im": [[0.0, 0.0], [0.0, 0.0]]} for s in (1, -1)]
         cfg.update(A=[[0.0, beta], [-beta, 0.0]], F={"reality_flag": True, "modes": pair})
         far = dict(pair[0], half_k=[2 ** 40] * d)  # past the packable range once d > 1
-        wrong = [("A", [[0.0, "x"], [-beta, 0.0]]), ("F", "x"), ("F", {"modes": [far]})]
+        wrong = [("A", [[0.0, "x"], [-beta, 0.0]]), ("F", "x"), ("F", {"modes": [far]}),
+                 ("A", [[0.0, math.nan], [-beta, 0.0]])]
     if draw(st.booleans()):
         name, value = draw(st.sampled_from(WRONG_TYPED + wrong))
         cfg[name] = value

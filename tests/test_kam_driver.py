@@ -12,7 +12,6 @@ from kamcocycle.arithmetics import (
 )
 from kamcocycle.cli import build_schrodinger
 from kamcocycle.kam_driver import (
-    NoFeasibleEpsilon,
     RunTrace,
     ScheduleViolation,
     StepRecord,
@@ -33,8 +32,7 @@ G2 = PowerFn(2.0)
 
 
 def golden_schedule(eps0=1e-10, r0=0.5, n0=0, kappa=1.0):
-    return make_schedule(kappa, None, G2, G2, r0, n0, eps0,
-                         require_feasible=False)
+    return make_schedule(kappa, None, G2, G2, r0, n0, eps0)
 
 
 def schrodinger_instance(eps=1e-10, E=6.25, r0=0.5, mode=(1, 1)):
@@ -51,36 +49,13 @@ def test_schedule_constants():
     assert sched.a == pytest.approx(1.0 - 1.0 / 256.0)
     # n0 = 0: the sup term is empty and c0 = r0 / 4^3
     assert sched.c0 == pytest.approx(0.5 / 64.0)
-    assert "condepsilon_ok" in sched.flags
 
 
 def test_schedule_c0_with_n0():
-    sched = make_schedule(1.0, None, G2, G2, 0.5, 2, 1e-10,
-                          require_feasible=False)
+    sched = make_schedule(1.0, None, G2, G2, 0.5, 2, 1e-10)
     sup = max(math.log(ProductFn(G2, G2).value(t + 1.0)) / t
               for t in np.linspace(1.0, 2.0, 4097))
     assert sched.c0 == pytest.approx(0.5 / (4.0 ** 5 * (sup + 1.0)), rel=1e-6)
-
-
-def test_make_schedule_bisection_feasible():
-    # generous strip: the smallness conditions admit a representable eps0
-    sched = make_schedule(1.0, None, G2, G2, 8.0, 0, 1e-4, require_feasible=True)
-    assert sched.flags["condepsilon_ok"] and sched.flags["condepsilon2_ok"]
-    ok1, integral, budget = check_condepsilon(G2, G2, 1.0, 8.0, 0, sched.a,
-                                              sched.eps0)
-    assert ok1 and integral <= budget
-    # maximality up to the factor-2 grid: twice eps0 must fail something
-    ok1b, _, _ = check_condepsilon(G2, G2, 1.0, 8.0, 0, sched.a, 2 * sched.eps0)
-    from kamcocycle.kam_driver import check_condepsilon2
-    ok2b, _, _ = check_condepsilon2(sched.C_prime, 1.0, sched.a, sched.c0,
-                                    2 * sched.eps0)
-    assert not (ok1b and ok2b)
-
-
-def test_make_schedule_infeasible_raises():
-    # narrow strip: condepsilon2 cannot be met by any representable eps0
-    with pytest.raises(NoFeasibleEpsilon):
-        make_schedule(1.0, None, G2, G2, 0.5, 0, 1e-6, require_feasible=True)
 
 
 def test_sequence_N_frozen_example():
@@ -199,9 +174,10 @@ def test_run_trace_csv_roundtrip(tmp_path):
 # -- certified bounds and formulas ---------------------------------------------
 
 def test_rn_lower_bound_power():
-    # power-law G*g needs c0 near 1 for a representable feasible eps0,
-    # hence the wide strip
-    sched = make_schedule(1.0, None, G2, G2, 64.0, 0, 1e-6, require_feasible=True)
+    # power-law G*g needs c0 near 1 for a representable eps0 that meets
+    # both smallness conditions, hence the wide strip; eps0 = 1e-6 / 2^64
+    # is the first of 1e-6 / 2^k that does
+    sched = make_schedule(1.0, None, G2, G2, 64.0, 0, 5.421010862427522e-26)
     bound = rn_lower_bound(sched)
     assert bound >= sched.r0 / 4.0 ** (sched.n0 + 1)
     # analytic cross-check of the integral piece
@@ -214,16 +190,16 @@ def test_rn_lower_bound_power():
 
 def test_rn_lower_bound_exppow():
     g = ExpPowFn(0.4)
-    sched = make_schedule(1.0, None, ExpPowFn(0.5), g, 30.0, 0, 1e-8,
-                          require_feasible=True)
+    # eps0 = 1e-8 / 2^149, the first of 1e-8 / 2^k meeting both smallness
+    # conditions
+    sched = make_schedule(1.0, None, ExpPowFn(0.5), g, 30.0, 0, 1.401298464324817e-53)
     bound = rn_lower_bound(sched)
     assert math.isfinite(bound)
     assert bound >= sched.r0 / 4.0
 
 
 def test_rn_lower_bound_divergent():
-    sched = make_schedule(1.0, None, ExpPowFn(1.0), PowerFn(2.0), 0.5, 0, 1e-10,
-                          require_feasible=False)
+    sched = make_schedule(1.0, None, ExpPowFn(1.0), PowerFn(2.0), 0.5, 0, 1e-10)
     with pytest.raises(DivergentIntegral):
         rn_lower_bound(sched)
 
@@ -316,8 +292,7 @@ def test_budget_check_with_resonance():
     assert rep["cumulative_m_ok"]  # sum |m_j| = 1 <= N_n^2 throughout
     assert rep["interlacing_ok"]
     # bounded-ratio configuration: g = Power(1), G = Power(2)
-    sched2 = make_schedule(1.0, 3.0, G2, PowerFn(1.0), 0.5, 0, 1e-10,
-                           require_feasible=False)
+    sched2 = make_schedule(1.0, 3.0, G2, PowerFn(1.0), 0.5, 0, 1e-10)
     rep2 = resonance_budget_check(trace, sched2, rho_target=beta)
     assert rep2["ratio_bounded"]
     assert rep2["kappa_prime_condition"] is not None
@@ -366,7 +341,7 @@ def test_budget_check_rho_hypothesis_at_full_order():
                           resonant=False, m=(0, 0), alpha=0.0j, residual=0.0,
                           contraction=0.0)
                for n, N in enumerate((10 ** 6, 2 * 10 ** 7))]
-    sched = make_schedule(1.0, 1e-3, G2, G2, 0.5, 0, 1e-10, require_feasible=False)
+    sched = make_schedule(1.0, 1e-3, G2, G2, 0.5, 0, 1e-10)
     rep = resonance_budget_check(RunTrace(records, omega), sched, rho_target=rho)
     assert rep["rho_hypothesis"] is False
     assert rep["rho_worst_offender"] == (-b, b)
@@ -378,8 +353,7 @@ def test_run_single_frequency():
     omega = np.array([0.5 * (1.0 + math.sqrt(5.0))])
     c = 1e-10 / (2.0 * math.exp(2.0 * math.pi * 0.5))
     A, F = build_schrodinger(4.0, 0.0, [((1,), c)], d=1)
-    sched = make_schedule(omega[0], None, G2, G2, 0.5, 0, F.weighted_norm(0.5),
-                          require_feasible=False)
+    sched = make_schedule(omega[0], None, G2, G2, 0.5, 0, F.weighted_norm(0.5))
     trace, cert = run(A, F, omega, sched, max_steps=20)
     assert cert.status == "Reduced"
     assert all(not r.resonant for r in trace.records)

@@ -17,7 +17,7 @@ from kamcocycle.kam_step import (
     step_resonant,
 )
 from kamcocycle.sl2_algebra import BoundViolation, DefectiveConstantPart, eigen
-from kamcocycle.torus_fourier import TorusMap
+from kamcocycle.torus_fourier import TorusMap, op_norm_2x2
 
 GOLDEN = np.array([1.0, 0.5 * (1.0 + np.sqrt(5.0))])
 G2 = PowerFn(2.0)
@@ -25,6 +25,11 @@ G2 = PowerFn(2.0)
 
 def make_ctx(kappa=1.0, C_prime=10.0):
     return StepContext(omega=GOLDEN, kappa=kappa, G=G2, g=G2, C_prime=C_prime)
+
+
+def resonance_of(A, N, ctx):
+    # the report the driver hands a step: the scan of A's eigenvalue at N
+    return find_resonance(eigen(A).alpha, ctx.omega, ctx.kappa, ctx.G, ctx.g, N)
 
 
 def rotation_like(beta):
@@ -192,7 +197,7 @@ def test_step_nonresonant_zero_perturbation():
     ctx = make_ctx()
     A = rotation_like(0.77)
     F = TorusMap.zero(2)
-    out = step_nonresonant(A, F, 0.5, 0.4, 3, 1.0 - 1.0 / 196, ctx)
+    out = step_nonresonant(A, F, 0.5, 0.4, 3, 1.0 - 1.0 / 196, ctx, resonance_of(A, 3, ctx))
     np.testing.assert_allclose(out.A_next, A)
     assert out.F_next.n_modes == 0
     assert out.Z_step.n_modes == 1
@@ -207,7 +212,7 @@ def test_step_nonresonant_constant_perturbation():
     M = np.array([[0.0, 1.0], [1.0, 0.0]])
     F = TorusMap.constant(eps * M, 2)
     a_prime = 1.0 - 1.0 / 200.0
-    out = step_nonresonant(A, F, 0.5, 0.3, 5, a_prime, ctx)
+    out = step_nonresonant(A, F, 0.5, 0.3, 5, a_prime, ctx, resonance_of(A, 5, ctx))
     np.testing.assert_allclose(out.A_next, A + a_prime * eps * M, rtol=1e-12)
     np.testing.assert_allclose(out.F_next.coeff((0, 0)), (1 - a_prime) * eps * M,
                                rtol=1e-10)
@@ -221,7 +226,8 @@ def test_step_nonresonant_strict_precondition_failure():
     ctx = make_ctx()
     A = rotation_like(0.77)
     F = small_real_map(eps=1e-3)  # far too large for petitesse3
-    out = step_nonresonant(A, F, 0.5, 0.499, 5, 1.0 - 1.0 / 196, ctx)
+    out = step_nonresonant(A, F, 0.5, 0.499, 5, 1.0 - 1.0 / 196, ctx,
+                           resonance_of(A, 5, ctx))
     ok, lhs, rhs = out.preconditions["petitesse3"]
     assert not ok and lhs > rhs
     assert not out.preconditions["N_gap"][0]  # e^{-2 pi 5 (0.001)} > 1/196
@@ -236,9 +242,10 @@ def test_step_nonresonant_contraction_and_residual():
     # both preconditions hold: 2 G g eps <= kappa (1-a')/2 and the gap
     assert 2 * G2.value(N) * G2.value(N) * F.weighted_norm(r) <= (1 - a_prime) / 2
     assert math.exp(-2 * math.pi * N * (r - r_prime)) <= 1 - a_prime
-    out = step_nonresonant(A, F, r, r_prime, N, a_prime, ctx)
+    out = step_nonresonant(A, F, r, r_prime, N, a_prime, ctx, resonance_of(A, N, ctx))
     assert out.contraction_observed <= math.sqrt(1 - a_prime)
-    assert out.residual_norm <= 1e-10 * (1 + F.weighted_norm(r)) + out.truncation_debt
+    debt = out.F_next.truncation_debt + out.Z_step.truncation_debt
+    assert out.residual_norm <= 1e-10 * (1 + F.weighted_norm(r)) + debt
     assert out.Z_step.is_real()
     assert out.F_next.is_real()
 
@@ -250,7 +257,7 @@ def test_step_resonant_exact_resonance_no_perturbation():
     beta = math.pi * GOLDEN[0]
     A = rotation_like(beta)
     F = TorusMap.zero(2)
-    out = step_resonant(A, F, 1.0, 2, 1.0 - 1.0 / 196, 2.0, ctx)
+    out = step_resonant(A, F, 1.0, 2, 1.0 - 1.0 / 196, 2.0, ctx, resonance_of(A, 2, ctx))
     assert out.resonant and out.m == (1, 0)
     assert abs(out.alpha_next) < 1e-12
     np.testing.assert_allclose(out.A_next, 0.0, atol=1e-12)
@@ -269,13 +276,14 @@ def test_step_resonant_conjugation_lattice_and_residual():
     F = small_real_map(eps=1e-12, seed=11, modes=((2, 0), (0, 2)))
     assert 2 * (G2.value(2) * G2.value(2)) ** 2 * F.weighted_norm(1.0) \
         <= 0.5 * (1.0 / 196) ** 2  # petitesse holds for this instance
-    out = step_resonant(A, F, 1.0, 2, 1.0 - 1.0 / 196, 2.0, ctx)
+    out = step_resonant(A, F, 1.0, 2, 1.0 - 1.0 / 196, 2.0, ctx, resonance_of(A, 2, ctx))
     assert out.resonant and out.m == (1, 0)
     assert out.alpha_next == pytest.approx(1j * delta, abs=1e-6)
     # conjugated perturbation is back on the integer lattice
     assert out.F_next.lattice == "integer"
     assert out.Z_step.lattice == "half"
-    assert out.residual_norm <= 1e-10 * (1 + F.weighted_norm(1.0)) + out.truncation_debt
+    debt = out.F_next.truncation_debt + out.Z_step.truncation_debt
+    assert out.residual_norm <= 1e-10 * (1 + F.weighted_norm(1.0)) + debt
     assert out.contraction_observed <= 1.0 - (1.0 - 1.0 / 196)
     # reality and unimodularity of the step conjugation
     assert out.Z_step.is_real()
@@ -291,14 +299,15 @@ def test_step_resonant_requires_resonance():
     ctx = make_ctx()
     A = rotation_like(0.5)  # far from every i pi <m, omega>
     with pytest.raises(PreconditionFailure):
-        step_resonant(A, TorusMap.zero(2), 1.0, 2, 1.0 - 1.0 / 196, 2.0, ctx)
+        step_resonant(A, TorusMap.zero(2), 1.0, 2, 1.0 - 1.0 / 196, 2.0, ctx,
+                      resonance_of(A, 2, ctx))
 
 
 def test_conjugation_residual_oracle_detects_tampering():
     ctx = make_ctx()
     A = rotation_like(0.77)
     F = small_real_map(eps=1e-9, seed=21)
-    out = step_nonresonant(A, F, 0.5, 0.33, 5, 1.0 - 1.0 / 200, ctx)
+    out = step_nonresonant(A, F, 0.5, 0.33, 5, 1.0 - 1.0 / 200, ctx, resonance_of(A, 5, ctx))
     good = conjugation_residual(A, F, out.Z_step, out.A_next, out.F_next,
                                 GOLDEN, out.r_next)
     assert good == pytest.approx(out.residual_norm)
@@ -332,7 +341,7 @@ def test_step_nonresonant_defective_constant_part():
     ctx = make_ctx()
     A = np.array([[0.0, 1.0], [0.0, 0.0]])
     F = small_real_map(eps=1e-9, seed=31)
-    out = step_nonresonant(A, F, 0.5, 0.33, 5, 1.0 - 1.0 / 200, ctx)
+    out = step_nonresonant(A, F, 0.5, 0.33, 5, 1.0 - 1.0 / 200, ctx, resonance_of(A, 5, ctx))
     assert out.residual_norm <= 1e-10 * (1 + F.weighted_norm(0.5))
     assert out.contraction_observed <= math.sqrt(1.0 / 200)
     assert abs(out.alpha) < 1e-10
@@ -343,9 +352,14 @@ def test_phi_norm_within_recorded_bound():
     beta = math.pi * GOLDEN[0] + 1e-3
     A = rotation_like(beta)
     F = small_real_map(eps=1e-12, seed=11, modes=((2, 0), (0, 2)))
-    out = step_resonant(A, F, 1.0, 2, 1.0 - 1.0 / 196, 2.0, ctx)
-    assert out.info["phi_norm"] <= out.info["phi_bound"] * (1 + 1e-12)
-    assert out.info["phi_inv_norm"] <= out.info["phi_bound"] * (1 + 1e-12)
+    out = step_resonant(A, F, 1.0, 2, 1.0 - 1.0 / 196, 2.0, ctx, resonance_of(A, 2, ctx))
+    # |Phi^{+-1}|_{r'} <= 2 cond(P) e^{pi N r'} with P the eigenbasis of A
+    Phi, _, Phi_inv = eliminate_resonance(A, out.m, GOLDEN)
+    ed = eigen(A)
+    cond = op_norm_2x2(ed.P) * op_norm_2x2(ed.P_inv)
+    bound = 2.0 * cond * math.exp(math.pi * 2 * out.r_next)
+    assert Phi.weighted_norm(out.r_next) <= bound * (1 + 1e-12)
+    assert Phi_inv.weighted_norm(out.r_next) <= bound * (1 + 1e-12)
 
 
 def test_f_next_matches_series_expansion():
@@ -365,7 +379,7 @@ def test_f_next_matches_series_expansion():
                            modes=((2, 0), (0, 2), (2, 2)))
         r, r_prime, N = 0.5, 0.33, 5
         a_prime = 1.0 - 1.0 / 200.0
-        out = step_nonresonant(A, F, r, r_prime, N, a_prime, ctx)
+        out = step_nonresonant(A, F, r, r_prime, N, a_prime, ctx, resonance_of(A, N, ctx))
 
         from kamcocycle.kam_step import solve_homological
         X = solve_homological(A, F, N, GOLDEN, ctx.kappa, G2, G2, a_prime, r_prime)
@@ -402,7 +416,7 @@ def test_conjugation_identity_finite_difference_oracle():
     ctx = make_ctx()
     A = rotation_like(0.77)
     F = small_real_map(eps=1e-9, seed=77)
-    out = step_nonresonant(A, F, 0.5, 0.33, 5, 1.0 - 1.0 / 200, ctx)
+    out = step_nonresonant(A, F, 0.5, 0.33, 5, 1.0 - 1.0 / 200, ctx, resonance_of(A, 5, ctx))
     Z = out.Z_step
     rng = np.random.default_rng(12)
     thetas = rng.uniform(0, 2, size=(50, 2))

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from kamcocycle.arithmetics import PowerFn, check_nr_rho
+from kamcocycle.arithmetics import PowerFn, check_nr_alpha
 from kamcocycle.rotation_number import (
     StepTooLarge,
     rho_of_constant,
@@ -153,10 +153,10 @@ def test_verify_additivity_with_offset():
 def test_check_rho_arithmetic():
     g = PowerFn(2.0)
     rho = math.pi * (GOLDEN[0] + GOLDEN[1])
-    rep = check_nr_rho(rho, GOLDEN, 0.1, g, N=6)
+    rep = check_nr_alpha(1j * rho, GOLDEN, 0.1, g, N=6)
     assert not rep.ok and rep.m in [(1, 1)]
-    assert check_nr_rho(11.0, GOLDEN, 0.05, g, N=4).ok
-    oks = [check_nr_rho(rho + 0.05, GOLDEN, k, g, N=6).ok
+    assert check_nr_alpha(11.0j, GOLDEN, 0.05, g, N=4).ok
+    oks = [check_nr_alpha(1j * (rho + 0.05), GOLDEN, k, g, N=6).ok
            for k in (1e-4, 0.05, 0.5, 5.0)]
     for earlier, later in zip(oks, oks[1:]):
         assert earlier or not later
