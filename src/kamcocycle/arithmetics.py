@@ -31,6 +31,9 @@ import numpy as np
 from .errors import KamFailure
 
 FULL_SCAN_LIMIT = 2_000_000
+# the largest order any scan or schedule takes: past it |m| and N leave the
+# exact integer range of a float
+MAX_ORDER = 2 ** 52
 SMALL_BALL = 8
 
 NrReport = namedtuple("NrReport", ["ok", "m", "value"])
@@ -216,6 +219,7 @@ class ProductFn(ApproxFn):
 
 
 def approxfn_from_spec(obj: dict) -> ApproxFn:
+    """Parse a config's G or g: power, exppow, explog, or a product of these."""
     kind = obj["kind"]
     if kind == "power":
         return PowerFn(obj["mu"])
@@ -224,7 +228,8 @@ def approxfn_from_spec(obj: dict) -> ApproxFn:
     if kind == "explog":
         return ExpLogFn(obj["delta"])
     if kind == "tabulated":
-        return TabulatedFn(obj["ts"], obj["vals"])
+        raise ValueError("a tabulated function is not strictly increasing, "
+                         "so no schedule takes it")
     if kind == "product":
         return ProductFn(approxfn_from_spec(obj["f"]), approxfn_from_spec(obj["g"]))
     raise ValueError(f"unknown approximation function kind: {kind!r}")
@@ -271,9 +276,12 @@ def l1_ball_size(N: int, d: int) -> int:
 def check_scan_order(N: int, d: int) -> None:
     """Raise ScanOrderTooLarge when no scan reaches order N in dimension d.
 
-    d <= 2 has a windowed scan at every order; past d = 2 only the
-    exhaustive l1 ball exists, and it is capped at FULL_SCAN_LIMIT points.
+    No scan passes MAX_ORDER.  Below it d <= 2 has a windowed scan at every
+    order; past d = 2 only the exhaustive l1 ball exists, and it is capped
+    at FULL_SCAN_LIMIT points.
     """
+    if N > MAX_ORDER:
+        raise ScanOrderTooLarge(f"order {N} exceeds the exact integer range 2^52")
     if d > 2 and l1_ball_size(N, d) > FULL_SCAN_LIMIT:
         raise ScanOrderTooLarge(
             f"the l1 ball of order {N} in d = {d} exceeds the "

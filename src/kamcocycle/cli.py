@@ -68,14 +68,13 @@ class ConfigError(InputError):
         super().__init__(f"config field '{fieldname}': {message}")
 
 
-_KNOWN_FIELDS = {
-    "omega", "kappa", "kappa_prime", "G", "g", "r0", "n0", "eps0", "a",
-    "C_prime", "A", "E", "V", "F", "max_steps", "cert_tol", "fit_N", "name",
-}
+_REQUIRED = ("omega", "kappa", "G", "g", "r0", "n0", "eps0", "A")
 _DEFAULTS = {
     "kappa_prime": None, "a": None, "C_prime": 10.0, "E": None, "V": None,
     "F": None, "max_steps": 200, "cert_tol": None, "fit_N": 200, "name": "run",
 }
+# the loss constant c0 divides by 4.0 ** (n0 + 3), a float up to n0 = 508
+_N0_MAX = 508
 
 
 def _is_json(v, kind: str) -> bool:
@@ -95,143 +94,123 @@ def _field(name: str):
     # a value that cannot be built into what its field describes
     try:
         yield
-    except (AttributeError, KeyError, TypeError, ValueError, KamFailure) as exc:
+    except (AttributeError, KeyError, OverflowError, TypeError, ValueError,
+            KamFailure) as exc:
         raise ConfigError(name, str(exc)) from exc
+
+
+def _number(obj: dict, name: str, must: str, kind: str = "number",
+            above: float | None = None, null: bool = False):
+    """The float (or int, for kind "integer") of a number field, greater
+    than above when above is given; None for a null where null is allowed."""
+    v = obj[name]
+    if null and v is None:
+        return None
+    if not (_is_json(v, kind) and (above is None or v > above)):
+        raise ConfigError(name, must)
+    with _field(name):  # an integer too large for a float
+        return float(v) if kind == "number" else v
 
 
 @dataclass
 class RunConfig:
+    """A config with every field built into what it describes."""
+
     omega: np.ndarray
     kappa: float | str
-    G: dict
-    g: dict
+    G: ApproxFn
+    g: ApproxFn
     r0: float
     n0: int
     eps0: float | str
-    A: list | str
-    kappa_prime: float | None = None
-    a: float | None = None
-    C_prime: float = 10.0
-    E: float | None = None
-    V: dict | None = None
-    F: dict | None = None
-    max_steps: int = 200
-    cert_tol: float | None = None
-    fit_N: int = 200
-    name: str = "run"
+    A: np.ndarray
+    F: TorusMap
+    kappa_prime: float | None
+    a: float | None
+    C_prime: float
+    max_steps: int
+    cert_tol: float | None
+    fit_N: int
+    name: str
 
     @classmethod
     def from_obj(cls, obj: dict) -> "RunConfig":
         if not isinstance(obj, dict):
             raise ConfigError("<root>", "config must be a JSON object")
-        unknown = set(obj) - _KNOWN_FIELDS
+        unknown = set(obj) - set(_REQUIRED) - set(_DEFAULTS)
         if unknown:
             raise ConfigError(sorted(unknown)[0], "unknown field")
-        for req in ("omega", "kappa", "G", "g", "r0", "n0", "eps0", "A"):
+        for req in _REQUIRED:
             if req not in obj:
                 raise ConfigError(req, "missing required field")
         for name in sorted(obj):
             # json reads NaN, Infinity and 1e400, and no field takes them
             with _field(name):
                 json.dumps(obj[name], allow_nan=False)
+        o = {**_DEFAULTS, **obj}
         with _field("omega"):
-            omega = np.asarray(obj["omega"], dtype=float)
+            omega = np.asarray(o["omega"], dtype=float)
         if omega.ndim != 1 or omega.size < 1 or not omega.any():
             raise ConfigError("omega", "must be a nonempty vector with a nonzero entry")
-        kappa = obj["kappa"]
-        if not (kappa == "fit" or (_is_json(kappa, "number") and kappa > 0)):
-            raise ConfigError("kappa", "must be a positive number or 'fit'")
-        eps0 = obj["eps0"]
-        if not (eps0 in ("auto:dioph", "auto:brjuno-sum")
-                or (_is_json(eps0, "number") and eps0 > 0)):
-            raise ConfigError("eps0", "must be positive or 'auto:dioph'/'auto:brjuno-sum'")
-        for name, kind in (("r0", "number"), ("C_prime", "number"), ("fit_N", "integer")):
-            v = obj.get(name, _DEFAULTS.get(name))
-            if not (_is_json(v, kind) and v > 0):
-                raise ConfigError(name, f"must be a positive {kind}")
-        for name in ("n0", "max_steps"):
-            v = obj.get(name, _DEFAULTS.get(name))
-            if not (_is_json(v, "integer") and v >= 0):
-                raise ConfigError(name, "must be a non-negative integer")
-        for name in ("a", "cert_tol"):
-            v = obj.get(name)
-            if not (v is None or _is_json(v, "number")):
-                raise ConfigError(name, "must be a number or null")
-        kappa_prime = obj.get("kappa_prime")
-        if not (kappa_prime is None or (_is_json(kappa_prime, "number") and kappa_prime > 0)):
-            raise ConfigError("kappa_prime", "must be a positive number or null")
-        A = obj["A"]
-        if A == "schrodinger":
+        d = omega.size
+        kappa = "fit" if o["kappa"] == "fit" else _number(
+            o, "kappa", "must be a positive number or 'fit'", above=0)
+        eps0 = o["eps0"] if o["eps0"] in ("auto:dioph", "auto:brjuno-sum") else _number(
+            o, "eps0", "must be positive or 'auto:dioph'/'auto:brjuno-sum'", above=0)
+        n0 = _number(o, "n0", "must be a non-negative integer", "integer", above=-1)
+        if n0 > _N0_MAX:
+            raise ConfigError("n0", f"must be at most {_N0_MAX}: 4^(n0 + 3) in the "
+                              "loss constant c0 leaves the float range")
+        if o["A"] == "schrodinger":
             if "E" not in obj or "V" not in obj:
                 raise ConfigError("E", "the schrodinger preset requires E and V")
-            if not _is_json(obj["E"], "number"):
-                raise ConfigError("E", "must be a number")
-        elif not isinstance(A, list):
-            raise ConfigError("A", "must be a 2x2 matrix or 'schrodinger'")
-        for fn_field in ("G", "g"):
-            try:
-                approxfn_from_spec(obj[fn_field])
-            except Exception as exc:
-                raise ConfigError(fn_field, str(exc)) from exc
-        kwargs = {k: obj[k] for k in _KNOWN_FIELDS if k in obj}
-        kwargs["omega"] = omega
-        merged = dict(_DEFAULTS)
-        merged.update(kwargs)
-        cfg = cls(**merged)
-        cfg.system()  # A, V and F must build
-        return cfg
-
-    def to_obj(self) -> dict:
-        out = {
-            "omega": [float(v) for v in self.omega],
-            "kappa": self.kappa, "G": self.G, "g": self.g, "r0": self.r0,
-            "n0": self.n0, "eps0": self.eps0, "A": self.A,
-        }
-        for k, default in _DEFAULTS.items():
-            v = getattr(self, k)
-            if v != default:
-                out[k] = v
-        return out
-
-    # -- derived objects ---------------------------------------------------
-
-    def approx_fns(self) -> tuple[ApproxFn, ApproxFn]:
-        return approxfn_from_spec(self.G), approxfn_from_spec(self.g)
-
-    def resolve_kappa(self, G: ApproxFn) -> float:
-        if self.kappa == "fit":
-            # d <= 2 is windowed past the exhaustive ball, d >= 3 is not
-            try:
-                check_scan_order(self.fit_N, self.omega.size)
-            except ScanOrderTooLarge as exc:
-                raise ConfigError("fit_N", str(exc)) from exc
-            kappa = fit_kappa(self.omega, G, self.fit_N)
-            if not kappa > 0:
-                raise ConfigError("kappa", f"the fitted kappa is {kappa!r}: <m, omega> = 0 "
-                                  f"for some 0 < |m| <= fit_N = {self.fit_N}")
-            return kappa
-        return float(self.kappa)
-
-    def system(self) -> tuple[np.ndarray, TorusMap]:
-        """The constant part A and the perturbation F; a field they cannot
-        be built from is a ConfigError."""
-        d = self.omega.size
-        if self.A == "schrodinger":
+            E = _number(o, "E", "must be a number")
             with _field("V"):
-                v0 = float(self.V.get("v0", 0.0))
                 modes = [(tuple(_mode_index(x) for x in mode["m"]), float(mode["c"]))
-                         for mode in self.V.get("modes", [])]
-                return build_schrodinger(float(self.E), v0, modes, d)
-        with _field("A"):
-            A = check_sl2(np.asarray(self.A, dtype=float))
-        if self.F is None:
-            return A, TorusMap.zero(d)
-        with _field("F"):
-            return A, TorusMap.from_json_obj({"d": d, **self.F})
+                         for mode in o["V"].get("modes", [])]
+                A, F = build_schrodinger(E, float(o["V"].get("v0", 0.0)), modes, d)
+        elif isinstance(o["A"], list):
+            with _field("A"):
+                A = check_sl2(np.asarray(o["A"], dtype=float))
+            with _field("F"):
+                F = (TorusMap.zero(d) if o["F"] is None
+                     else TorusMap.from_json_obj({"d": d, **o["F"]}))
+        else:
+            raise ConfigError("A", "must be a 2x2 matrix or 'schrodinger'")
+        with _field("G"):
+            G = approxfn_from_spec(o["G"])
+        with _field("g"):
+            g = approxfn_from_spec(o["g"])
+        return cls(
+            omega=omega, kappa=kappa, G=G, g=g, n0=n0, eps0=eps0, A=A, F=F,
+            r0=_number(o, "r0", "must be a positive number", above=0),
+            kappa_prime=_number(o, "kappa_prime", "must be a positive number or null",
+                                above=0, null=True),
+            a=_number(o, "a", "must be a number or null", null=True),
+            C_prime=_number(o, "C_prime", "must be a positive number", above=0),
+            max_steps=_number(o, "max_steps", "must be a non-negative integer", "integer",
+                              above=-1),
+            cert_tol=_number(o, "cert_tol", "must be a number or null", null=True),
+            fit_N=_number(o, "fit_N", "must be a positive integer", "integer", above=0),
+            name=o["name"])
+
+    def resolve_kappa(self) -> float:
+        if self.kappa != "fit":
+            return self.kappa
+        # no scan passes 2^52, nor, at d >= 3, the exhaustive ball
+        try:
+            check_scan_order(self.fit_N, self.omega.size)
+        except ScanOrderTooLarge as exc:
+            raise ConfigError("fit_N", str(exc)) from exc
+        kappa = fit_kappa(self.omega, self.G, self.fit_N)
+        if not kappa > 0:
+            raise ConfigError("kappa", f"the fitted kappa is {kappa!r}: <m, omega> = 0 "
+                              f"for some 0 < |m| <= fit_N = {self.fit_N}")
+        return kappa
 
     def schedule(self) -> KamSchedule:
-        G, g = self.approx_fns()
-        kappa = self.resolve_kappa(G)
+        G, g = self.G, self.g
+        kappa = self.resolve_kappa()
         a = self.a
         a_val = a if a is not None else 1.0 - a_bar_of(G, g)
         eps0 = self.eps0
@@ -249,7 +228,7 @@ class RunConfig:
             raise ConfigError("eps0", f"{self.eps0} underflows to {eps0!r}")
         try:
             return make_schedule(kappa, self.kappa_prime, G, g, self.r0, self.n0,
-                                 float(eps0), a=a, C_prime=self.C_prime)
+                                 eps0, a=a, C_prime=self.C_prime)
         except ValueError as exc:  # kappa, r0, eps0 and C_prime are positive by now
             raise ConfigError("a", str(exc)) from exc
 
@@ -303,7 +282,6 @@ def _run_single(config_path: str, out_dir: str | None) -> int:
     path = Path(config_path)
     try:
         cfg = RunConfig.from_obj(_load_json(path))
-        A, F = cfg.system()
         schedule = cfg.schedule()
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -311,7 +289,7 @@ def _run_single(config_path: str, out_dir: str | None) -> int:
     out = Path(out_dir) if out_dir else path.parent
     out.mkdir(parents=True, exist_ok=True)
     try:
-        trace, cert = run(A, F, cfg.omega, schedule, max_steps=cfg.max_steps,
+        trace, cert = run(cfg.A, cfg.F, cfg.omega, schedule, max_steps=cfg.max_steps,
                           cert_tol=cfg.cert_tol)
     except KamFailure as exc:
         detail = f"{type(exc).__name__} at step {exc.step}: {exc}"
@@ -351,8 +329,8 @@ def cmd_run(args) -> int:
 def cmd_check_arith(args) -> int:
     path = Path(args.config)
     cfg = RunConfig.from_obj(_load_json(path))
-    G, g = cfg.approx_fns()
-    kappa = cfg.resolve_kappa(G)
+    G, g = cfg.G, cfg.g
+    kappa = cfg.resolve_kappa()
     N = args.N
     try:
         check_scan_order(N, cfg.omega.size)
@@ -453,8 +431,8 @@ def _final_B(trace: RunTrace, omega) -> np.ndarray:
 
 def _measure_rho(cfg: RunConfig, T: float, h: float):
     """rotation_number of the configured system A + F."""
-    A, F = cfg.system()
-    return rotation_number(TorusMap.constant(A, cfg.omega.size).add(F), cfg.omega, T=T, h=h)
+    return rotation_number(TorusMap.constant(cfg.A, cfg.omega.size).add(cfg.F), cfg.omega,
+                           T=T, h=h)
 
 
 def cmd_rotnum(args) -> int:

@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .arithmetics import (
+    MAX_ORDER,
     ApproxFn,
     ProductFn,
     check_nr_alpha,
@@ -136,7 +137,7 @@ def sequence_N(schedule: KamSchedule, n: int) -> int:
         raise ScheduleViolation(
             f"eps_{n} too large for any truncation order to exist", step=n)
     N = int(Gg.log_inverse(0.5 * log_bound))
-    if N > 2 ** 52:
+    if N > MAX_ORDER:
         raise ScheduleViolation("truncation order exceeds the exact integer range", step=n)
     while 2.0 * float(Gg.log_value(N + 1.0)) <= log_bound:
         N += 1

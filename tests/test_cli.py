@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import kamcocycle
-from kamcocycle import kam_driver
+from kamcocycle import cli, kam_driver
 from kamcocycle.cli import ConfigError, InputError, RunConfig, build_schrodinger, main
 from kamcocycle.errors import KamFailure
 from kamcocycle.kam_step import PreconditionFailure
@@ -44,12 +44,6 @@ def write_config(tmp_path, cfg, name="config.json"):
 
 
 # -- config parsing -----------------------------------------------------------
-
-def test_config_roundtrip_normalization():
-    cfg = RunConfig.from_obj(base_config())
-    again = RunConfig.from_obj(cfg.to_obj())
-    assert again.to_obj() == cfg.to_obj()
-
 
 def test_config_rejects_unknown_field():
     with pytest.raises(ConfigError) as exc:
@@ -227,6 +221,19 @@ def test_cmd_check_arith_fit_order_beyond_tabulating_scan(tmp_path, capsys):
     assert "too large" in report["fit_error"]
 
 
+@pytest.mark.parametrize("changes, N, name", [
+    ({"kappa": 0.2}, 10 ** 30, "--N"),
+    ({"kappa": "fit", "fit_N": 10 ** 30}, 10, "config field 'fit_N'"),
+], ids=["N", "fit_N"])
+def test_cmd_check_arith_order_past_exact_range(tmp_path, capsys, changes, N, name):
+    # no scan reaches past 2^52, where the order leaves the exact integer range
+    path = write_config(tmp_path, base_config(**changes))
+    assert main(["check-arith", "--config", str(path), "--N", str(N)]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {name}: ")
+    assert not (tmp_path / "arith_report.json").exists()
+
+
 def test_cmd_check_arith_order_beyond_exhaustive_ball_d3(tmp_path, capsys):
     # at d = 3 only the exhaustive ball exists; l1_ball_size(120, 3) exceeds it
     cfg = base_config(kappa=0.01, omega=[1.0, math.sqrt(2.0), math.sqrt(3.0)],
@@ -250,6 +257,7 @@ _SCHEDULE_ERRORS = {
     "a-below-range": ({"a": 0.5}, "a"),
     "zero-C_prime": ({"C_prime": 0}, "C_prime"),
     "zero-fit_N": ({"fit_N": 0}, "fit_N"),
+    "fit_N-past-exact-range": ({"fit_N": 10 ** 30}, "fit_N"),
     # fields that from_obj types: a wrong JSON type is a config error too
     "string-n0": ({"n0": "x"}, "n0"),
     "fractional-n0": ({"n0": 1.5}, "n0"),
@@ -311,6 +319,18 @@ _WRONG_TYPES = {
     "inf-E": ({"E": math.inf}, "E"),
     "inf-eps0": ({"eps0": math.inf}, "eps0"),
     "nan-V-coefficient": ({"V": {"modes": [{"m": [1, 1], "c": math.nan}]}}, "V"),
+    # json reads an integer of any size: one past the float range is a
+    # config error of its own field
+    "bigint-kappa": ({"kappa": 10 ** 400}, "kappa"),
+    "bigint-E": ({"E": 10 ** 400}, "E"),
+    "bigint-V-coefficient": ({"V": {"modes": [{"m": [1, 1], "c": 10 ** 400}]}}, "V"),
+    # 4^(n0 + 3) leaves the float range, and n0 = 1e6 passes ratio_bounded's t_max
+    "n0-past-float-range": ({"n0": 600}, "n0"),
+    "n0-past-ratio-range": ({"n0": 10 ** 6}, "n0"),
+    # fit_G's diagnostic output, not a schedule input
+    "tabulated-G": ({"G": {"kind": "tabulated", "ts": [1, 2], "vals": [1.0, 2.0]}}, "G"),
+    "tabulated-in-product": ({"g": {"kind": "product", "f": {"kind": "power", "mu": 1.0},
+                                    "g": {"kind": "tabulated", "ts": [], "vals": []}}}, "g"),
 }
 
 
@@ -329,6 +349,39 @@ def test_wrong_typed_config_fields_exit_1(tmp_path, capsys, case, command):
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith(f"error: config field '{fieldname}': ")
     assert not (tmp_path / "certificate.json").exists()
+
+
+def _counting(monkeypatch, module, name):
+    real, calls = getattr(module, name), []
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("command", ["run", "audit", "rotnum"])
+def test_commands_build_the_system_once(tmp_path, monkeypatch, command):
+    # a resonance at step 0, so that audit measures the rotation number
+    cfg = base_config(E=(math.pi + 1e-3) ** 2,
+                      V={"v0": 0.0, "modes": [{"m": [1, 0], "c": 1e-14}]})
+    path = write_config(tmp_path, cfg)
+    assert main(["run", "--config", str(path)]) == 0
+    calls = _counting(monkeypatch, cli, "build_schrodinger")
+    argv = {"run": ["run"], "rotnum": ["rotnum", "--T", "20"],
+            "audit": ["audit", "--trace", str(tmp_path / "trace.csv"), "--T", "200",
+                      "--h", "0.02"]}[command]
+    assert main(argv + ["--config", str(path)]) == 0
+    assert len(calls) == 1
+
+
+def test_check_arith_builds_each_function_once(tmp_path, monkeypatch):
+    path = write_config(tmp_path, base_config(kappa="fit"))
+    calls = _counting(monkeypatch, cli, "approxfn_from_spec")
+    assert main(["check-arith", "--config", str(path), "--N", "10"]) in (0, 1)
+    assert len(calls) == 2
 
 
 # -- the exit map -----------------------------------------------------------------

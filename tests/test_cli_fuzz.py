@@ -13,7 +13,7 @@ import math
 import tempfile
 from pathlib import Path
 
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from kamcocycle.cli import ConfigError, RunConfig, main
@@ -26,7 +26,22 @@ FUNCTIONS = st.sampled_from([
 ])
 MAX_EXAMPLES = 60
 WRONG_TYPED = [("omega", ["x", 1.0]), ("kappa_prime", "x"), ("kappa_prime", -1.0),
-               ("omega", [math.nan, 1.0]), ("kappa", math.inf), ("eps0", math.inf)]
+               ("omega", [math.nan, 1.0]), ("kappa", math.inf), ("eps0", math.inf),
+               ("kappa", 10 ** 400), ("n0", 600), ("fit_N", 10 ** 30),
+               ("G", {"kind": "tabulated", "ts": [1, 2], "vals": [1.0, 2.0]})]
+
+
+LADDER = {"omega": [1.0, IRRATIONALS[1]], "kappa": "fit", "G": {"kind": "power", "mu": 2.0},
+          "g": {"kind": "power", "mu": 2.0}, "r0": 0.5, "n0": 0, "eps0": 1e-10,
+          "max_steps": 3, "A": "schrodinger", "E": 6.25,
+          "V": {"v0": 0.0, "modes": [{"m": [1, 1], "c": 1e-14}]}}
+
+
+def each_wrong_typed(test):
+    # the draws need not hit every entry of WRONG_TYPED: each also runs on LADDER
+    for name, value in WRONG_TYPED:
+        test = example(cfg=dict(LADDER, **{name: value}), arith_N=10)(test)
+    return test
 
 
 @st.composite
@@ -73,6 +88,7 @@ def configs(draw):
 @settings(derandomize=True, max_examples=MAX_EXAMPLES, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(cfg=configs(), arith_N=st.integers(1, 200))
+@each_wrong_typed
 def test_cli_ends_with_documented_exit_code(cfg, arith_N):
     try:
         RunConfig.from_obj(cfg)
