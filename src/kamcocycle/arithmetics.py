@@ -54,8 +54,6 @@ class ScanOrderTooLarge(KamFailure):
 class ApproxFn:
     """Positive increasing function on [1, inf) with f(1) >= 1."""
 
-    kind = "abstract"
-
     def value(self, t):
         return np.exp(self.log_value(t))
 
@@ -78,17 +76,9 @@ class ApproxFn:
                 hi = mid
         return math.exp(hi)
 
-    def spec(self) -> dict:
-        raise NotImplementedError
-
-    def __repr__(self):
-        return f"{type(self).__name__}({self.spec()})"
-
 
 class PowerFn(ApproxFn):
     """t -> t^mu."""
-
-    kind = "power"
 
     def __init__(self, mu: float):
         if mu <= 0:
@@ -112,14 +102,9 @@ class PowerFn(ApproxFn):
     def log_inverse(self, logx: float) -> float:
         return max(1.0, math.exp(logx / self.mu))
 
-    def spec(self):
-        return {"kind": "power", "mu": self.mu}
-
 
 class ExpPowFn(ApproxFn):
     """t -> exp(t^alpha), alpha in (0, 1]."""
-
-    kind = "exppow"
 
     def __init__(self, alpha: float):
         if not 0 < alpha <= 1:
@@ -132,9 +117,6 @@ class ExpPowFn(ApproxFn):
     def log_inverse(self, logx: float) -> float:
         return max(1.0, logx ** (1.0 / self.alpha))
 
-    def spec(self):
-        return {"kind": "exppow", "alpha": self.alpha}
-
 
 class ExpLogFn(ApproxFn):
     """t -> exp(t / max(log t, delta)^delta), delta > 1.
@@ -143,8 +125,6 @@ class ExpLogFn(ApproxFn):
     the logarithm at delta keeps the function strictly increasing on [1, inf)
     while matching the asymptotic behaviour.
     """
-
-    kind = "explog"
 
     def __init__(self, delta: float):
         if delta <= 1:
@@ -164,24 +144,18 @@ class ExpLogFn(ApproxFn):
             return logx * self.delta ** self.delta
         return super().log_inverse(logx)
 
-    def spec(self):
-        return {"kind": "explog", "delta": self.delta}
 
+class TabulatedFn:
+    """fit_G's table: the step function t -> vals[i] on [ts[i], ts[i + 1]),
+    constant outside the table, with the minimizing m of each order.
 
-class TabulatedFn(ApproxFn):
-    """Nondecreasing step function on integers, constant outside the table.
-
-    Produced by fit_G; diagnostics only (it is not strictly increasing, so
-    the KAM schedule never consumes it).
+    Not an ApproxFn: it is not strictly increasing, so no schedule, tail
+    integral or ratio test takes it.
     """
 
-    kind = "tabulated"
-
-    def __init__(self, ts, vals, argmins=None):
+    def __init__(self, ts, vals, argmins):
         self.ts = np.asarray(ts, dtype=float)
         self.vals = np.asarray(vals, dtype=float)
-        if np.any(np.diff(self.vals) < 0):
-            raise ValueError("tabulated values must be nondecreasing")
         self.argmins = argmins
 
     def value(self, t):
@@ -189,23 +163,9 @@ class TabulatedFn(ApproxFn):
         idx = np.clip(np.searchsorted(self.ts, t, side="right") - 1, 0, len(self.ts) - 1)
         return self.vals[idx] if t.ndim else float(self.vals[int(idx)])
 
-    def log_value(self, t):
-        return np.log(self.value(t))
-
-    def log_inverse(self, logx: float) -> float:
-        i = np.searchsorted(self.vals, math.exp(logx), side="left")
-        if i >= len(self.ts):
-            return float(self.ts[-1])
-        return float(self.ts[i])
-
-    def spec(self):
-        return {"kind": "tabulated", "ts": self.ts.tolist(), "vals": self.vals.tolist()}
-
 
 class ProductFn(ApproxFn):
     """Pointwise product of two approximation functions (e.g. G*g)."""
-
-    kind = "product"
 
     def __init__(self, f: ApproxFn, g: ApproxFn):
         self.f = f
@@ -214,22 +174,24 @@ class ProductFn(ApproxFn):
     def log_value(self, t):
         return self.f.log_value(t) + self.g.log_value(t)
 
-    def spec(self):
-        return {"kind": "product", "f": self.f.spec(), "g": self.g.spec()}
+
+def _parameter(obj: dict, name: str) -> float:
+    v = obj[name]
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        raise ValueError(f"{name} {v!r} is not a number")
+    return v
 
 
 def approxfn_from_spec(obj: dict) -> ApproxFn:
-    """Parse a config's G or g: power, exppow, explog, or a product of these."""
+    """Parse a config's G or g: power, exppow, explog, or a product of these,
+    each parameter a JSON number (not a boolean)."""
     kind = obj["kind"]
     if kind == "power":
-        return PowerFn(obj["mu"])
+        return PowerFn(_parameter(obj, "mu"))
     if kind == "exppow":
-        return ExpPowFn(obj["alpha"])
+        return ExpPowFn(_parameter(obj, "alpha"))
     if kind == "explog":
-        return ExpLogFn(obj["delta"])
-    if kind == "tabulated":
-        raise ValueError("a tabulated function is not strictly increasing, "
-                         "so no schedule takes it")
+        return ExpLogFn(_parameter(obj, "delta"))
     if kind == "product":
         return ProductFn(approxfn_from_spec(obj["f"]), approxfn_from_spec(obj["g"]))
     raise ValueError(f"unknown approximation function kind: {kind!r}")
@@ -636,11 +598,11 @@ def _log_power_tail(lower: float, s: float) -> float:
 
 
 def tail_integral(f: ApproxFn, lower: float, exponent: float) -> float:
-    """Integral of log f(t) / t^exponent over [lower, inf).
+    """Integral of log f(t) / t^exponent over [lower, inf), in closed form.
 
-    Closed forms for the built-in kinds; the one quadrature piece carries a
-    relative error below 1e-8.  Raises DivergentIntegral when the integral
-    provably diverges.
+    Raises DivergentIntegral when the integral diverges.  An explog tail is
+    evaluated at exponent 2 only: it diverges below 2, and above 2 no
+    caller needs it (ValueError).
     """
     if lower < 1.0:
         raise ValueError("lower limit must be >= 1")
@@ -658,8 +620,6 @@ def tail_integral(f: ApproxFn, lower: float, exponent: float) -> float:
         return lower ** (f.alpha - s + 1.0) / (s - 1.0 - f.alpha)
     if isinstance(f, ExpLogFn):
         return _explog_tail(f.delta, lower, s)
-    if isinstance(f, TabulatedFn):
-        return _tabulated_tail(f, lower, s)
     raise TypeError(f"no tail integral rule for {type(f).__name__}")
 
 
@@ -667,69 +627,38 @@ def _explog_tail(delta: float, lower: float, s: float) -> float:
     if s < 2.0:
         raise DivergentIntegral(
             f"exp(t/log^{delta} t) tail with exponent {s} < 2 diverges")
+    if s > 2.0:
+        raise ValueError("an explog tail is evaluated at exponent 2 only")
     T = math.exp(delta)
     total = 0.0
     a = lower
     if a < T:
         # linear region: log f = t / delta^delta
-        if s == 2.0:
-            total += math.log(T / a) / delta ** delta
-        else:
-            total += (a ** (2.0 - s) - T ** (2.0 - s)) / ((s - 2.0) * delta ** delta)
+        total += math.log(T / a) / delta ** delta
         a = T
-    if s == 2.0:
-        total += math.log(a) ** (1.0 - delta) / (delta - 1.0)
-        return total
-    # the only use of scipy, imported here because no CLI command reaches it
-    from scipy import integrate
-
-    # substitute u = log t: integral of e^{(2-s)u} / u^delta over [log a, inf)
-    val, err = integrate.quad(
-        lambda u: math.exp((2.0 - s) * u) * u ** (-delta),
-        math.log(a), np.inf, epsabs=0.0, epsrel=1e-11, limit=200)
-    if val > 0 and err > 1e-8 * val:
-        raise KamFailure("quadrature error above the certified bound")
-    return total + val
-
-
-def _tabulated_tail(f: TabulatedFn, lower: float, s: float) -> float:
-    def seg(a: float, b: float) -> float:
-        return (a ** (1.0 - s) - b ** (1.0 - s)) / (s - 1.0)
-
-    total = 0.0
-    ts, vals = f.ts, f.vals
-    edges = np.concatenate([ts, [math.inf]])
-    for i in range(len(ts)):
-        a = max(lower, float(edges[i]))
-        b = float(edges[i + 1])
-        if b <= lower:
-            continue
-        logv = math.log(vals[i])
-        if math.isinf(b):
-            total += logv * a ** (1.0 - s) / (s - 1.0)
-        else:
-            total += logv * seg(a, b)
-    if lower < ts[0]:
-        total += math.log(vals[0]) * seg(lower, float(ts[0]))
-    return total
+    return total + math.log(a) ** (1.0 - delta) / (delta - 1.0)
 
 
 # ---------------------------------------------------------------------------
 # boundedness of g(t^2)/G(t)
 # ---------------------------------------------------------------------------
 
-def ratio_bounded(g: ApproxFn, G: ApproxFn, t_min: float = 1.0,
-                  t_max: float = 1e6, samples: int = 512) -> tuple[bool, float]:
+# the sampled range [t_min, RATIO_T_MAX] of ratio_bounded's estimate
+RATIO_T_MAX = 1e6
+RATIO_SAMPLES = 512
+
+
+def ratio_bounded(g: ApproxFn, G: ApproxFn, t_min: float = 1.0) -> tuple[bool, float]:
     """Decide whether t -> g(t^2)/G(t) is bounded on [t_min, inf).
 
     Built-in kind pairs are decided analytically; the returned estimate is
-    the supremum over log-spaced samples of [t_min, t_max] (inf when the
-    sampled log-ratio overflows).
+    the supremum over RATIO_SAMPLES log-spaced samples of [t_min,
+    RATIO_T_MAX] (inf when the sampled log-ratio overflows).
     """
-    if not 1.0 <= t_min < t_max:
-        raise ValueError("need 1 <= t_min < t_max")
+    if not 1.0 <= t_min < RATIO_T_MAX:
+        raise ValueError("need 1 <= t_min < RATIO_T_MAX")
     bounded = _ratio_bounded_decision(g, G)
-    ts = np.exp(np.linspace(math.log(t_min), math.log(t_max), samples))
+    ts = np.exp(np.linspace(math.log(t_min), math.log(RATIO_T_MAX), RATIO_SAMPLES))
     log_ratio = np.asarray(g.log_value(ts * ts), dtype=float) - np.asarray(
         G.log_value(ts), dtype=float)
     peak = float(np.max(log_ratio))
@@ -738,10 +667,6 @@ def ratio_bounded(g: ApproxFn, G: ApproxFn, t_min: float = 1.0,
 
 
 def _ratio_bounded_decision(g: ApproxFn, G: ApproxFn) -> bool:
-    if isinstance(g, TabulatedFn):
-        return True
-    if isinstance(G, TabulatedFn):
-        return False
     if isinstance(g, PowerFn):
         if isinstance(G, PowerFn):
             return 2.0 * g.mu <= G.mu

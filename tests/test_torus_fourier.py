@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 from kamcocycle import torus_fourier
 from kamcocycle.errors import KamFailure
 from kamcocycle.torus_fourier import (
-    PRUNE_TOL,
     TorusMap,
     exp_series_tail,
     mode_modulus,
@@ -70,6 +69,28 @@ def test_weighted_norm_cosine_mode():
 
 def test_weighted_norm_empty():
     assert TorusMap.zero(3).weighted_norm(0.5) == 0.0
+
+
+def test_op_norms_exact_for_tiny_blocks():
+    # the squares of entries below about 1e-77 leave the normal range; the
+    # norm of [[0, c], [0, 0]] is c at every scale, subnormal c included
+    for c in (1e-100, 1e-160, 1e-300, 5e-324):
+        assert op_norm_2x2(np.array([[0.0, c], [0.0, 0.0]])) == c
+
+
+def test_op_norms_match_svd_at_tiny_scale():
+    rng = np.random.default_rng(7)
+    B = rng.standard_normal((64, 2, 2)) + 1j * rng.standard_normal((64, 2, 2))
+    tiny = np.ldexp(B.real, -600) + 1j * np.ldexp(B.imag, -600)
+    want = np.linalg.norm(B, ord=2, axis=(1, 2))  # scaling by 2^-600 is exact
+    np.testing.assert_allclose(np.ldexp(torus_fourier.op_norms(tiny), 600), want,
+                               rtol=1e-14)
+
+
+def test_weighted_norm_exact_at_tiny_scale():
+    # the norm is exact; exp(log(norm)) in the weighting rounds at about 3e-14
+    F = single_mode((2, 0), np.array([[0.0, 1e-100], [0.0, 0.0]]))
+    assert F.weighted_norm(0.0) == pytest.approx(1e-100, rel=1e-13, abs=0.0)
 
 
 def test_modulus_convention():
@@ -167,8 +188,10 @@ def modes_of(F):
 
 
 def pruned(modes):
+    # a block is dropped when its sum of squared moduli underflows to at
+    # most the smallest subnormal
     return {k: c for k, c in modes.items()
-            if torus_fourier.op_norm_2x2(c) >= PRUNE_TOL}
+            if sum(abs(x) ** 2 for x in np.ravel(c)) > 5e-324}
 
 
 def assert_mul_matches_oracle(a, b):
@@ -276,7 +299,7 @@ def test_mul_several_passes_matches_dict_oracle(support, monkeypatch, unique_cal
 
 def test_mul_prunes_cancelled_modes():
     # (I + P e_1)(I - P e_1) = I - P^2 e_2: the e_1 terms cancel exactly, and
-    # e_2 vanishes too since P^2 = 0; a 1e-301 mode stays below PRUNE_TOL
+    # e_2 vanishes too since P^2 = 0; the squares of a 1e-301 mode underflow
     P = np.array([[0.0, 1.0], [0.0, 0.0]])
     a = TorusMap(1, [[0], [2], [40]], [np.eye(2), P, 1e-301 * np.eye(2)])
     b = TorusMap(1, [[0], [2]], [np.eye(2), -P])
