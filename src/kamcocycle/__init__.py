@@ -7,7 +7,7 @@ Brjuno-Russmann type; every step emits machine-checkable residuals.
 """
 
 from .errors import KamFailure
-from .torus_fourier import TorusMap, mode_modulus
+from .torus_fourier import TorusMap
 from .sl2_algebra import EigenData, eigen, lm_inverse, lm_dense_solve, operator_bound_check
 from .arithmetics import (
     ApproxFn,

@@ -252,7 +252,7 @@ def build_schrodinger(E: float, v0: float, modes: list, d: int):
         hk = tuple(2 * int(x) for x in m)
         entries.append((hk, M))
         entries.append((tuple(-v for v in hk), M))
-    F = TorusMap.from_modes(d, entries, reality=True) if entries else TorusMap.zero(d)
+    F = TorusMap.from_modes(d, entries, reality=True)
     return A, F
 
 

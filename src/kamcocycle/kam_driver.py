@@ -36,7 +36,7 @@ from .kam_step import (
     step_resonant,
 )
 from .sl2_algebra import CERT_SLACK, eigen, resonance_shift, shifted_alpha
-from .torus_fourier import DEFAULT_MODE_CAP, TorusMap
+from .torus_fourier import TorusMap
 
 LOG_EPS_FLOOR = math.log(1e-300)
 STEP_RESIDUAL_TOL = 1e-10  # per-step share of the global residual budget
@@ -319,7 +319,7 @@ def run(A, F: TorusMap, omega, schedule: KamSchedule, max_steps: int = 200,
                 rotation_sum += resonance_shift(rep.m, omega)
             item2_ok = item2_holds(schedule, alpha_n, rep.m, omega, N_n) if out.resonant else None
             item6_ok = item6_holds(schedule, records[-1], alpha_n, omega) if records else None
-            Z = Z.mul(out.Z_step).cap_support(DEFAULT_MODE_CAP, out.r_next)
+            Z = Z.mul(out.Z_step).cap_support(out.r_next)
             records.append(StepRecord(
                 n=n, r_n=r_n, N_n=N_n, eps_bound=eps_n, f_norm=f_norm,
                 resonant=out.resonant, m=out.m if out.m is not None else (0,) * d,

@@ -34,9 +34,7 @@ from .sl2_algebra import (
     lm_solve,
     shifted_alpha,
 )
-from .torus_fourier import DEFAULT_MODE_CAP, TorusMap, exp_series_tail, project_traceless
-
-EXP_TOL = 1e-30  # certified tail of the exp(+-X) series
+from .torus_fourier import TorusMap, exp_series_tail, project_traceless
 
 
 class MultipleResonances(KamFailure):
@@ -82,7 +80,6 @@ class StepOutput:
     m: tuple | None
     residual_norm: float
     contraction_observed: float
-    alpha: complex
     alpha_next: complex
     x_norm: float
     preconditions: dict = field(default_factory=dict)
@@ -131,7 +128,7 @@ def find_resonance(alpha: complex, omega, kappa: float, G: ApproxFn, g: ApproxFn
     return ResonanceReport(m=m0, alpha_shifted=shifted, margin=s0)
 
 
-def eliminate_resonance(A, m, omega, tol_defect: float = 1e-12):
+def eliminate_resonance(A, m, omega):
     """Remove the resonance at m from the constant part A.
 
     Returns (Phi, Atilde, Phi_inv) with Phi supported on the half lattice at
@@ -144,7 +141,7 @@ def eliminate_resonance(A, m, omega, tol_defect: float = 1e-12):
     m = np.asarray(m, dtype=np.int64)
     if not m.any():
         raise ValueError("resonance index m must be nonzero")
-    ed = eigen(A, tol_defect=tol_defect)
+    ed = eigen(A)
     if ed.defective:
         raise DefectiveConstantPart(
             "constant part is near-nilpotent; treat as non-resonant with alpha = 0")
@@ -164,8 +161,7 @@ def eliminate_resonance(A, m, omega, tol_defect: float = 1e-12):
 
 
 def solve_homological(Atilde, F: TorusMap, N: int, omega, kappa: float,
-                      G: ApproxFn, g: ApproxFn, a_prime: float, r_prime: float,
-                      alpha: complex | None = None) -> TorusMap:
+                      G: ApproxFn, g: ApproxFn, a_prime: float, r_prime: float) -> TorusMap:
     """Solve d_omega X = [Atilde, X] + a' F^N - a' F^(0) with X^(0) = 0.
 
     Mode by mode X^(m) = L_m^{-1}(a' F^(m)) for 0 < |m| <= N.  The certified
@@ -179,9 +175,8 @@ def solve_homological(Atilde, F: TorusMap, N: int, omega, kappa: float,
     FN = F.truncate(N)
     nonzero = FN.half_k.any(axis=1)
     hk = FN.half_k[nonzero]
-    X = TorusMap(F.d, hk, lm_solve(hk // 2, omega, B, a_prime * FN.coeffs[nonzero],
-                                   alpha=alpha),
-                 reality=F.reality and _is_real_matrix(B))
+    X = TorusMap(F.d, hk, lm_solve(hk // 2, omega, B, a_prime * FN.coeffs[nonzero]),
+                 reality=F.reality and not B.imag.any())
     x_norm = X.weighted_norm(r_prime)
     bound = 4.0 * a_prime * float(G.value(N)) * float(g.value(N)) \
         * FN.weighted_norm(r_prime) / kappa
@@ -191,32 +186,26 @@ def solve_homological(Atilde, F: TorusMap, N: int, omega, kappa: float,
     return X
 
 
-def _is_real_matrix(B: np.ndarray, tol: float = 0.0) -> bool:
-    return float(np.abs(B.imag).max()) <= tol
-
-
-def _realify(M: np.ndarray, what: str, tol: float = 1e-9) -> np.ndarray:
+def _realify(M: np.ndarray, what: str) -> np.ndarray:
     M = np.asarray(M)
     scale = 1.0 + float(np.abs(M).max())
     defect = float(np.abs(M.imag).max()) if np.iscomplexobj(M) else 0.0
-    if defect > tol * scale:
+    if defect > 1e-9 * scale:
         raise KamFailure(
             f"{what} has imaginary residue {defect:.3e}; the reduction left sl(2,R)")
     return np.ascontiguousarray(M.real, dtype=float)
 
 
-def _conjugate(A, alpha: complex, F: TorusMap, N: int, a_prime: float,
-               r_prime: float, ctx: StepContext):
+def _conjugate(A, F: TorusMap, N: int, a_prime: float, r_prime: float,
+               ctx: StepContext):
     """Conjugate A + F by Z = exp(X), the core of both steps.
 
     X solves the homological equation at a' (its size bound asserted),
     A' = A + a' F^(0), and F' is defined by the conjugation identity.
     Returns (A', F', Z, |X|_{r'}).
     """
-    X = solve_homological(A, F, N, ctx.omega, ctx.kappa, ctx.G, ctx.g,
-                          a_prime, r_prime, alpha=alpha)
-    P, _ = exp_series_tail(X, r_prime, EXP_TOL)
-    Q, _ = exp_series_tail(X.scale(-1.0), r_prime, EXP_TOL)
+    X = solve_homological(A, F, N, ctx.omega, ctx.kappa, ctx.G, ctx.g, a_prime, r_prime)
+    P, Q, _ = exp_series_tail(X, r_prime)
 
     F0 = F.coeff(np.zeros(F.d, dtype=np.int64))
     A_next = project_traceless(_realify(A + a_prime * F0, "A'"))
@@ -236,8 +225,8 @@ def _conjugate(A, alpha: complex, F: TorusMap, N: int, a_prime: float,
     F_next = F_next.trace_projected()
     if F.reality:
         F_next = F_next.realified()
-    F_next = F_next.cap_support(DEFAULT_MODE_CAP, r_prime)
-    Z = TorusMap.identity(d).add(P).cap_support(DEFAULT_MODE_CAP, r_prime)
+    F_next = F_next.cap_support(r_prime)
+    Z = TorusMap.identity(d).add(P).cap_support(r_prime)
     return A_next, F_next, Z, X.weighted_norm(r_prime)
 
 
@@ -264,7 +253,6 @@ def step_nonresonant(A, F: TorusMap, r: float, r_prime: float, N: int,
     eps = F.weighted_norm(r)
     if not 0.0 < r_prime <= r:
         raise PreconditionFailure(["strip"], {"r": r, "r_prime": r_prime})
-    alpha = eigen(A).alpha
     if resonance.m is not None:
         raise PreconditionFailure(
             ["nonresonant"], {"m": resonance.m, "margin": resonance.margin})
@@ -278,7 +266,7 @@ def step_nonresonant(A, F: TorusMap, r: float, r_prime: float, N: int,
         pre["N_gap"] = (lhs_gap <= 1.0 - a_prime, lhs_gap, 1.0 - a_prime)
     failed = [k for k, v in pre.items() if not v[0]]
 
-    A_next, F_next, Z_step, x_norm = _conjugate(A, alpha, F, N, a_prime, r_prime, ctx)
+    A_next, F_next, Z_step, x_norm = _conjugate(A, F, N, a_prime, r_prime, ctx)
     residual = conjugation_residual(A, F, Z_step, A_next, F_next, ctx.omega, r_prime)
     contraction = F_next.weighted_norm(r_prime) / eps if eps > 0 else 0.0
     if a_prime < 1.0 and not failed and eps > 0:
@@ -289,7 +277,7 @@ def step_nonresonant(A, F: TorusMap, r: float, r_prime: float, N: int,
     return StepOutput(
         A_next=A_next, F_next=F_next, Z_step=Z_step, r_next=r_prime,
         resonant=False, m=None, residual_norm=residual,
-        contraction_observed=contraction, alpha=alpha,
+        contraction_observed=contraction,
         alpha_next=eigen(A_next).alpha, x_norm=x_norm,
         preconditions=pre,
     )
@@ -310,7 +298,6 @@ def step_resonant(A, F: TorusMap, r: float, N: int, a: float, c0: float,
     """
     A = np.asarray(A, dtype=float)
     eps = F.weighted_norm(r)
-    alpha = eigen(A).alpha
     if resonance.m is None:
         raise PreconditionFailure(["resonant"], {"margin": resonance.margin})
     m = resonance.m
@@ -339,9 +326,8 @@ def step_resonant(A, F: TorusMap, r: float, N: int, a: float, c0: float,
         raise KamFailure("conjugated perturbation left the integer lattice")
     if F.reality:
         F_t = F_t.realified()
-    A_next, F_next, Z_x, x_norm = _conjugate(
-        Atilde, eigen(Atilde).alpha, F_t, N, 1.0, r_prime, ctx)
-    Z_step = Phi.mul(Z_x).cap_support(DEFAULT_MODE_CAP, r_prime)
+    A_next, F_next, Z_x, x_norm = _conjugate(Atilde, F_t, N, 1.0, r_prime, ctx)
+    Z_step = Phi.mul(Z_x).cap_support(r_prime)
 
     residual = conjugation_residual(A, F, Z_step, A_next, F_next, ctx.omega, r_prime)
     contraction = F_next.weighted_norm(r_prime) / eps if eps > 0 else 0.0
@@ -351,7 +337,7 @@ def step_resonant(A, F: TorusMap, r: float, N: int, a: float, c0: float,
     return StepOutput(
         A_next=A_next, F_next=F_next, Z_step=Z_step, r_next=r_prime,
         resonant=True, m=m, residual_norm=residual,
-        contraction_observed=contraction, alpha=alpha,
+        contraction_observed=contraction,
         alpha_next=eigen(A_next).alpha, x_norm=x_norm,
         preconditions=pre,
     )

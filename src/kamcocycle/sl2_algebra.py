@@ -35,13 +35,16 @@ class DefectiveConstantPart(KamFailure):
 
 SPECTRUM_FLOOR = 1e-300
 CERT_SLACK = 1.0 + 1e-9  # relative rounding allowance of every certified inequality
+# |alpha| below DEFECT_TOL (1 + ||A||) flags A as defective; a constant part
+# with ||A|| below it is treated as zero by the mode solve
+DEFECT_TOL = 1e-12
 
 
-def check_sl2(A, tol: float = 1e-12) -> np.ndarray:
+def check_sl2(A) -> np.ndarray:
     A = np.asarray(A, dtype=float)
     if A.shape != (2, 2):
         raise ValueError("expected a 2x2 matrix")
-    if abs(A[0, 0] + A[1, 1]) >= tol * (1.0 + op_norm_2x2(A)):
+    if abs(A[0, 0] + A[1, 1]) >= 1e-12 * (1.0 + op_norm_2x2(A)):
         raise ValueError(f"matrix is not trace-free: trace={A[0, 0] + A[1, 1]:.3e}")
     return A
 
@@ -69,16 +72,16 @@ class EigenData:
     defective: bool
 
 
-def eigen(A, tol_defect: float = 1e-12) -> EigenData:
+def eigen(A) -> EigenData:
     """Eigen-decomposition A = P diag(alpha, -alpha) P^{-1}, ||P|| = 1.
 
-    The defective flag is raised when |alpha| < tol_defect * (1 + ||A||);
+    The defective flag is raised when |alpha| < DEFECT_TOL * (1 + ||A||);
     in that case P is the identity and the caller must not diagonalize.
     """
     A = np.asarray(A, dtype=complex)
     alpha = alpha_of(A)
     norm_a = op_norm_2x2(A)
-    if abs(alpha) < tol_defect * (1.0 + norm_a):
+    if abs(alpha) < DEFECT_TOL * (1.0 + norm_a):
         return EigenData(alpha=alpha, P=np.eye(2, dtype=complex),
                          P_inv=np.eye(2, dtype=complex), defective=True)
     a, b = A[0, 0], A[0, 1]
@@ -140,8 +143,7 @@ def lm_dense_solve(m, omega, Atilde, rhs) -> np.ndarray:
     return project_traceless(sol.reshape(2, 2))
 
 
-def lm_solve(ms, omega, Atilde, rhs, alpha: complex | None = None,
-             tol_defect: float = 1e-12) -> np.ndarray:
+def lm_solve(ms, omega, Atilde, rhs) -> np.ndarray:
     """Solve 2*i*pi*<m,omega> M - [Atilde, M] = rhs for trace-zero M, per mode.
 
     ms is an (n, d) stack of modes and rhs the (n, 2, 2) stack of right-hand
@@ -154,17 +156,15 @@ def lm_solve(ms, omega, Atilde, rhs, alpha: complex | None = None,
     omega = np.asarray(omega, dtype=float)
     ms = np.asarray(ms).reshape(-1, omega.size)
     rhs = np.asarray(rhs, dtype=complex).reshape(-1, 2, 2)
-    if alpha is None:
-        alpha = alpha_of(B)
-    spectrum = lm_spectrum(ms, omega, alpha)
+    ed = eigen(B)
+    spectrum = lm_spectrum(ms, omega, ed.alpha)
     singular = np.flatnonzero(np.abs(spectrum).min(axis=0) < SPECTRUM_FLOOR)
     if singular.size:
         raise SingularOperator(f"spectrum element below {SPECTRUM_FLOOR:g} "
                                f"for m={tuple(ms[singular[0]].tolist())}")
     dm, dm_minus, dm_plus = spectrum
-    if op_norm_2x2(B) < tol_defect:
+    if op_norm_2x2(B) < DEFECT_TOL:
         return project_traceless(rhs / dm[:, None, None])
-    ed = eigen(B, tol_defect=tol_defect)
     if ed.defective:
         return np.array([lm_dense_solve(m, omega, B, r) for m, r in zip(ms, rhs)],
                         dtype=complex).reshape(-1, 2, 2)
@@ -177,11 +177,10 @@ def lm_solve(ms, omega, Atilde, rhs, alpha: complex | None = None,
     return project_traceless(ed.P @ Mp @ ed.P_inv)
 
 
-def lm_inverse(m, omega, Atilde, rhs, alpha: complex | None = None,
-               tol_defect: float = 1e-12) -> np.ndarray:
+def lm_inverse(m, omega, Atilde, rhs) -> np.ndarray:
     """Solve 2*i*pi*<m,omega> M - [Atilde, M] = rhs for one mode m: lm_solve
     on a batch of one."""
-    return lm_solve(m, omega, Atilde, rhs, alpha=alpha, tol_defect=tol_defect)[0]
+    return lm_solve(m, omega, Atilde, rhs)[0]
 
 
 def operator_bound_check(m, omega, Atilde, kappa: float, G, g, N: int) -> float:

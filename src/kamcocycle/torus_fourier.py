@@ -35,6 +35,7 @@ TWO_PI = 2.0 * math.pi
 # of two before its norm is taken: its squares would leave the normal range
 TINY_FROB2 = 2.0 ** -500
 DEFAULT_MODE_CAP = 4096
+EXP_TOL = 1e-30  # certified tail of the exp(+-X) series
 MUL_CHUNK = 1 << 22  # block products per convolution pass
 BLOCK = 1 << 13  # block products per cache-sized block of a pass
 BOX_FILL = 8  # dense box cells allowed per block product
@@ -111,12 +112,6 @@ def project_traceless(M: np.ndarray) -> np.ndarray:
     return out
 
 
-def mode_modulus(half_k) -> float:
-    """l1 modulus of a frequency index: sum(|half_k_i|) / 2."""
-    hk = np.asarray(half_k, dtype=np.int64)
-    return float(np.abs(hk).sum() / 2.0)
-
-
 class TorusMap:
     """Immutable finitely supported Fourier series, coefficients in C^{2x2}."""
 
@@ -163,8 +158,6 @@ class TorusMap:
     @classmethod
     def from_modes(cls, d, modes, *, reality=False) -> "TorusMap":
         """Build from an iterable of (half_k tuple, 2x2 matrix) pairs."""
-        if not modes:
-            return cls.zero(d)
         hk = np.array([m[0] for m in modes], dtype=np.int64)
         cf = np.array([m[1] for m in modes], dtype=np.complex128)
         return cls(d, hk, cf, reality=reality)
@@ -244,21 +237,21 @@ class TorusMap:
                         reality=self.reality,
                         truncation_debt=self.truncation_debt, _keys=self._keys[keep])
 
-    def cap_support(self, max_modes: int = DEFAULT_MODE_CAP, r: float = 0.0) -> "TorusMap":
-        """Drop the smallest-weighted coefficients beyond max_modes.
+    def cap_support(self, r: float) -> "TorusMap":
+        """Drop the smallest-weighted coefficients beyond DEFAULT_MODE_CAP.
 
         The exact weighted-norm mass removed (measured at strip half-width r,
         which also bounds the loss at any smaller r) is added to
         truncation_debt.  Conjugate pairs are dropped together when the map
         is flagged real.
         """
-        if self.n_modes <= max_modes:
+        if self.n_modes <= DEFAULT_MODE_CAP:
             return self
         norms = op_norms(self.coeffs)
         weights = np.exp(np.log(norms) + TWO_PI * self.modulus() * r)
         order = np.argsort(weights, kind="stable")[::-1]
         keep_mask = np.zeros(self.n_modes, dtype=bool)
-        keep_mask[order[:max_modes]] = True
+        keep_mask[order[:DEFAULT_MODE_CAP]] = True
         if self.reality:
             neg_keys = _pack(-self.half_k)
             idx = np.searchsorted(self._keys, neg_keys)
@@ -505,36 +498,44 @@ def _prune(half_k, coeffs, keys):
     """Drop the blocks whose frob2 underflows to 0 or to the smallest
     subnormal 2^-1074, about every block with all entries below 1e-162.
 
-    The dropped mass is not booked as truncation debt.
+    The dropped mass is not booked as truncation debt.  A NaN or infinite
+    entry raises KamFailure: its block has no norm to weigh or book.
     """
     if half_k.shape[0] == 0:
         return half_k, coeffs, keys
+    if not np.isfinite(coeffs).all():
+        raise KamFailure("non-finite Fourier coefficient")
     keep = _frob2(coeffs) > 2.0 ** -1074
     if keep.all():
         return half_k, coeffs, keys
     return half_k[keep], coeffs[keep], keys[keep]
 
 
-def exp_series_tail(X: TorusMap, r: float, tol: float = 1e-30) -> tuple[TorusMap, float]:
-    """P with exp(X) = I + P, summed to a certified tail bound below tol.
+def exp_series_tail(X: TorusMap, r: float) -> tuple[TorusMap, TorusMap, float]:
+    """P and Q with exp(X) = I + P and exp(-X) = I + Q, summed to a
+    certified tail bound below EXP_TOL.
 
-    Keeping the identity part implicit lets callers combine P with other
-    small terms without the cancellation that adding I would force.
-    Requires |X|_r <= 1.
+    Both series share the powers X^k / k!: a term of exp(-X) is the term of
+    exp(X) negated for odd k, which is what multiplying by -X would give,
+    since negation commutes with rounding (a zero may change sign).  Keeping
+    the identity part implicit lets callers combine P and Q with other small
+    terms without the cancellation that adding I would force.  Requires
+    |X|_r <= 1.
     """
     nx = X.weighted_norm(r)
     if nx > 1.0:
         raise KamFailure(f"|X|_r = {nx:.3e} > 1, outside the certified regime")
     if X.n_modes == 0:
-        return TorusMap.zero(X.d), 0.0
-    acc = X
-    term = X
+        return TorusMap.zero(X.d), TorusMap.zero(X.d), 0.0
+    P = term = X
+    Q = X.scale(-1.0)
     k = 1
     while True:
         tail = nx ** (k + 1) / math.factorial(k + 1) * math.exp(nx)
-        if tail < tol or k >= 80:
+        if tail < EXP_TOL or k >= 80:
             break
         k += 1
         term = term.mul(X).scale(1.0 / k)
-        acc = acc.add(term)
-    return acc, tail
+        P = P.add(term)
+        Q = Q.add(term if k % 2 == 0 else term.scale(-1.0))
+    return P, Q, tail

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import kamcocycle
-from kamcocycle import cli, kam_driver
+from kamcocycle import cli, kam_driver, kam_step
 from kamcocycle.cli import ConfigError, InputError, RunConfig, build_schrodinger, main
 from kamcocycle.errors import KamFailure
 from kamcocycle.kam_step import PreconditionFailure
@@ -442,6 +442,23 @@ def test_every_failure_exits_3_with_certificate(tmp_path, capsys, monkeypatch, c
     assert cert["status"] == "PreconditionFailure"
     assert cert["status_detail"] == f"{cls.__name__} at step 1: {exc}"
     assert "Traceback" not in capsys.readouterr().err
+
+
+def test_non_finite_coefficient_exits_3_with_certificate(tmp_path, monkeypatch):
+    # a NaN that the mode solve hands back fails the step that made it
+    real = kam_step.lm_solve
+
+    def lm_solve(*args, **kwargs):
+        out = real(*args, **kwargs)
+        out[:, 0, 1] = math.nan
+        return out
+
+    monkeypatch.setattr(kam_step, "lm_solve", lm_solve)
+    path = write_config(tmp_path, base_config())
+    assert main(["run", "--config", str(path)]) == 3
+    cert = json.loads((tmp_path / "certificate.json").read_text())
+    assert cert["status"] == "PreconditionFailure"
+    assert cert["status_detail"] == "KamFailure at step 0: non-finite Fourier coefficient"
 
 
 def test_internal_error_exits_4(tmp_path, capsys, monkeypatch):

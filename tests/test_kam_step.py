@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from kamcocycle import kam_step, sl2_algebra
 from kamcocycle.arithmetics import PowerFn, check_nr_alpha, l1_ball
 from kamcocycle.kam_step import (
     MultipleResonances,
@@ -250,6 +251,24 @@ def test_step_nonresonant_contraction_and_residual():
     assert out.F_next.is_real()
 
 
+def test_step_nonresonant_decomposes_twice(monkeypatch):
+    # one eigendecomposition serves the mode solve, one gives alpha of A'
+    ctx = make_ctx()
+    A = rotation_like(0.77)
+    F = small_real_map(eps=1e-9, seed=5)
+    report = resonance_of(A, 5, ctx)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return eigen(*args, **kwargs)
+
+    monkeypatch.setattr(kam_step, "eigen", counted)
+    monkeypatch.setattr(sl2_algebra, "eigen", counted)
+    step_nonresonant(A, F, 0.5, 0.33, 5, 1.0 - 1.0 / 200.0, ctx, report)
+    assert len(calls) == 2
+
+
 # -- resonant step ------------------------------------------------------------
 
 def test_step_resonant_exact_resonance_no_perturbation():
@@ -344,7 +363,7 @@ def test_step_nonresonant_defective_constant_part():
     out = step_nonresonant(A, F, 0.5, 0.33, 5, 1.0 - 1.0 / 200, ctx, resonance_of(A, 5, ctx))
     assert out.residual_norm <= 1e-10 * (1 + F.weighted_norm(0.5))
     assert out.contraction_observed <= math.sqrt(1.0 / 200)
-    assert abs(out.alpha) < 1e-10
+    assert abs(eigen(A).alpha) < 1e-10
 
 
 def test_phi_norm_within_recorded_bound():
@@ -383,8 +402,7 @@ def test_f_next_matches_series_expansion():
 
         from kamcocycle.kam_step import solve_homological
         X = solve_homological(A, F, N, GOLDEN, ctx.kappa, G2, G2, a_prime, r_prime)
-        P, _ = exp_series_tail(X, r_prime, 1e-30)
-        Q, _ = exp_series_tail(X.scale(-1.0), r_prime, 1e-30)
+        P, Q, _ = exp_series_tail(X, r_prime)
         I = TorusMap.identity(2)
         eXm = I + Q
         FN = F.truncate(N)

@@ -180,7 +180,7 @@ def test_lm_solve_zero_matrix_batch():
     ms = np.array([[0, 1], [1, 0], [-2, 3]])
     rhs = np.array([[[0.5, -1.0], [2.0, -0.5]], [[1.0, 0.0], [0.0, -1.0]],
                     [[0.0, 1j], [3.0, 0.0]]])
-    out = lm_solve(ms, GOLDEN, np.diag([1e-13, -1e-13]), rhs)  # below tol_defect
+    out = lm_solve(ms, GOLDEN, np.diag([1e-13, -1e-13]), rhs)  # below DEFECT_TOL
     d_m = 2j * np.pi * (ms @ GOLDEN)
     np.testing.assert_allclose(out, rhs / d_m[:, None, None], atol=1e-15)
 

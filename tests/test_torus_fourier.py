@@ -10,7 +10,6 @@ from kamcocycle.errors import KamFailure
 from kamcocycle.torus_fourier import (
     TorusMap,
     exp_series_tail,
-    mode_modulus,
     op_norm_2x2,
 )
 
@@ -21,9 +20,9 @@ def single_mode(half_k, M):
     return TorusMap.from_modes(len(half_k), [(tuple(half_k), M)])
 
 
-def exp_map(X, r, tol=1e-30):
+def exp_map(X, r):
     """exp(X) = I + P with the certified tail bound of the series P."""
-    P, tail = exp_series_tail(X, r, tol)
+    P, _, tail = exp_series_tail(X, r)
     return TorusMap.identity(X.d).add(P), tail
 
 
@@ -94,10 +93,9 @@ def test_weighted_norm_exact_at_tiny_scale():
 
 
 def test_modulus_convention():
-    assert mode_modulus((2, -4)) == 3.0
-    assert mode_modulus((1, 1)) == 1.0  # genuine half modes
     F = single_mode((2, -4), np.eye(2))
     assert F.modulus()[0] == 3.0
+    assert single_mode((1, 1), np.eye(2)).modulus()[0] == 1.0  # genuine half modes
     assert F.lattice == "integer"
     assert single_mode((1, 0), np.eye(2)).lattice == "half"
 
@@ -311,6 +309,21 @@ def test_mul_prunes_cancelled_modes():
     assert_mul_matches_oracle(tiny, tiny)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan), complex(0.0, np.inf)])
+def test_non_finite_coefficient_raises(bad):
+    # a NaN or infinite block has no norm to weigh, drop or book as debt
+    with pytest.raises(KamFailure, match="non-finite"):
+        TorusMap(2, [[0, 0], [2, 0]], [[[bad, 0], [0, 1]], np.eye(2)])
+
+
+def test_non_finite_product_raises():
+    # the square of 1e200 overflows to inf
+    with np.errstate(over="ignore"):
+        big = TorusMap.constant(np.array([[1e200, 0.0], [0.0, 0.0]]), 2)
+        with pytest.raises(KamFailure, match="non-finite"):
+            big.mul(big)
+
+
 def test_mul_debt_needs_norms_only_when_a_debt_is_nonzero(monkeypatch):
     rng = np.random.default_rng(43)
     a = random_map(n_modes=8, rng=rng)
@@ -361,7 +374,7 @@ def test_exp_zero_and_nilpotent():
     assert Z.n_modes == 1 and tail == 0.0
     np.testing.assert_allclose(Z.coeffs[0], np.eye(2))
     X = TorusMap.constant(np.array([[0.0, 0.3], [0.0, 0.0]]), 1)
-    E, _ = exp_map(X, r=0.2, tol=1e-30)
+    E, _ = exp_map(X, r=0.2)
     np.testing.assert_allclose(E.coeffs[0], np.eye(2) + X.coeffs[0], atol=1e-16)
 
 
@@ -370,10 +383,26 @@ def test_exp_inverse_property():
     for _ in range(20):
         X = random_map(n_modes=4, scale=2e-3, rng=rng, max_k=1)
         r = 0.2
-        E, _ = exp_map(X, r, tol=1e-26)
-        Em, _ = exp_map(X.scale(-1.0), r, tol=1e-26)
-        resid = E.mul(Em) - TorusMap.identity(2)
+        P, Q, _ = exp_series_tail(X, r)
+        I = TorusMap.identity(2)
+        resid = (I + P).mul(I + Q) - I
         assert resid.weighted_norm(r) < 1e-12
+
+
+def test_exp_of_minus_x_is_the_series_of_minus_x():
+    # exp(-X) - I summed from the powers of X is the series of -X bit for
+    # bit, and stops at the same order.  (A zero's sign can differ where the
+    # supports of the partial sum and of a term never overlap; here they do.)
+    rng = np.random.default_rng(77)
+    for X in (random_map(n_modes=6, scale=1e-4, rng=rng),
+              random_map(n_modes=6, scale=1e-4, real=False, rng=rng),
+              TorusMap.constant(np.array([[0.0, 0.3], [0.0, 0.0]]), 1)):  # nilpotent
+        _, Q, tail = exp_series_tail(X, 0.2)
+        P_minus, _, tail_minus = exp_series_tail(X.scale(-1.0), 0.2)
+        assert tail == tail_minus
+        assert Q.half_k.tobytes() == P_minus.half_k.tobytes()
+        assert Q.coeffs.tobytes() == P_minus.coeffs.tobytes()
+        assert Q.reality == P_minus.reality
 
 
 def test_exp_rejects_large_norm():
@@ -433,12 +462,16 @@ def test_reality_preserved_by_ops():
     assert E.reality and E.is_real()
 
 
-def test_cap_support_tracks_debt():
+def test_cap_support_tracks_debt(monkeypatch):
+    # the cap is read from the module at each call
+    monkeypatch.setattr(torus_fourier, "DEFAULT_MODE_CAP", 10)
     rng = np.random.default_rng(41)
     F = random_map(n_modes=40, rng=rng, max_k=6)
     r = 0.15
-    capped = F.cap_support(max_modes=10, r=r)
+    capped = F.cap_support(r)
     assert capped.n_modes <= 12  # pair completion may keep one extra pair
+    # the debt a cap of 10 books on this map
+    assert capped.truncation_debt == pytest.approx(93765.88874146494, rel=1e-12)
     lost = (F - TorusMap(capped.d, capped.half_k, capped.coeffs)).weighted_norm(r)
     assert capped.truncation_debt == pytest.approx(lost, rel=1e-12)
     assert capped.reality and capped.is_real()
