@@ -40,6 +40,7 @@ from .torus_fourier import TorusMap
 
 LOG_EPS_FLOOR = math.log(1e-300)
 STEP_RESIDUAL_TOL = 1e-10  # per-step share of the global residual budget
+STEP_REL_TOL = 1e-12  # non-resonant step residual relative to |F_n|_{r_n}
 
 
 class ScheduleViolation(KamFailure):
@@ -157,9 +158,17 @@ def item4_holds(schedule: KamSchedule, n: int, f_norm: float) -> bool:
     return not f_norm > schedule.eps_n(n) * CERT_SLACK
 
 
-def step_residual_holds(residual: float, f_norm: float) -> bool:
-    """A step's residual is within STEP_RESIDUAL_TOL (1 + |F_n|); only an excess fails."""
-    return not residual > STEP_RESIDUAL_TOL * (1.0 + f_norm)
+def step_residual_holds(residual: float, f_norm: float, resonant: bool) -> bool:
+    """A step's residual is within STEP_RESIDUAL_TOL (1 + |F_n|), and a
+    non-resonant step's also within STEP_REL_TOL |F_n|; only an excess fails.
+
+    The relative bound catches a step whose Z = I + P lost P: its residual
+    is about |F_n|, far inside the absolute allowance.  A resonant step's Z
+    carries the rotation Phi, of size 1, and the residual's own float
+    products A Phi round at about 1e-16 |A| |Phi| whatever |F_n| is.
+    """
+    return not (residual > STEP_RESIDUAL_TOL * (1.0 + f_norm)
+                or (not resonant and residual > STEP_REL_TOL * f_norm))
 
 
 def item6_holds(schedule: KamSchedule, prev: "StepRecord", alpha: complex, omega) -> bool:
@@ -270,10 +279,11 @@ def run(A, F: TorusMap, omega, schedule: KamSchedule, max_steps: int = 200,
     """Iterate KAM steps until the perturbation falls below cert_tol.
 
     Raises ScheduleViolation when a measured |F_n| exceeds its ladder bound
-    eps_n, and a KamFailure that escapes step n leaves with step = n.  The
-    conjugation Z_n is accumulated on the double torus, and the global
-    residual of the final Z against the original system is measured once,
-    after the last step (0 when no step ran).
+    eps_n or a step residual fails step_residual_holds, and a KamFailure
+    that escapes step n leaves with step = n.  The conjugation Z_n is
+    accumulated on the double torus, and the global residual of the final Z
+    against the original system is measured once, after the last step (0
+    when no step ran).
     """
     omega = np.asarray(omega, dtype=float)
     A = np.asarray(A, dtype=float)
@@ -317,6 +327,10 @@ def run(A, F: TorusMap, omega, schedule: KamSchedule, max_steps: int = 200,
                 out = step_resonant(A_n, F_n, r_n, N_n, schedule.a, schedule.c0,
                                     ctx, rep)
                 rotation_sum += resonance_shift(rep.m, omega)
+            if not step_residual_holds(out.residual_norm, f_norm, out.resonant):
+                raise ScheduleViolation(
+                    f"step residual {out.residual_norm:.6e} exceeds its allowance "
+                    f"at |F|_r = {f_norm:.6e}")
             item2_ok = item2_holds(schedule, alpha_n, rep.m, omega, N_n) if out.resonant else None
             item6_ok = item6_holds(schedule, records[-1], alpha_n, omega) if records else None
             Z = Z.mul(out.Z_step).cap_support(out.r_next)

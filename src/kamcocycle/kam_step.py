@@ -87,7 +87,9 @@ class StepOutput:
 
 def conjugation_residual(A, F: TorusMap, Z: TorusMap, A_next, F_next: TorusMap,
                          omega, r: float) -> float:
-    """|d_omega Z - (A + F) Z + Z (A_next + F_next)|_r, the step oracle."""
+    """|d_omega Z - (A + F) Z + Z (A_next + F_next)|_r of the stored
+    coefficients, the step oracle; debts are not read."""
+    Z, F, F_next = Z.debt_free(), F.debt_free(), F_next.debt_free()
     d = Z.d
     lhs = Z.dir_derivative(omega)
     sys_in = TorusMap.constant(np.asarray(A, dtype=complex), d).add(F)

@@ -31,10 +31,15 @@ import numpy as np
 from .errors import KamFailure
 
 TWO_PI = 2.0 * math.pi
-# a block whose sum of squared moduli is below this is rescaled by a power
-# of two before its norm is taken: its squares would leave the normal range
+# a block whose sum of squared moduli is outside [TINY_FROB2, HUGE_FROB2]
+# is rescaled by a power of two before its norm is taken: its squares would
+# leave the normal range
 TINY_FROB2 = 2.0 ** -500
+HUGE_FROB2 = 2.0 ** 500
 DEFAULT_MODE_CAP = 4096
+# cap_support drops a non-constant block weighing below this share of the
+# non-constant mass at the strip
+PRUNE_REL = 1e-30
 EXP_TOL = 1e-30  # certified tail of the exp(+-X) series
 MUL_CHUNK = 1 << 22  # block products per convolution pass
 BLOCK = 1 << 13  # block products per cache-sized block of a pass
@@ -69,9 +74,10 @@ def _unpack(keys: np.ndarray, d: int) -> np.ndarray:
 
 
 def _frob2(coeffs: np.ndarray) -> np.ndarray:
-    """Sums of the squared moduli of the entries of 2x2 blocks."""
-    return (np.abs(coeffs[..., 0, 0]) ** 2 + np.abs(coeffs[..., 0, 1]) ** 2
-            + np.abs(coeffs[..., 1, 0]) ** 2 + np.abs(coeffs[..., 1, 1]) ** 2)
+    """Sums of the squared moduli of the entries of 2x2 blocks, in row-major
+    entry order."""
+    sq = np.abs(coeffs.reshape(*coeffs.shape[:-2], 4)) ** 2
+    return sq[..., 0] + sq[..., 1] + sq[..., 2] + sq[..., 3]
 
 
 def _unscaled_norms(coeffs: np.ndarray, frob2: np.ndarray) -> np.ndarray:
@@ -83,19 +89,22 @@ def _unscaled_norms(coeffs: np.ndarray, frob2: np.ndarray) -> np.ndarray:
 def op_norms(coeffs: np.ndarray) -> np.ndarray:
     """Exact operator norms (largest singular value) of 2x2 blocks.
 
-    A block with frob2 below TINY_FROB2 is scaled by 2^-e, 2^e just above
-    its largest entry, and its norm scaled back by 2^e: both scalings are
-    exact, also for subnormal entries.
+    A block with frob2 outside [TINY_FROB2, HUGE_FROB2] (or overflowing to
+    inf) is scaled by 2^-e, 2^e just above its largest entry, and its norm
+    scaled back by 2^e: both scalings are exact, also for subnormal entries.
     """
-    frob2 = _frob2(coeffs)
-    norms = _unscaled_norms(coeffs, frob2)
-    tiny = frob2 < TINY_FROB2
-    if tiny.any():
-        small = coeffs[tiny]
-        _, e = np.frexp(np.maximum(np.abs(small.real), np.abs(small.imag)).max(axis=(1, 2)))
-        scaled = (np.ldexp(small.real, -e[:, None, None])
-                  + 1j * np.ldexp(small.imag, -e[:, None, None]))
-        norms[tiny] = np.ldexp(_unscaled_norms(scaled, _frob2(scaled)), e)
+    with np.errstate(over="ignore"):
+        frob2 = _frob2(coeffs)
+    odd = (frob2 < TINY_FROB2) | (frob2 > HUGE_FROB2)
+    if not odd.any():
+        return _unscaled_norms(coeffs, frob2)
+    norms = np.empty(frob2.shape)
+    norms[~odd] = _unscaled_norms(coeffs[~odd], frob2[~odd])
+    small = coeffs[odd]
+    _, e = np.frexp(np.maximum(np.abs(small.real), np.abs(small.imag)).max(axis=(1, 2)))
+    scaled = (np.ldexp(small.real, -e[:, None, None])
+              + 1j * np.ldexp(small.imag, -e[:, None, None]))
+    norms[odd] = np.ldexp(_unscaled_norms(scaled, _frob2(scaled)), e)
     return norms
 
 
@@ -115,12 +124,13 @@ def project_traceless(M: np.ndarray) -> np.ndarray:
 class TorusMap:
     """Immutable finitely supported Fourier series, coefficients in C^{2x2}."""
 
-    __slots__ = ("d", "half_k", "coeffs", "reality", "truncation_debt", "_keys")
+    __slots__ = ("d", "half_k", "coeffs", "reality", "truncation_debt", "debt_r", "_keys")
 
     def __init__(self, d, half_k, coeffs, *, reality=False, truncation_debt=0.0,
-                 _keys=None):
-        # _keys: the packed keys of rows that are already sorted, unique and
-        # pruned (the canonical form)
+                 debt_r=0.0, _keys=None):
+        # truncation_debt bounds the weighted norm, at every strip up to
+        # debt_r, of what was dropped from the map; _keys: the packed keys of
+        # rows that are already sorted, unique and pruned (the canonical form)
         half_k = np.asarray(half_k, dtype=np.int64).reshape(-1, d)
         coeffs = np.asarray(coeffs, dtype=np.complex128).reshape(-1, 2, 2)
         if half_k.shape[0] != coeffs.shape[0]:
@@ -134,6 +144,7 @@ class TorusMap:
         self.coeffs = coeffs
         self.reality = bool(reality)
         self.truncation_debt = float(truncation_debt)
+        self.debt_r = float(debt_r)
         self._keys = keys
         self.half_k.setflags(write=False)
         self.coeffs.setflags(write=False)
@@ -215,54 +226,73 @@ class TorusMap:
 
     # -- norm, truncation, capping ----------------------------------------
 
-    def weighted_norm(self, r: float) -> float:
-        """Sum of operator norms weighted by exp(2*pi*|k|*r).
+    def _weights(self, r: float) -> np.ndarray:
+        """Operator norm of each block times exp(2*pi*|k|*r).
 
-        Computed per term in the log domain so huge weights on tiny
-        coefficients cannot overflow.
+        Computed in the log domain so huge weights on tiny coefficients
+        cannot overflow; a zero block weighs as the smallest subnormal.
         """
+        norms = np.maximum(op_norms(self.coeffs), 5e-324)
+        return np.exp(np.log(norms) + TWO_PI * self.modulus() * r)
+
+    def weighted_norm(self, r: float) -> float:
+        """Sum of operator norms weighted by exp(2*pi*|k|*r)."""
         if r < 0:
             raise ValueError("strip half-width must be nonnegative")
         if self.n_modes == 0:
             return 0.0
-        norms = np.maximum(op_norms(self.coeffs), 5e-324)
-        terms = np.exp(np.log(norms) + TWO_PI * self.modulus() * r)
-        return float(terms.sum())
+        return float(self._weights(r).sum())
 
     def truncate(self, N: float) -> "TorusMap":
         if N < 0:
             raise ValueError("truncation order must be nonnegative")
         keep = self.modulus() <= N
         return TorusMap(self.d, self.half_k[keep], self.coeffs[keep],
-                        reality=self.reality,
-                        truncation_debt=self.truncation_debt, _keys=self._keys[keep])
+                        reality=self.reality, truncation_debt=self.truncation_debt,
+                        debt_r=self.debt_r, _keys=self._keys[keep])
 
     def cap_support(self, r: float) -> "TorusMap":
-        """Drop the smallest-weighted coefficients beyond DEFAULT_MODE_CAP.
+        """Drop the coefficients that weigh little at strip half-width r, and
+        book their weight there as truncation debt.
 
-        The exact weighted-norm mass removed (measured at strip half-width r,
-        which also bounds the loss at any smaller r) is added to
-        truncation_debt.  Conjugate pairs are dropped together when the map
-        is flagged real.
+        A block's weight is its operator norm times exp(2*pi*|k|*r).  Every
+        non-constant block weighing below PRUNE_REL times the summed weight
+        of the non-constant blocks is dropped (weighing against the whole
+        map would drop all of P from I + P once |P| < PRUNE_REL), and so is
+        every block past the DEFAULT_MODE_CAP heaviest.  The dropped weight
+        is added to truncation_debt, which then bounds the loss at every
+        strip up to r, or up to the earlier debt_r when the map already
+        carried debt booked at a smaller strip.  Conjugate pairs are kept
+        together when the map is flagged real.  Returns self when nothing
+        is dropped.
         """
-        if self.n_modes <= DEFAULT_MODE_CAP:
+        if self.n_modes == 0:
             return self
-        norms = op_norms(self.coeffs)
-        weights = np.exp(np.log(norms) + TWO_PI * self.modulus() * r)
-        order = np.argsort(weights, kind="stable")[::-1]
-        keep_mask = np.zeros(self.n_modes, dtype=bool)
-        keep_mask[order[:DEFAULT_MODE_CAP]] = True
+        weights = self._weights(r)
+        wave = self.half_k.any(axis=1)
+        keep = ~wave | (weights >= PRUNE_REL * weights[wave].sum())
+        if self.n_modes > DEFAULT_MODE_CAP:
+            keep[np.argsort(weights, kind="stable")[:-DEFAULT_MODE_CAP]] = False
+        if keep.all():
+            return self
         if self.reality:
             neg_keys = _pack(-self.half_k)
-            idx = np.searchsorted(self._keys, neg_keys)
-            idx = np.minimum(idx, self.n_modes - 1)
+            idx = np.minimum(np.searchsorted(self._keys, neg_keys), self.n_modes - 1)
             paired = self._keys[idx] == neg_keys
-            keep_mask[idx[paired & keep_mask]] = True
-        debt = float(weights[~keep_mask].sum())
-        return TorusMap(self.d, self.half_k[keep_mask], self.coeffs[keep_mask],
+            keep[idx[paired & keep]] = True
+        debt = float(weights[~keep].sum())
+        return TorusMap(self.d, self.half_k[keep], self.coeffs[keep],
                         reality=self.reality,
                         truncation_debt=self.truncation_debt + debt,
-                        _keys=self._keys[keep_mask])
+                        debt_r=min(r, self.debt_r) if self.truncation_debt else r,
+                        _keys=self._keys[keep])
+
+    def debt_free(self) -> "TorusMap":
+        """The stored coefficients alone, with no truncation debt."""
+        if not self.truncation_debt:
+            return self
+        return TorusMap(self.d, self.half_k, self.coeffs, reality=self.reality,
+                        _keys=self._keys)
 
     # -- algebra -----------------------------------------------------------
 
@@ -273,12 +303,14 @@ class TorusMap:
         cf = np.concatenate([self.coeffs, other.coeffs])
         return TorusMap(self.d, hk, cf,
                         reality=self.reality and other.reality,
-                        truncation_debt=self.truncation_debt + other.truncation_debt)
+                        truncation_debt=self.truncation_debt + other.truncation_debt,
+                        debt_r=_debt_strip(self, other))
 
     def scale(self, c) -> "TorusMap":
         real = self.reality and (np.imag(c) == 0.0)
         return TorusMap(self.d, self.half_k, self.coeffs * c, reality=bool(real),
-                        truncation_debt=self.truncation_debt * abs(c))
+                        truncation_debt=self.truncation_debt * abs(c),
+                        debt_r=self.debt_r)
 
     def __add__(self, other):
         return self.add(other)
@@ -290,7 +322,12 @@ class TorusMap:
         return self.scale(-1.0)
 
     def mul(self, other: "TorusMap") -> "TorusMap":
-        """Pointwise matrix product, i.e. coefficient convolution."""
+        """Pointwise matrix product, i.e. coefficient convolution.
+
+        With debts D_a, D_b bounding the losses of a and b at strip rho,
+        the loss of the product there is at most D_a (|b|_rho + D_b) +
+        D_b |a|_rho, booked at rho, the smaller of the two debt strips.
+        """
         if self.d != other.d:
             raise ValueError("dimension mismatch")
         n1, n2 = self.n_modes, other.n_modes
@@ -298,13 +335,16 @@ class TorusMap:
             return TorusMap.zero(self.d)
         keys, hk, coeffs = _convolve(self, other)
         hk, coeffs, keys = _prune(hk, coeffs, keys)
+        da, db = self.truncation_debt, other.truncation_debt
+        rho = _debt_strip(self, other)
         debt = 0.0
-        if self.truncation_debt or other.truncation_debt:
-            debt = (self.truncation_debt * (other.weighted_norm(0.0) + other.truncation_debt)
-                    + other.truncation_debt * self.weighted_norm(0.0))
+        if da:
+            debt += da * (other.weighted_norm(rho) + db)
+        if db:
+            debt += db * self.weighted_norm(rho)
         return TorusMap(self.d, hk, coeffs,
                         reality=self.reality and other.reality,
-                        truncation_debt=debt, _keys=keys)
+                        truncation_debt=debt, debt_r=rho, _keys=keys)
 
     def dir_derivative(self, omega) -> "TorusMap":
         """Derivative along the torus flow: mode m picks up 2*i*pi*<m,omega>."""
@@ -312,7 +352,7 @@ class TorusMap:
         factors = 1j * math.pi * (self.half_k @ omega)
         return TorusMap(self.d, self.half_k, self.coeffs * factors[:, None, None],
                         reality=self.reality,
-                        truncation_debt=self.truncation_debt)
+                        truncation_debt=self.truncation_debt, debt_r=self.debt_r)
 
     def eval(self, theta) -> np.ndarray:
         """Evaluate at theta (shape (d,) or (n, d)); returns 2x2 blocks."""
@@ -329,8 +369,8 @@ class TorusMap:
     def trace_projected(self) -> "TorusMap":
         """Remove the trace part of every coefficient (sl(2) projection)."""
         return TorusMap(self.d, self.half_k, project_traceless(self.coeffs),
-                        reality=self.reality,
-                        truncation_debt=self.truncation_debt, _keys=self._keys)
+                        reality=self.reality, truncation_debt=self.truncation_debt,
+                        debt_r=self.debt_r, _keys=self._keys)
 
     def realified(self) -> "TorusMap":
         """Symmetrize coefficients to exact conjugate symmetry."""
@@ -339,7 +379,8 @@ class TorusMap:
         out = TorusMap(self.d, np.concatenate([self.half_k, -self.half_k]),
                        np.concatenate([self.coeffs, np.conj(self.coeffs)])).scale(0.5)
         return TorusMap(out.d, out.half_k, out.coeffs, reality=True,
-                        truncation_debt=self.truncation_debt, _keys=out._keys)
+                        truncation_debt=self.truncation_debt, debt_r=self.debt_r,
+                        _keys=out._keys)
 
     # -- serialization -----------------------------------------------------
 
@@ -348,6 +389,7 @@ class TorusMap:
             "d": self.d,
             "reality_flag": self.reality,
             "truncation_debt": self.truncation_debt,
+            "debt_r": self.debt_r,
             "modes": [
                 {
                     "half_k": [int(v) for v in self.half_k[i]],
@@ -360,20 +402,21 @@ class TorusMap:
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "TorusMap":
+        """Read a map written by to_json_obj; reality_flag is required."""
         d = int(obj["d"])
+        reality = obj.get("reality_flag")
+        if not isinstance(reality, bool):
+            raise ValueError("reality_flag must be given as true or false")
         modes = obj.get("modes", [])
-        if not modes:
-            out = cls.zero(d)
-            return cls(d, out.half_k, out.coeffs, reality=obj.get("reality_flag", True),
-                       truncation_debt=obj.get("truncation_debt", 0.0), _keys=out._keys)
         hk = [m["half_k"] for m in modes]
         if any(abs(v) >= 1 << 63 for row in hk for v in row):
             raise ValueError("half_k outside int64")
         hk = np.array(hk, dtype=np.int64)
         cf = np.array([m["re"] for m in modes], dtype=float) \
             + 1j * np.array([m["im"] for m in modes], dtype=float)
-        return cls(d, hk, cf, reality=obj.get("reality_flag", False),
-                   truncation_debt=obj.get("truncation_debt", 0.0))
+        return cls(d, hk, cf, reality=reality,
+                   truncation_debt=obj.get("truncation_debt", 0.0),
+                   debt_r=obj.get("debt_r", 0.0))
 
     def __repr__(self):
         return (f"TorusMap(d={self.d}, modes={self.n_modes}, "
@@ -494,18 +537,24 @@ def _box(hk1, hk2, limit):
     return lo1 + lo2, step, tuple(shape), (off1 // step) @ strides, (off2 // step) @ strides
 
 
-def _prune(half_k, coeffs, keys):
-    """Drop the blocks whose frob2 underflows to 0 or to the smallest
-    subnormal 2^-1074, about every block with all entries below 1e-162.
+def _debt_strip(*maps: TorusMap) -> float:
+    """The strip up to which the debts of maps all bound their losses: the
+    smallest debt_r of those that carry debt (0 when none does)."""
+    return min((m.debt_r for m in maps if m.truncation_debt), default=0.0)
 
-    The dropped mass is not booked as truncation debt.  A NaN or infinite
-    entry raises KamFailure: its block has no norm to weigh or book.
+
+def _prune(half_k, coeffs, keys):
+    """Drop the all-zero blocks, which carry no mass.
+
+    Small blocks are kept whatever their size: only cap_support drops mass,
+    by weight, and books it.  A NaN or infinite entry raises KamFailure: its
+    block has no norm to weigh or book.
     """
     if half_k.shape[0] == 0:
         return half_k, coeffs, keys
     if not np.isfinite(coeffs).all():
         raise KamFailure("non-finite Fourier coefficient")
-    keep = _frob2(coeffs) > 2.0 ** -1074
+    keep = coeffs.reshape(-1, 4).any(axis=1)
     if keep.all():
         return half_k, coeffs, keys
     return half_k[keep], coeffs[keep], keys[keep]

@@ -15,6 +15,7 @@ from kamcocycle import cli, kam_driver, kam_step
 from kamcocycle.cli import ConfigError, InputError, RunConfig, build_schrodinger, main
 from kamcocycle.errors import KamFailure
 from kamcocycle.kam_step import PreconditionFailure
+from kamcocycle.torus_fourier import TorusMap
 
 GOLDEN = [1.0, 0.5 * (1.0 + math.sqrt(5.0))]
 
@@ -461,6 +462,36 @@ def test_non_finite_coefficient_exits_3_with_certificate(tmp_path, monkeypatch):
     assert cert["status_detail"] == "KamFailure at step 0: non-finite Fourier coefficient"
 
 
+def test_step_that_lost_P_exits_3_with_certificate(tmp_path, monkeypatch):
+    # a step whose Z_step = I + P lost P has a residual of about |F|: inside
+    # the absolute allowance, outside the relative one
+    conjugate = kam_step._conjugate
+
+    def lost_P(*args):
+        A_next, F_next, Z, x_norm = conjugate(*args)
+        return A_next, F_next, TorusMap.identity(Z.d), x_norm
+
+    monkeypatch.setattr(kam_step, "_conjugate", lost_P)
+    path = write_config(tmp_path, base_config())
+    assert main(["run", "--config", str(path)]) == 3
+    cert = json.loads((tmp_path / "certificate.json").read_text())
+    assert cert["status"] == "PreconditionFailure"
+    detail = re.fullmatch(r"ScheduleViolation at step 0: step residual (\S+) exceeds "
+                          r"its allowance at \|F\|_r = (\S+)", cert["status_detail"])
+    residual, f_norm = map(float, detail.groups())
+    assert 0.5 * f_norm < residual <= 1e-10 * (1.0 + f_norm)
+
+
+def test_huge_perturbation_has_a_finite_norm(tmp_path):
+    # entries above about 1.3e154 square past the float range; |F|_r does not
+    c = 1e160
+    cfg = base_config(eps0=1e200, V={"v0": 0.0, "modes": [{"m": [1, 1], "c": c}]})
+    path = write_config(tmp_path, cfg)
+    assert main(["run", "--config", str(path)]) == 0  # |F|_r is below the default cert_tol
+    cert = json.loads((tmp_path / "certificate.json").read_text())
+    assert cert["f_final_norm"] == pytest.approx(2.0 * c * math.exp(2.0 * math.pi), rel=1e-13)
+
+
 def test_internal_error_exits_4(tmp_path, capsys, monkeypatch):
     # a builtin arithmetic error is a defect of the program, not a certified
     # failure: no certificate, one line naming it
@@ -504,6 +535,47 @@ def test_cmd_audit_detects_tampering(tmp_path):
     assert main(["audit", "--trace", str(tampered), "--config", str(path)]) == 1
     report = json.loads((tmp_path / "audit_report.json").read_text())
     assert not report["item4_f_norm_ok"]
+
+
+def test_cmd_audit_checks_the_relative_step_residual(tmp_path):
+    # a non-resonant row whose residual is a millionth of its |F_n|: inside
+    # 1e-10 (1 + |F_n|), outside 1e-12 |F_n|
+    path = write_config(tmp_path, base_config())
+    assert main(["run", "--config", str(path)]) == 0
+    trace = (tmp_path / "trace.csv").read_text().splitlines()
+    parts = trace[1].split(",")
+    parts[9] = repr(1e-6 * float(parts[4]))
+    trace[1] = ",".join(parts)
+    tampered = tmp_path / "tampered.csv"
+    tampered.write_text("\n".join(trace) + "\n")
+    assert main(["audit", "--trace", str(tampered), "--config", str(path)]) == 1
+    report = json.loads((tmp_path / "audit_report.json").read_text())
+    assert not report["residuals_ok"] and report["item4_f_norm_ok"]
+
+
+@pytest.mark.parametrize("cert_tol, steps", [(1e-200, 79), (1e-240, 96)])
+def test_deep_ladder_reduces_and_passes_audit(tmp_path, cert_tol, steps):
+    # the weighted prune keeps the blocks below 1e-162 that used to vanish
+    # unbooked and stall |F|_r near 3.4e-133
+    path = write_config(tmp_path, base_config(kappa="fit", cert_tol=cert_tol))
+    assert main(["run", "--config", str(path)]) == 0
+    cert = json.loads((tmp_path / "certificate.json").read_text())
+    assert (cert["status"], cert["steps"]) == ("Reduced", steps)
+    assert cert["f_final_norm"] <= cert_tol
+    assert main(["audit", "--trace", str(tmp_path / "trace.csv"),
+                 "--config", str(path)]) == 0
+
+
+def test_config_F_requires_the_reality_flag(tmp_path, capsys):
+    F = dict(_MATRIX["F"])
+    path = write_config(tmp_path, base_config(**dict(_MATRIX, F=F)))
+    assert main(["run", "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert "config field 'F': reality_flag must be given as true or false" in err
+    assert not (tmp_path / "certificate.json").exists()
+    F["reality_flag"] = True
+    path = write_config(tmp_path, base_config(**dict(_MATRIX, F=F)))
+    assert main(["run", "--config", str(path)]) == 0
 
 
 def resonant_config():

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from kamcocycle import kam_step, torus_fourier
 from kamcocycle.arithmetics import (
     DivergentIntegral,
     ExpPowFn,
@@ -24,6 +25,7 @@ from kamcocycle.kam_driver import (
     run,
     sequence_N,
     smallness_explicit,
+    step_residual_holds,
 )
 from kamcocycle.torus_fourier import TorusMap
 
@@ -375,3 +377,47 @@ def test_run_global_residual_budget():
         assert cert.residual <= budget + cert.f_final_norm
         if k == 0:
             assert cert.residual == cert.f_final_norm
+
+
+def test_step_residual_holds_is_relative_on_non_resonant_steps():
+    # 1e-13 is far inside the absolute allowance 1e-10 (1 + |F|), but it is
+    # all of |F|: a non-resonant step's residual must stay below 1e-12 |F|
+    assert not step_residual_holds(1e-13, 1e-13, resonant=False)
+    assert step_residual_holds(1e-26, 1e-13, resonant=False)
+    assert step_residual_holds(0.0, 0.0, resonant=False)
+    # a resonant step's residual rounds at the scale of A Phi, not of F
+    assert step_residual_holds(2.1e-15, 4.6e-13, resonant=True)
+    assert not step_residual_holds(3e-10, 1.0, resonant=True)
+
+
+def test_capped_run_debt_bounds_the_loss_of_Z(monkeypatch):
+    # a run forced past the mode cap: the certificate's debt bounds, at
+    # r_final, the distance from its Z to the uncapped product of the steps'
+    # exp(X) = I + P
+    modes = [((m1, m2), 1e-11 * math.exp(-4 * math.pi * (abs(m1) + abs(m2))) * (1 + 0.1 * m2))
+             for m1 in range(4) for m2 in range(-3, 4)
+             if 0 < abs(m1) + abs(m2) <= 3 and (m1 > 0 or m2 > 0)]
+    A, F = build_schrodinger(6.25, 0.0, modes, d=2)
+    sched = golden_schedule()
+    Z_free = run(A, F, GOLDEN, sched, cert_tol=1e-26)[1].Z
+    assert Z_free.n_modes > 30 and Z_free.truncation_debt > 0.0
+    Ps = []
+    exp_series_tail = kam_step.exp_series_tail
+
+    def spy(X, r):
+        out = exp_series_tail(X, r)
+        Ps.append(out[0])
+        return out
+
+    monkeypatch.setattr(kam_step, "exp_series_tail", spy)
+    monkeypatch.setattr(torus_fourier, "DEFAULT_MODE_CAP", 30)
+    trace, cert = run(A, F, GOLDEN, sched, cert_tol=1e-26)
+    assert cert.status == "Reduced" and cert.Z.n_modes <= 32
+    I = TorusMap.identity(2)
+    exact = I
+    for P in Ps:
+        exact = exact.mul(I.add(P))
+    assert exact.n_modes > 10 * cert.Z.n_modes
+    lost = (exact - cert.Z).weighted_norm(cert.r_final)
+    assert cert.Z.debt_r >= cert.r_final
+    assert 0.0 < lost <= cert.Z.truncation_debt <= cert.truncation_debt

@@ -1,5 +1,6 @@
 import itertools
 import json
+import math
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from kamcocycle import torus_fourier
 from kamcocycle.errors import KamFailure
 from kamcocycle.torus_fourier import (
+    PRUNE_REL,
     TorusMap,
     exp_series_tail,
     op_norm_2x2,
@@ -77,6 +79,15 @@ def test_op_norms_exact_for_tiny_blocks():
         assert op_norm_2x2(np.array([[0.0, c], [0.0, 0.0]])) == c
 
 
+def test_op_norms_exact_for_huge_blocks():
+    # the squares of entries above about 1.3e154 overflow; the norm does not
+    # (the test config turns an overflow RuntimeWarning into an error)
+    for c in (1e160, 1e200, 1e300, np.finfo(float).max):
+        assert op_norm_2x2(np.array([[c, 0.0], [0.0, 0.0]])) == c
+    assert op_norm_2x2(np.array([[1e200, 1e200], [1e200, 1e200]])) == pytest.approx(
+        2e200, rel=1e-15)
+
+
 def test_op_norms_match_svd_at_tiny_scale():
     rng = np.random.default_rng(7)
     B = rng.standard_normal((64, 2, 2)) + 1j * rng.standard_normal((64, 2, 2))
@@ -84,6 +95,17 @@ def test_op_norms_match_svd_at_tiny_scale():
     want = np.linalg.norm(B, ord=2, axis=(1, 2))  # scaling by 2^-600 is exact
     np.testing.assert_allclose(np.ldexp(torus_fourier.op_norms(tiny), 600), want,
                                rtol=1e-14)
+
+
+def test_op_norms_match_svd_at_mixed_scales():
+    rng = np.random.default_rng(7)
+    B = rng.standard_normal((64, 2, 2)) + 1j * rng.standard_normal((64, 2, 2))
+    # huge, tiny and normal blocks in one call
+    e = np.array([600, -600, 0, 0] * 16)[:, None, None]
+    mixed = np.ldexp(B.real, e) + 1j * np.ldexp(B.imag, e)
+    want = np.linalg.norm(B, ord=2, axis=(1, 2))  # scaling by 2^e is exact
+    np.testing.assert_allclose(np.ldexp(torus_fourier.op_norms(mixed), -e[:, 0, 0]),
+                               want, rtol=1e-14)
 
 
 def test_weighted_norm_exact_at_tiny_scale():
@@ -186,10 +208,8 @@ def modes_of(F):
 
 
 def pruned(modes):
-    # a block is dropped when its sum of squared moduli underflows to at
-    # most the smallest subnormal
-    return {k: c for k, c in modes.items()
-            if sum(abs(x) ** 2 for x in np.ravel(c)) > 5e-324}
+    # a product or sum drops only the blocks whose entries are all zero
+    return {k: c for k, c in modes.items() if np.any(c)}
 
 
 def assert_mul_matches_oracle(a, b):
@@ -297,16 +317,73 @@ def test_mul_several_passes_matches_dict_oracle(support, monkeypatch, unique_cal
 
 def test_mul_prunes_cancelled_modes():
     # (I + P e_1)(I - P e_1) = I - P^2 e_2: the e_1 terms cancel exactly, and
-    # e_2 vanishes too since P^2 = 0; the squares of a 1e-301 mode underflow
+    # e_2 vanishes too since P^2 = 0; the 1e-301 mode and its product with
+    # P stay, however small
     P = np.array([[0.0, 1.0], [0.0, 0.0]])
     a = TorusMap(1, [[0], [2], [40]], [np.eye(2), P, 1e-301 * np.eye(2)])
     b = TorusMap(1, [[0], [2]], [np.eye(2), -P])
     prod = assert_mul_matches_oracle(a, b)
-    assert prod.half_k.tolist() == [[0]]
+    assert prod.half_k.tolist() == [[0], [40], [42]]
     np.testing.assert_array_equal(prod.coeffs[0], np.eye(2))
-    tiny = TorusMap(2, diamond(2, 3), 1e-160 * random_coeffs(25, np.random.default_rng(4)))
-    assert tiny.mul(tiny).n_modes == 0
-    assert_mul_matches_oracle(tiny, tiny)
+    np.testing.assert_array_equal(prod.coeffs[2], -1e-301 * P)
+    # blocks of 1e-160, whose squared entries underflow, are kept too
+    rng = np.random.default_rng(4)
+    tiny = TorusMap(2, diamond(2, 3), 1e-160 * random_coeffs(25, rng))
+    prod = assert_mul_matches_oracle(tiny, TorusMap(2, diamond(2, 1), random_coeffs(5, rng)))
+    assert prod.n_modes == diamond(2, 4).shape[0]
+    assert prod.truncation_debt == 0.0
+
+
+def test_cap_support_drops_and_books_light_blocks_by_weight():
+    B = np.array([[1.0, 2.0], [0.0, -1.0]])
+    r = 0.25
+    modes = {(0, 0): np.eye(2), (2, 0): 1e-3 * B, (0, 4): 1e-20 * B, (4, 0): 1e-40 * B,
+             (6, 0): 1e-160 * B}
+    F = TorusMap.from_modes(2, list(modes.items()))
+    weight = {k: op_norm_2x2(c) * math.exp(math.pi * (abs(k[0]) + abs(k[1])) * r)
+              for k, c in modes.items()}
+    mass = sum(w for k, w in weight.items() if k != (0, 0))
+    light = [k for k, w in weight.items() if k != (0, 0) and w < PRUNE_REL * mass]
+    assert light == [(4, 0), (6, 0)]
+    capped = F.cap_support(r)
+    assert sorted(modes_of(capped)) == [(0, 0), (0, 4), (2, 0)]
+    assert capped.truncation_debt == pytest.approx(sum(weight[k] for k in light), rel=1e-13)
+    assert capped.debt_r == r
+    # booked at r, the debt bounds the loss at every smaller strip
+    for rho in (0.0, 0.1, r):
+        assert (F - capped).weighted_norm(rho) <= capped.truncation_debt
+    # a second prune at a smaller strip keeps the smaller strip
+    again = capped.add(TorusMap.from_modes(2, [((8, 0), 1e-36 * B)])).cap_support(0.1)
+    assert again.debt_r == 0.1 and again.truncation_debt > capped.truncation_debt
+    assert capped.cap_support(r) is capped  # nothing left to drop
+
+
+def test_cap_support_weighs_against_the_non_constant_mass():
+    # a whole-map rule would drop all of P from Z = I + P once |P| < PRUNE_REL
+    P = TorusMap.from_modes(2, [((2, 0), 1e-40 * np.eye(2)), ((0, 2), 1e-41 * np.eye(2))])
+    Z = TorusMap.identity(2).add(P)
+    assert Z.cap_support(0.5) is Z
+    # and the constant block stays however light it is
+    F = TorusMap.constant(1e-300 * np.eye(2), 2).add(P)
+    assert F.cap_support(0.5) is F
+
+
+def test_mul_books_debt_at_the_strip_it_was_measured(monkeypatch):
+    # with a cap of one mode, cap_support(0.5) of I + 1e-3 I e_(20,0) keeps the
+    # (20, 0) mode, weighing 1e-3 e^{10 pi}, and books the dropped I as debt 1
+    # at r = 0.5; the product with I e_(20,0) then loses I e_(20,0), whose
+    # weight at 0.5 is e^{10 pi} = 4.4e13, not the 1 that |.|_0 would book
+    monkeypatch.setattr(torus_fourier, "DEFAULT_MODE_CAP", 1)
+    r = 0.5
+    wave = single_mode((20, 0), np.eye(2))
+    a = TorusMap.identity(2).add(wave.scale(1e-3))
+    capped = a.cap_support(r)
+    assert capped.half_k.tolist() == [[20, 0]]
+    assert (capped.truncation_debt, capped.debt_r) == (1.0, r)
+    prod = capped.mul(wave)
+    lost = (a.mul(wave) - prod).weighted_norm(r)
+    assert lost == pytest.approx(math.exp(10.0 * math.pi), rel=1e-13)
+    assert lost <= prod.truncation_debt and prod.debt_r == r
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan), complex(0.0, np.inf)])
@@ -338,11 +415,16 @@ def test_mul_debt_needs_norms_only_when_a_debt_is_nonzero(monkeypatch):
     monkeypatch.setattr(TorusMap, "weighted_norm", spy)
     assert a.mul(b).truncation_debt == 0.0
     assert calls == []
-    for da, db in ((1e-12, 0.0), (0.0, 3e-13), (1e-12, 3e-13)):
-        a_d = TorusMap(a.d, a.half_k, a.coeffs, reality=True, truncation_debt=da)
-        b_d = TorusMap(b.d, b.half_k, b.coeffs, reality=True, truncation_debt=db)
-        bound = da * (weighted_norm(b, 0.0) + db) + db * weighted_norm(a, 0.0)
-        assert a_d.mul(b_d).truncation_debt == bound
+    # the norms are taken at the smaller strip of the debts, and only the
+    # norms that multiply a nonzero debt
+    for da, db, rho in ((1e-12, 0.0, 0.3), (0.0, 3e-13, 0.5), (1e-12, 3e-13, 0.3)):
+        calls.clear()
+        a_d = TorusMap(a.d, a.half_k, a.coeffs, reality=True, truncation_debt=da, debt_r=0.3)
+        b_d = TorusMap(b.d, b.half_k, b.coeffs, reality=True, truncation_debt=db, debt_r=0.5)
+        bound = da * (weighted_norm(b, rho) + db) + db * weighted_norm(a, rho)
+        prod = a_d.mul(b_d)
+        assert (prod.truncation_debt, prod.debt_r) == (bound, rho)
+        assert calls == [rho] * ((da != 0.0) + (db != 0.0))
 
 
 def test_dir_derivative_basics():
@@ -479,11 +561,12 @@ def test_cap_support_tracks_debt(monkeypatch):
 
 def test_json_roundtrip_bit_exact():
     F = random_map(n_modes=9, rng=np.random.default_rng(55))
+    F = TorusMap(F.d, F.half_k, F.coeffs, reality=True, truncation_debt=1e-40, debt_r=0.25)
     s = to_json(F)
     G = from_json(s)
     assert np.array_equal(F.half_k, G.half_k)
     assert np.array_equal(F.coeffs, G.coeffs)
-    assert F.reality == G.reality
+    assert (F.reality, F.truncation_debt, F.debt_r) == (G.reality, G.truncation_debt, G.debt_r)
     assert to_json(G) == s
     # json text itself is reproducible
     assert to_json(from_json(to_json(G))) == s
@@ -515,3 +598,16 @@ def test_truncation_identity_property(modes, r):
         assert (F - FN).weighted_norm(r) == pytest.approx(
             F.weighted_norm(r) - FN.weighted_norm(r), rel=1e-12, abs=1e-12
         )
+
+
+@pytest.mark.parametrize("modes", [[], [{"half_k": [2], "re": [[0.0, 1.0], [0.0, 0.0]],
+                                         "im": [[0.0, 0.0], [0.0, 0.0]]}]])
+def test_from_json_requires_the_reality_flag(modes):
+    # one rule for an empty map and a nonempty one
+    with pytest.raises(ValueError, match="reality_flag"):
+        TorusMap.from_json_obj({"d": 1, "modes": modes})
+    with pytest.raises(ValueError, match="reality_flag"):
+        TorusMap.from_json_obj({"d": 1, "modes": modes, "reality_flag": 1})
+    for flag in (True, False):
+        F = TorusMap.from_json_obj({"d": 1, "modes": modes, "reality_flag": flag})
+        assert F.reality is flag and F.n_modes == len(modes)
