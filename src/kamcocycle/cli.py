@@ -392,7 +392,7 @@ def cmd_audit(args) -> int:
     recs = trace.records
     item4_ok = all(item4_holds(schedule, r.n, r.f_norm) for r in recs)
     n_ok = all(r.N_n == sequence_N(schedule, r.n) for r in recs)
-    residual_ok = all(step_residual_holds(r.residual, r.f_norm, r.resonant) for r in recs)
+    residual_ok = all(step_residual_holds(r.residual, r.f_norm, r.residual_floor) for r in recs)
     est = None
     if any(r.resonant for r in recs):
         est = _measure_rho(cfg, args.T, args.h)

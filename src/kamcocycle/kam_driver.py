@@ -40,7 +40,7 @@ from .torus_fourier import TorusMap
 
 LOG_EPS_FLOOR = math.log(1e-300)
 STEP_RESIDUAL_TOL = 1e-10  # per-step share of the global residual budget
-STEP_REL_TOL = 1e-12  # non-resonant step residual relative to |F_n|_{r_n}
+STEP_REL_TOL = 1e-12  # step residual above its float floor, relative to |F_n|_{r_n}
 
 
 class ScheduleViolation(KamFailure):
@@ -158,17 +158,18 @@ def item4_holds(schedule: KamSchedule, n: int, f_norm: float) -> bool:
     return not f_norm > schedule.eps_n(n) * CERT_SLACK
 
 
-def step_residual_holds(residual: float, f_norm: float, resonant: bool) -> bool:
-    """A step's residual is within STEP_RESIDUAL_TOL (1 + |F_n|), and a
-    non-resonant step's also within STEP_REL_TOL |F_n|; only an excess fails.
+def step_residual_holds(residual: float, f_norm: float, floor: float) -> bool:
+    """A step's residual is within STEP_RESIDUAL_TOL (1 + |F_n|) and within
+    STEP_REL_TOL |F_n| plus the step's float floor (kam_step.residual_floor);
+    only an excess fails.
 
     The relative bound catches a step whose Z = I + P lost P: its residual
-    is about |F_n|, far inside the absolute allowance.  A resonant step's Z
-    carries the rotation Phi, of size 1, and the residual's own float
-    products A Phi round at about 1e-16 |A| |Phi| whatever |F_n| is.
+    is about |F_n|, far inside the absolute allowance.  The floor is what
+    rounding leaves in the residual whatever |F_n| is, so a correct step
+    near a resonance, with a large |A|, or with a rotation Phi in Z passes.
     """
     return not (residual > STEP_RESIDUAL_TOL * (1.0 + f_norm)
-                or (not resonant and residual > STEP_REL_TOL * f_norm))
+                or residual > STEP_REL_TOL * f_norm + floor)
 
 
 def item6_holds(schedule: KamSchedule, prev: "StepRecord", alpha: complex, omega) -> bool:
@@ -190,6 +191,7 @@ class StepRecord:
     alpha: complex
     residual: float
     contraction: float
+    residual_floor: float = 0.0
     r_next: float = 0.0
     x_norm: float = 0.0
     debt: float = 0.0
@@ -199,14 +201,15 @@ class StepRecord:
     preconditions: dict = field(default_factory=dict)
 
     CSV_FIELDS = ["n", "r_n", "N_n", "eps_bound", "F_norm", "resonant", "m",
-                  "alpha_re", "alpha_im", "residual", "contraction"]
+                  "alpha_re", "alpha_im", "residual", "contraction", "residual_floor"]
 
     def csv_row(self) -> list:
         return [self.n, repr(float(self.r_n)), self.N_n,
                 repr(float(self.eps_bound)), repr(float(self.f_norm)),
                 int(self.resonant), ";".join(str(int(v)) for v in self.m),
                 repr(float(self.alpha.real)), repr(float(self.alpha.imag)),
-                repr(float(self.residual)), repr(float(self.contraction))]
+                repr(float(self.residual)), repr(float(self.contraction)),
+                repr(float(self.residual_floor))]
 
     @classmethod
     def from_csv_row(cls, row: dict) -> "StepRecord":
@@ -217,7 +220,8 @@ class StepRecord:
             m=tuple(int(v) for v in row["m"].split(";")),
             alpha=complex(float(row["alpha_re"]), float(row["alpha_im"])),
             residual=float(row["residual"]),
-            contraction=float(row["contraction"]))
+            contraction=float(row["contraction"]),
+            residual_floor=float(row["residual_floor"]))
 
 
 @dataclass
@@ -327,7 +331,7 @@ def run(A, F: TorusMap, omega, schedule: KamSchedule, max_steps: int = 200,
                 out = step_resonant(A_n, F_n, r_n, N_n, schedule.a, schedule.c0,
                                     ctx, rep)
                 rotation_sum += resonance_shift(rep.m, omega)
-            if not step_residual_holds(out.residual_norm, f_norm, out.resonant):
+            if not step_residual_holds(out.residual_norm, f_norm, out.residual_floor):
                 raise ScheduleViolation(
                     f"step residual {out.residual_norm:.6e} exceeds its allowance "
                     f"at |F|_r = {f_norm:.6e}")
@@ -338,7 +342,8 @@ def run(A, F: TorusMap, omega, schedule: KamSchedule, max_steps: int = 200,
                 n=n, r_n=r_n, N_n=N_n, eps_bound=eps_n, f_norm=f_norm,
                 resonant=out.resonant, m=out.m if out.m is not None else (0,) * d,
                 alpha=alpha_n, residual=out.residual_norm,
-                contraction=out.contraction_observed, r_next=out.r_next,
+                contraction=out.contraction_observed,
+                residual_floor=out.residual_floor, r_next=out.r_next,
                 x_norm=out.x_norm, debt=Z.truncation_debt + out.F_next.truncation_debt,
                 item2_ok=item2_ok, item6_ok=item6_ok, margin=rep.margin,
                 preconditions=out.preconditions))

@@ -34,7 +34,9 @@ from .sl2_algebra import (
     lm_solve,
     shifted_alpha,
 )
-from .torus_fourier import TorusMap, exp_series_tail, project_traceless
+from .torus_fourier import TorusMap, exp_series_tail, op_norms, project_traceless
+
+ROUNDING_UNITS = 16.0  # units of 2^-52 in residual_floor; runs so far use a third of one
 
 
 class MultipleResonances(KamFailure):
@@ -79,6 +81,7 @@ class StepOutput:
     resonant: bool
     m: tuple | None
     residual_norm: float
+    residual_floor: float
     contraction_observed: float
     alpha_next: complex
     x_norm: float
@@ -96,6 +99,31 @@ def conjugation_residual(A, F: TorusMap, Z: TorusMap, A_next, F_next: TorusMap,
     sys_out = TorusMap.constant(np.asarray(A_next, dtype=complex), d).add(F_next)
     resid = lhs - sys_in.mul(Z) + Z.mul(sys_out)
     return resid.weighted_norm(r)
+
+
+def residual_floor(A, F: TorusMap, Z: TorusMap, A_next, F_next: TorusMap, r: float,
+                   f_norm: float, f_next_norm: float) -> float:
+    """The float floor of conjugation_residual at strip r, where f_norm and
+    f_next_norm bound |F|_r and |F'|_r.
+
+    With W = Z - I the residual is d_omega W - (A W - W A') - F - F W + F'
+    + W F' + (A' - A), each term rounded at a few units u = 2^-52 of its
+    size: u ((1 + |A| + |A'| + |F| + |F'|) |W|_r + |F| + |F'|).  Its constant
+    block adds the small pieces F^(0), F'^(0) and A W^(0) to matrices of size
+    |A|, and A' = A + a' F^(0) is such a sum too; each of those rounds by at
+    most u |A| or by the piece itself, whichever is less.  The floor is
+    ROUNDING_UNITS times the sum of both parts.  It does not shrink with
+    |F| near a resonance, where |W| is large, nor on a resonant step, where
+    Z = Phi exp(X) has no constant block and W^(0) = -I.
+    """
+    blocks = np.stack([A, A_next, F.constant_block(), F_next.constant_block(),
+                       Z.constant_block() - np.eye(2)])
+    a, a_next, f0, f0_next, w0 = op_norms(blocks.astype(complex))
+    a_norm = a + a_next
+    w_norm = Z.wave_norm(r) + w0
+    products = (1.0 + a_norm + f_norm + f_next_norm) * w_norm + f_norm + f_next_norm
+    pieces = f0 + f0_next + a_norm * w0
+    return ROUNDING_UNITS * (2.0 ** -52 * products + min(2.0 ** -52 * a_norm, pieces))
 
 
 def find_resonance(alpha: complex, omega, kappa: float, G: ApproxFn, g: ApproxFn,
@@ -270,7 +298,9 @@ def step_nonresonant(A, F: TorusMap, r: float, r_prime: float, N: int,
 
     A_next, F_next, Z_step, x_norm = _conjugate(A, F, N, a_prime, r_prime, ctx)
     residual = conjugation_residual(A, F, Z_step, A_next, F_next, ctx.omega, r_prime)
-    contraction = F_next.weighted_norm(r_prime) / eps if eps > 0 else 0.0
+    f_next_norm = F_next.weighted_norm(r_prime)
+    floor = residual_floor(A, F, Z_step, A_next, F_next, r_prime, eps, f_next_norm)
+    contraction = f_next_norm / eps if eps > 0 else 0.0
     if a_prime < 1.0 and not failed and eps > 0:
         limit = math.sqrt(1.0 - a_prime)
         if contraction > limit * CERT_SLACK:
@@ -278,7 +308,7 @@ def step_nonresonant(A, F: TorusMap, r: float, r_prime: float, N: int,
                 f"contraction {contraction:.3e} exceeds sqrt(1-a') = {limit:.3e}")
     return StepOutput(
         A_next=A_next, F_next=F_next, Z_step=Z_step, r_next=r_prime,
-        resonant=False, m=None, residual_norm=residual,
+        resonant=False, m=None, residual_norm=residual, residual_floor=floor,
         contraction_observed=contraction,
         alpha_next=eigen(A_next).alpha, x_norm=x_norm,
         preconditions=pre,
@@ -332,13 +362,15 @@ def step_resonant(A, F: TorusMap, r: float, N: int, a: float, c0: float,
     Z_step = Phi.mul(Z_x).cap_support(r_prime)
 
     residual = conjugation_residual(A, F, Z_step, A_next, F_next, ctx.omega, r_prime)
-    contraction = F_next.weighted_norm(r_prime) / eps if eps > 0 else 0.0
+    f_next_norm = F_next.weighted_norm(r_prime)
+    floor = residual_floor(A, F, Z_step, A_next, F_next, r_prime, eps, f_next_norm)
+    contraction = f_next_norm / eps if eps > 0 else 0.0
     if not failed and eps > 0 and contraction > (1.0 - a) * CERT_SLACK:
         raise BoundViolation(
             f"resonant contraction {contraction:.3e} exceeds 1-a = {1.0 - a:.3e}")
     return StepOutput(
         A_next=A_next, F_next=F_next, Z_step=Z_step, r_next=r_prime,
-        resonant=True, m=m, residual_norm=residual,
+        resonant=True, m=m, residual_norm=residual, residual_floor=floor,
         contraction_observed=contraction,
         alpha_next=eigen(A_next).alpha, x_norm=x_norm,
         preconditions=pre,

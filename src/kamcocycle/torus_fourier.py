@@ -124,7 +124,8 @@ def project_traceless(M: np.ndarray) -> np.ndarray:
 class TorusMap:
     """Immutable finitely supported Fourier series, coefficients in C^{2x2}."""
 
-    __slots__ = ("d", "half_k", "coeffs", "reality", "truncation_debt", "debt_r", "_keys")
+    __slots__ = ("d", "half_k", "coeffs", "reality", "truncation_debt", "debt_r", "_keys",
+                 "_weighed")
 
     def __init__(self, d, half_k, coeffs, *, reality=False, truncation_debt=0.0,
                  debt_r=0.0, _keys=None):
@@ -146,6 +147,7 @@ class TorusMap:
         self.truncation_debt = float(truncation_debt)
         self.debt_r = float(debt_r)
         self._keys = keys
+        self._weighed = (None, None)  # (r, _weights(r)) of the last strip weighed
         self.half_k.setflags(write=False)
         self.coeffs.setflags(write=False)
 
@@ -230,10 +232,16 @@ class TorusMap:
         """Operator norm of each block times exp(2*pi*|k|*r).
 
         Computed in the log domain so huge weights on tiny coefficients
-        cannot overflow; a zero block weighs as the smallest subnormal.
+        cannot overflow; a zero block weighs as the smallest subnormal.  The
+        map is immutable, so the weights of the last strip are kept: a step
+        weighs the same F, P and Q at the same strip several times.
         """
-        norms = np.maximum(op_norms(self.coeffs), 5e-324)
-        return np.exp(np.log(norms) + TWO_PI * self.modulus() * r)
+        if self._weighed[0] != r:
+            norms = np.maximum(op_norms(self.coeffs), 5e-324)
+            weights = np.exp(np.log(norms) + TWO_PI * self.modulus() * r)
+            weights.setflags(write=False)
+            self._weighed = (r, weights)
+        return self._weighed[1]
 
     def weighted_norm(self, r: float) -> float:
         """Sum of operator norms weighted by exp(2*pi*|k|*r)."""
@@ -242,6 +250,16 @@ class TorusMap:
         if self.n_modes == 0:
             return 0.0
         return float(self._weights(r).sum())
+
+    def wave_norm(self, r: float) -> float:
+        """weighted_norm(r) of the non-constant blocks alone."""
+        if self.n_modes == 0:
+            return 0.0
+        return float(self._weights(r)[self.half_k.any(axis=1)].sum())
+
+    def constant_block(self) -> np.ndarray:
+        """The coefficient of the zero mode (zero when the map has none)."""
+        return self.coeffs[~self.half_k.any(axis=1)].sum(axis=0)
 
     def truncate(self, N: float) -> "TorusMap":
         if N < 0:
@@ -259,12 +277,12 @@ class TorusMap:
         non-constant block weighing below PRUNE_REL times the summed weight
         of the non-constant blocks is dropped (weighing against the whole
         map would drop all of P from I + P once |P| < PRUNE_REL), and so is
-        every block past the DEFAULT_MODE_CAP heaviest.  The dropped weight
-        is added to truncation_debt, which then bounds the loss at every
-        strip up to r, or up to the earlier debt_r when the map already
-        carried debt booked at a smaller strip.  Conjugate pairs are kept
-        together when the map is flagged real.  Returns self when nothing
-        is dropped.
+        every block but the constant one past the DEFAULT_MODE_CAP heaviest.
+        The dropped weight is added to truncation_debt, which then bounds
+        the loss at every strip up to r, or up to the earlier debt_r when
+        the map already carried debt booked at a smaller strip.  Conjugate
+        pairs are kept together when the map is flagged real.  Returns self
+        when nothing is dropped.
         """
         if self.n_modes == 0:
             return self
@@ -273,6 +291,7 @@ class TorusMap:
         keep = ~wave | (weights >= PRUNE_REL * weights[wave].sum())
         if self.n_modes > DEFAULT_MODE_CAP:
             keep[np.argsort(weights, kind="stable")[:-DEFAULT_MODE_CAP]] = False
+            keep |= ~wave
         if keep.all():
             return self
         if self.reality:
@@ -402,7 +421,11 @@ class TorusMap:
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "TorusMap":
-        """Read a map written by to_json_obj; reality_flag is required."""
+        """Read a map written by to_json_obj; reality_flag is required.
+
+        The map starts with no debt: the truncation_debt and debt_r that
+        to_json_obj writes for a certificate are not read back.
+        """
         d = int(obj["d"])
         reality = obj.get("reality_flag")
         if not isinstance(reality, bool):
@@ -414,9 +437,7 @@ class TorusMap:
         hk = np.array(hk, dtype=np.int64)
         cf = np.array([m["re"] for m in modes], dtype=float) \
             + 1j * np.array([m["im"] for m in modes], dtype=float)
-        return cls(d, hk, cf, reality=reality,
-                   truncation_debt=obj.get("truncation_debt", 0.0),
-                   debt_r=obj.get("debt_r", 0.0))
+        return cls(d, hk, cf, reality=reality)
 
     def __repr__(self):
         return (f"TorusMap(d={self.d}, modes={self.n_modes}, "

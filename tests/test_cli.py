@@ -14,6 +14,7 @@ import kamcocycle
 from kamcocycle import cli, kam_driver, kam_step
 from kamcocycle.cli import ConfigError, InputError, RunConfig, build_schrodinger, main
 from kamcocycle.errors import KamFailure
+from kamcocycle.kam_driver import RunTrace
 from kamcocycle.kam_step import PreconditionFailure
 from kamcocycle.torus_fourier import TorusMap
 
@@ -483,11 +484,14 @@ def test_step_that_lost_P_exits_3_with_certificate(tmp_path, monkeypatch):
 
 
 def test_huge_perturbation_has_a_finite_norm(tmp_path):
-    # entries above about 1.3e154 square past the float range; |F|_r does not
+    # entries above about 1.3e154 square past the float range; |F|_r does not.
+    # cert_tol stops the run before its first step, so the certificate
+    # reports |F_0|_r whatever a step would make of it
     c = 1e160
-    cfg = base_config(eps0=1e200, V={"v0": 0.0, "modes": [{"m": [1, 1], "c": c}]})
+    cfg = base_config(eps0=1e200, cert_tol=1e170,
+                      V={"v0": 0.0, "modes": [{"m": [1, 1], "c": c}]})
     path = write_config(tmp_path, cfg)
-    assert main(["run", "--config", str(path)]) == 0  # |F|_r is below the default cert_tol
+    main(["run", "--config", str(path)])
     cert = json.loads((tmp_path / "certificate.json").read_text())
     assert cert["f_final_norm"] == pytest.approx(2.0 * c * math.exp(2.0 * math.pi), rel=1e-13)
 
@@ -538,8 +542,8 @@ def test_cmd_audit_detects_tampering(tmp_path):
 
 
 def test_cmd_audit_checks_the_relative_step_residual(tmp_path):
-    # a non-resonant row whose residual is a millionth of its |F_n|: inside
-    # 1e-10 (1 + |F_n|), outside 1e-12 |F_n|
+    # a row whose residual is a millionth of its |F_n|: inside 1e-10 (1 + |F_n|),
+    # outside 1e-12 |F_n| plus the row's float floor
     path = write_config(tmp_path, base_config())
     assert main(["run", "--config", str(path)]) == 0
     trace = (tmp_path / "trace.csv").read_text().splitlines()
@@ -566,6 +570,49 @@ def test_deep_ladder_reduces_and_passes_audit(tmp_path, cert_tol, steps):
                  "--config", str(path)]) == 0
 
 
+def _near_resonant_config():
+    # sqrt(E) is 5e-4 above pi <(4, 4), omega>, the resonance of the mode
+    # (4, 4) of V: the steps' Z are large, and |A| is about 1e3
+    j = 4
+    E = (math.pi * j * (1.0 + GOLDEN[1]) + 5e-4) ** 2
+    c = 1e-14 / (2.0 * math.exp(2.0 * math.pi * j))
+    return base_config(E=E, V={"v0": 0.0, "modes": [{"m": [j, j], "c": c}]})
+
+
+def _constant_block_config():
+    # A' = A + a' F^(0) rounds at about 2^-52 |A|, which is more than
+    # 1e-12 |F| once |F| is below about 2e-4 |A|
+    s = 1e-14
+
+    def mode(half_k, M):
+        return {"half_k": half_k, "re": M, "im": [[0.0, 0.0], [0.0, 0.0]]}
+
+    wave, diag = [[0.0, s], [s, 0.0]], [[s, 0.0], [0.0, -s]]
+    F = {"reality_flag": True,
+         "modes": [mode([0, 0], [[s, 0.3 * s], [0.7 * s, -s]]),
+                   mode([2, 0], wave), mode([-2, 0], wave),
+                   mode([2, 2], diag), mode([-2, -2], diag)]}
+    cfg = base_config(A=[[0.0, 1.5], [-1.5, 0.0]], F=F)
+    for k in ("E", "V"):
+        cfg.pop(k)
+    return cfg
+
+
+@pytest.mark.parametrize("make", [_near_resonant_config, _constant_block_config])
+def test_correct_steps_pass_at_their_float_floor(tmp_path, make):
+    # rounding leaves more than 1e-12 |F_n| in these steps' residuals; the
+    # steps' own floor covers it, in run and in audit
+    path = write_config(tmp_path, make())
+    assert main(["run", "--config", str(path)]) == 0
+    cert = json.loads((tmp_path / "certificate.json").read_text())
+    assert cert["status"] == "Reduced"
+    rows = RunTrace.from_csv(tmp_path / "trace.csv").records
+    assert max(r.residual / r.f_norm for r in rows) > 1e-12
+    assert all(r.residual <= r.residual_floor for r in rows)
+    assert main(["audit", "--trace", str(tmp_path / "trace.csv"),
+                 "--config", str(path)]) == 0
+
+
 def test_config_F_requires_the_reality_flag(tmp_path, capsys):
     F = dict(_MATRIX["F"])
     path = write_config(tmp_path, base_config(**dict(_MATRIX, F=F)))
@@ -576,6 +623,18 @@ def test_config_F_requires_the_reality_flag(tmp_path, capsys):
     F["reality_flag"] = True
     path = write_config(tmp_path, base_config(**dict(_MATRIX, F=F)))
     assert main(["run", "--config", str(path)]) == 0
+
+
+def test_config_F_carries_no_debt(tmp_path):
+    # the Z of a certificate carries truncation_debt and debt_r; an F in a
+    # config does not read them (a debt strip of 1e6 made the budget inf)
+    F = dict(_MATRIX["F"], reality_flag=True, truncation_debt=1e-300, debt_r=1e6)
+    cfg = base_config(**dict(_MATRIX, F=F))
+    assert RunConfig.from_obj(cfg).F.truncation_debt == 0.0
+    path = write_config(tmp_path, cfg)
+    assert main(["run", "--config", str(path)]) == 0
+    cert = json.loads((tmp_path / "certificate.json").read_text())
+    assert math.isfinite(cert["residual_budget"])
 
 
 def resonant_config():

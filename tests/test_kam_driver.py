@@ -379,15 +379,17 @@ def test_run_global_residual_budget():
             assert cert.residual == cert.f_final_norm
 
 
-def test_step_residual_holds_is_relative_on_non_resonant_steps():
+def test_step_residual_holds_is_relative_above_the_float_floor():
     # 1e-13 is far inside the absolute allowance 1e-10 (1 + |F|), but it is
-    # all of |F|: a non-resonant step's residual must stay below 1e-12 |F|
-    assert not step_residual_holds(1e-13, 1e-13, resonant=False)
-    assert step_residual_holds(1e-26, 1e-13, resonant=False)
-    assert step_residual_holds(0.0, 0.0, resonant=False)
-    # a resonant step's residual rounds at the scale of A Phi, not of F
-    assert step_residual_holds(2.1e-15, 4.6e-13, resonant=True)
-    assert not step_residual_holds(3e-10, 1.0, resonant=True)
+    # all of |F|: a step's residual must stay below 1e-12 |F| above its floor
+    assert not step_residual_holds(1e-13, 1e-13, 0.0)
+    assert step_residual_holds(1e-26, 1e-13, 0.0)
+    assert step_residual_holds(0.0, 0.0, 0.0)
+    # a residual at the step's own rounding floor passes whatever |F| is
+    assert step_residual_holds(2.1e-15, 4.6e-13, 1e-14)
+    assert not step_residual_holds(2.1e-15, 4.6e-13, 1e-15)
+    # the absolute allowance stays
+    assert not step_residual_holds(3e-10, 1.0, 1.0)
 
 
 def test_capped_run_debt_bounds_the_loss_of_Z(monkeypatch):

@@ -13,6 +13,7 @@ from kamcocycle.kam_step import (
     conjugation_residual,
     eliminate_resonance,
     find_resonance,
+    residual_floor,
     solve_homological,
     step_nonresonant,
     step_resonant,
@@ -249,6 +250,24 @@ def test_step_nonresonant_contraction_and_residual():
     assert out.residual_norm <= 1e-10 * (1 + F.weighted_norm(r)) + debt
     assert out.Z_step.is_real()
     assert out.F_next.is_real()
+
+
+@pytest.mark.parametrize("eps", [1e-9, 1e-40])
+def test_residual_floor_leaves_a_lost_P_outside(eps):
+    # the floor is the step's own rounding, not a share of |A|: a Z that lost
+    # its P leaves a residual of about |F|, far above the floor at any |F|
+    ctx = make_ctx()
+    A = rotation_like(0.77)
+    F = small_real_map(eps=eps, seed=5)
+    r, r_prime, N = 0.5, 0.33, 5
+    out = step_nonresonant(A, F, r, r_prime, N, 1.0 - 1.0 / 200.0, ctx, resonance_of(A, N, ctx))
+    assert out.residual_norm <= out.residual_floor
+    identity = TorusMap.identity(2)
+    lost = conjugation_residual(A, F, identity, out.A_next, out.F_next, ctx.omega, r_prime)
+    f_norm = F.weighted_norm(r_prime)
+    floor = residual_floor(A, F, identity, out.A_next, out.F_next, r_prime, f_norm,
+                           out.F_next.weighted_norm(r_prime))
+    assert lost > 0.5 * f_norm and floor < 1e-9 * f_norm
 
 
 def test_step_nonresonant_decomposes_twice(monkeypatch):

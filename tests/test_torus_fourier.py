@@ -369,21 +369,36 @@ def test_cap_support_weighs_against_the_non_constant_mass():
 
 
 def test_mul_books_debt_at_the_strip_it_was_measured(monkeypatch):
-    # with a cap of one mode, cap_support(0.5) of I + 1e-3 I e_(20,0) keeps the
-    # (20, 0) mode, weighing 1e-3 e^{10 pi}, and books the dropped I as debt 1
-    # at r = 0.5; the product with I e_(20,0) then loses I e_(20,0), whose
-    # weight at 0.5 is e^{10 pi} = 4.4e13, not the 1 that |.|_0 would book
+    # with a cap of one mode, cap_support(0.5) of I + I e_(-2,0) + 1e-3 I e_(20,0)
+    # keeps I and the (20, 0) mode, weighing 1e-3 e^{10 pi}, and books the
+    # dropped I e_(-2,0) as debt e^{pi} at r = 0.5; the product with I e_(20,0)
+    # then loses I e_(18,0), whose weight at 0.5 is e^{9 pi} = 1.9e12, not the
+    # e^{pi} = 23 that |.|_0 would book
     monkeypatch.setattr(torus_fourier, "DEFAULT_MODE_CAP", 1)
     r = 0.5
     wave = single_mode((20, 0), np.eye(2))
-    a = TorusMap.identity(2).add(wave.scale(1e-3))
+    a = TorusMap.identity(2).add(single_mode((-2, 0), np.eye(2))).add(wave.scale(1e-3))
     capped = a.cap_support(r)
-    assert capped.half_k.tolist() == [[20, 0]]
-    assert (capped.truncation_debt, capped.debt_r) == (1.0, r)
+    assert capped.half_k.tolist() == [[0, 0], [20, 0]]
+    assert capped.truncation_debt == pytest.approx(math.exp(math.pi), rel=1e-13)
+    assert capped.debt_r == r
     prod = capped.mul(wave)
     lost = (a.mul(wave) - prod).weighted_norm(r)
-    assert lost == pytest.approx(math.exp(10.0 * math.pi), rel=1e-13)
+    assert lost == pytest.approx(math.exp(9.0 * math.pi), rel=1e-13)
     assert lost <= prod.truncation_debt and prod.debt_r == r
+
+
+def test_cap_support_keeps_the_constant_block_past_the_mode_cap(monkeypatch):
+    # the constant block of F' is of order |F|^2 and may weigh less than the
+    # waves the cap keeps; it stays all the same
+    monkeypatch.setattr(torus_fourier, "DEFAULT_MODE_CAP", 2)
+    B = np.array([[1.0, 2.0], [0.0, -1.0]])
+    F = TorusMap.from_modes(2, [((0, 0), 1e-20 * B), ((2, 0), 1e-10 * B),
+                                ((0, 2), 1e-10 * B), ((2, 2), 1e-12 * B)])
+    capped = F.cap_support(0.25)
+    assert sorted(modes_of(capped)) == [(0, 0), (0, 2), (2, 0)]
+    weight = op_norm_2x2(1e-12 * B) * math.exp(2.0 * math.pi * 2.0 * 0.25)
+    assert capped.truncation_debt == pytest.approx(weight, rel=1e-13)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan), complex(0.0, np.inf)])
@@ -552,8 +567,9 @@ def test_cap_support_tracks_debt(monkeypatch):
     r = 0.15
     capped = F.cap_support(r)
     assert capped.n_modes <= 12  # pair completion may keep one extra pair
+    assert (0, 0) in modes_of(capped)  # past the cap, but the constant block stays
     # the debt a cap of 10 books on this map
-    assert capped.truncation_debt == pytest.approx(93765.88874146494, rel=1e-12)
+    assert capped.truncation_debt == pytest.approx(93763.84628314042, rel=1e-12)
     lost = (F - TorusMap(capped.d, capped.half_k, capped.coeffs)).weighted_norm(r)
     assert capped.truncation_debt == pytest.approx(lost, rel=1e-12)
     assert capped.reality and capped.is_real()
@@ -561,15 +577,22 @@ def test_cap_support_tracks_debt(monkeypatch):
 
 def test_json_roundtrip_bit_exact():
     F = random_map(n_modes=9, rng=np.random.default_rng(55))
-    F = TorusMap(F.d, F.half_k, F.coeffs, reality=True, truncation_debt=1e-40, debt_r=0.25)
     s = to_json(F)
     G = from_json(s)
     assert np.array_equal(F.half_k, G.half_k)
     assert np.array_equal(F.coeffs, G.coeffs)
-    assert (F.reality, F.truncation_debt, F.debt_r) == (G.reality, G.truncation_debt, G.debt_r)
+    assert F.reality == G.reality
     assert to_json(G) == s
     # json text itself is reproducible
     assert to_json(from_json(to_json(G))) == s
+    # a certificate writes a map's debt and its strip; a map read back, as a
+    # config's F is, starts with no debt
+    D = TorusMap(F.d, F.half_k, F.coeffs, reality=True, truncation_debt=1e-40, debt_r=1e6)
+    obj = D.to_json_obj()
+    assert (obj["truncation_debt"], obj["debt_r"]) == (1e-40, 1e6)
+    E = from_json(to_json(D))
+    assert (E.truncation_debt, E.debt_r) == (0.0, 0.0)
+    assert np.array_equal(E.coeffs, D.coeffs)
 
 
 @settings(max_examples=60, deadline=None)
