@@ -194,7 +194,6 @@ class StepRecord:
     residual_floor: float = 0.0
     r_next: float = 0.0
     x_norm: float = 0.0
-    debt: float = 0.0
     item2_ok: bool | None = None
     item6_ok: bool | None = None
     margin: float = 0.0
@@ -258,7 +257,6 @@ class Certificate:
     f_final_norm: float
     residual_budget: float
     cert_tol: float
-    truncation_debt: float
 
     def to_json_obj(self) -> dict:
         return {
@@ -274,7 +272,6 @@ class Certificate:
             "f_final_norm": self.f_final_norm,
             "residual_budget": self.residual_budget,
             "cert_tol": self.cert_tol,
-            "truncation_debt": self.truncation_debt,
         }
 
 
@@ -282,12 +279,15 @@ def run(A, F: TorusMap, omega, schedule: KamSchedule, max_steps: int = 200,
         cert_tol: float | None = None) -> tuple[RunTrace, Certificate]:
     """Iterate KAM steps until the perturbation falls below cert_tol.
 
-    Raises ScheduleViolation when a measured |F_n| exceeds its ladder bound
-    eps_n or a step residual fails step_residual_holds, and a KamFailure
-    that escapes step n leaves with step = n.  The conjugation Z_n is
-    accumulated on the double torus, and the global residual of the final Z
-    against the original system is measured once, after the last step (0
-    when no step ran).
+    Raises ScheduleViolation when eps_0 admits no truncation order (before
+    cert_tol is tested, so a huge F_0 is never Reduced after no step), when
+    a measured |F_n| exceeds its ladder bound eps_n or when a step residual
+    fails step_residual_holds; a KamFailure that escapes step n leaves with
+    step = n.  The conjugation Z_n is accumulated on the double torus, and
+    the global residual of the final Z against the original system is
+    measured once, after the last step (0 when no step ran).  Its budget is
+    STEP_RESIDUAL_TOL (1 + |F_0|_{r0}) per step: what cap_support drops
+    shows in it, as in every step residual.
     """
     omega = np.asarray(omega, dtype=float)
     A = np.asarray(A, dtype=float)
@@ -300,6 +300,7 @@ def run(A, F: TorusMap, omega, schedule: KamSchedule, max_steps: int = 200,
     A_n, F_n, r_n = A, F, schedule.r0
     alpha_n = eigen(A_n).alpha
     f0_norm = F.weighted_norm(schedule.r0)
+    sequence_N(schedule, 0)
     records: list[StepRecord] = []
     resonances_after_n0 = 0
     rotation_sum = 0.0
@@ -344,8 +345,7 @@ def run(A, F: TorusMap, omega, schedule: KamSchedule, max_steps: int = 200,
                 alpha=alpha_n, residual=out.residual_norm,
                 contraction=out.contraction_observed,
                 residual_floor=out.residual_floor, r_next=out.r_next,
-                x_norm=out.x_norm, debt=Z.truncation_debt + out.F_next.truncation_debt,
-                item2_ok=item2_ok, item6_ok=item6_ok, margin=rep.margin,
+                x_norm=out.x_norm, item2_ok=item2_ok, item6_ok=item6_ok, margin=rep.margin,
                 preconditions=out.preconditions))
             A_n, F_n, r_n, alpha_n = out.A_next, out.F_next, out.r_next, out.alpha_next
     except KamFailure as exc:
@@ -354,8 +354,7 @@ def run(A, F: TorusMap, omega, schedule: KamSchedule, max_steps: int = 200,
 
     global_residual = conjugation_residual(A, F, Z, A_n, F_n, omega, r_n) if records else 0.0
     f_final = F_n.weighted_norm(r_n)
-    debt = Z.truncation_debt + F_n.truncation_debt
-    budget = len(records) * STEP_RESIDUAL_TOL * (1.0 + f0_norm) + debt
+    budget = len(records) * STEP_RESIDUAL_TOL * (1.0 + f0_norm)
     residual = global_residual + f_final
     r_floor = schedule.r0 / 4.0 ** (schedule.n0 + 1)
     if terminated == "converged" or f_final <= cert_tol:
@@ -372,7 +371,7 @@ def run(A, F: TorusMap, omega, schedule: KamSchedule, max_steps: int = 200,
         status=status, status_detail=detail, B=A_n, Z=Z, r_final=r_n,
         residual=residual, rotation_sum=rotation_sum, steps=len(records),
         resonances_after_n0=resonances_after_n0, f_final_norm=f_final,
-        residual_budget=budget, cert_tol=cert_tol, truncation_debt=debt)
+        residual_budget=budget, cert_tol=cert_tol)
     return trace, cert
 
 

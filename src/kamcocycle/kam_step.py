@@ -91,8 +91,7 @@ class StepOutput:
 def conjugation_residual(A, F: TorusMap, Z: TorusMap, A_next, F_next: TorusMap,
                          omega, r: float) -> float:
     """|d_omega Z - (A + F) Z + Z (A_next + F_next)|_r of the stored
-    coefficients, the step oracle; debts are not read."""
-    Z, F, F_next = Z.debt_free(), F.debt_free(), F_next.debt_free()
+    coefficients, the step oracle."""
     d = Z.d
     lhs = Z.dir_derivative(omega)
     sys_in = TorusMap.constant(np.asarray(A, dtype=complex), d).add(F)

@@ -124,14 +124,11 @@ def project_traceless(M: np.ndarray) -> np.ndarray:
 class TorusMap:
     """Immutable finitely supported Fourier series, coefficients in C^{2x2}."""
 
-    __slots__ = ("d", "half_k", "coeffs", "reality", "truncation_debt", "debt_r", "_keys",
-                 "_weighed")
+    __slots__ = ("d", "half_k", "coeffs", "reality", "_keys", "_weighed")
 
-    def __init__(self, d, half_k, coeffs, *, reality=False, truncation_debt=0.0,
-                 debt_r=0.0, _keys=None):
-        # truncation_debt bounds the weighted norm, at every strip up to
-        # debt_r, of what was dropped from the map; _keys: the packed keys of
-        # rows that are already sorted, unique and pruned (the canonical form)
+    def __init__(self, d, half_k, coeffs, *, reality=False, _keys=None):
+        # _keys: the packed keys of rows that are already sorted, unique and
+        # pruned (the canonical form)
         half_k = np.asarray(half_k, dtype=np.int64).reshape(-1, d)
         coeffs = np.asarray(coeffs, dtype=np.complex128).reshape(-1, 2, 2)
         if half_k.shape[0] != coeffs.shape[0]:
@@ -144,8 +141,6 @@ class TorusMap:
         self.half_k = half_k
         self.coeffs = coeffs
         self.reality = bool(reality)
-        self.truncation_debt = float(truncation_debt)
-        self.debt_r = float(debt_r)
         self._keys = keys
         self._weighed = (None, None)  # (r, _weights(r)) of the last strip weighed
         self.half_k.setflags(write=False)
@@ -266,23 +261,20 @@ class TorusMap:
             raise ValueError("truncation order must be nonnegative")
         keep = self.modulus() <= N
         return TorusMap(self.d, self.half_k[keep], self.coeffs[keep],
-                        reality=self.reality, truncation_debt=self.truncation_debt,
-                        debt_r=self.debt_r, _keys=self._keys[keep])
+                        reality=self.reality, _keys=self._keys[keep])
 
     def cap_support(self, r: float) -> "TorusMap":
-        """Drop the coefficients that weigh little at strip half-width r, and
-        book their weight there as truncation debt.
+        """Drop the coefficients that weigh little at strip half-width r.
 
         A block's weight is its operator norm times exp(2*pi*|k|*r).  Every
         non-constant block weighing below PRUNE_REL times the summed weight
         of the non-constant blocks is dropped (weighing against the whole
         map would drop all of P from I + P once |P| < PRUNE_REL), and so is
         every block but the constant one past the DEFAULT_MODE_CAP heaviest.
-        The dropped weight is added to truncation_debt, which then bounds
-        the loss at every strip up to r, or up to the earlier debt_r when
-        the map already carried debt booked at a smaller strip.  Conjugate
-        pairs are kept together when the map is flagged real.  Returns self
-        when nothing is dropped.
+        Conjugate pairs are kept together when the map is flagged real.
+        Nothing is booked: what is dropped shows in the residuals, which are
+        measured on the stored coefficients.  Returns self when nothing is
+        dropped.
         """
         if self.n_modes == 0:
             return self
@@ -299,19 +291,8 @@ class TorusMap:
             idx = np.minimum(np.searchsorted(self._keys, neg_keys), self.n_modes - 1)
             paired = self._keys[idx] == neg_keys
             keep[idx[paired & keep]] = True
-        debt = float(weights[~keep].sum())
         return TorusMap(self.d, self.half_k[keep], self.coeffs[keep],
-                        reality=self.reality,
-                        truncation_debt=self.truncation_debt + debt,
-                        debt_r=min(r, self.debt_r) if self.truncation_debt else r,
-                        _keys=self._keys[keep])
-
-    def debt_free(self) -> "TorusMap":
-        """The stored coefficients alone, with no truncation debt."""
-        if not self.truncation_debt:
-            return self
-        return TorusMap(self.d, self.half_k, self.coeffs, reality=self.reality,
-                        _keys=self._keys)
+                        reality=self.reality, _keys=self._keys[keep])
 
     # -- algebra -----------------------------------------------------------
 
@@ -321,15 +302,11 @@ class TorusMap:
         hk = np.concatenate([self.half_k, other.half_k])
         cf = np.concatenate([self.coeffs, other.coeffs])
         return TorusMap(self.d, hk, cf,
-                        reality=self.reality and other.reality,
-                        truncation_debt=self.truncation_debt + other.truncation_debt,
-                        debt_r=_debt_strip(self, other))
+                        reality=self.reality and other.reality)
 
     def scale(self, c) -> "TorusMap":
         real = self.reality and (np.imag(c) == 0.0)
-        return TorusMap(self.d, self.half_k, self.coeffs * c, reality=bool(real),
-                        truncation_debt=self.truncation_debt * abs(c),
-                        debt_r=self.debt_r)
+        return TorusMap(self.d, self.half_k, self.coeffs * c, reality=bool(real))
 
     def __add__(self, other):
         return self.add(other)
@@ -341,12 +318,7 @@ class TorusMap:
         return self.scale(-1.0)
 
     def mul(self, other: "TorusMap") -> "TorusMap":
-        """Pointwise matrix product, i.e. coefficient convolution.
-
-        With debts D_a, D_b bounding the losses of a and b at strip rho,
-        the loss of the product there is at most D_a (|b|_rho + D_b) +
-        D_b |a|_rho, booked at rho, the smaller of the two debt strips.
-        """
+        """Pointwise matrix product, i.e. coefficient convolution."""
         if self.d != other.d:
             raise ValueError("dimension mismatch")
         n1, n2 = self.n_modes, other.n_modes
@@ -354,24 +326,15 @@ class TorusMap:
             return TorusMap.zero(self.d)
         keys, hk, coeffs = _convolve(self, other)
         hk, coeffs, keys = _prune(hk, coeffs, keys)
-        da, db = self.truncation_debt, other.truncation_debt
-        rho = _debt_strip(self, other)
-        debt = 0.0
-        if da:
-            debt += da * (other.weighted_norm(rho) + db)
-        if db:
-            debt += db * self.weighted_norm(rho)
-        return TorusMap(self.d, hk, coeffs,
-                        reality=self.reality and other.reality,
-                        truncation_debt=debt, debt_r=rho, _keys=keys)
+        return TorusMap(self.d, hk, coeffs, reality=self.reality and other.reality,
+                        _keys=keys)
 
     def dir_derivative(self, omega) -> "TorusMap":
         """Derivative along the torus flow: mode m picks up 2*i*pi*<m,omega>."""
         omega = np.asarray(omega, dtype=float)
         factors = 1j * math.pi * (self.half_k @ omega)
         return TorusMap(self.d, self.half_k, self.coeffs * factors[:, None, None],
-                        reality=self.reality,
-                        truncation_debt=self.truncation_debt, debt_r=self.debt_r)
+                        reality=self.reality)
 
     def eval(self, theta) -> np.ndarray:
         """Evaluate at theta (shape (d,) or (n, d)); returns 2x2 blocks."""
@@ -388,8 +351,7 @@ class TorusMap:
     def trace_projected(self) -> "TorusMap":
         """Remove the trace part of every coefficient (sl(2) projection)."""
         return TorusMap(self.d, self.half_k, project_traceless(self.coeffs),
-                        reality=self.reality, truncation_debt=self.truncation_debt,
-                        debt_r=self.debt_r, _keys=self._keys)
+                        reality=self.reality, _keys=self._keys)
 
     def realified(self) -> "TorusMap":
         """Symmetrize coefficients to exact conjugate symmetry."""
@@ -397,9 +359,7 @@ class TorusMap:
             return self
         out = TorusMap(self.d, np.concatenate([self.half_k, -self.half_k]),
                        np.concatenate([self.coeffs, np.conj(self.coeffs)])).scale(0.5)
-        return TorusMap(out.d, out.half_k, out.coeffs, reality=True,
-                        truncation_debt=self.truncation_debt, debt_r=self.debt_r,
-                        _keys=out._keys)
+        return TorusMap(out.d, out.half_k, out.coeffs, reality=True, _keys=out._keys)
 
     # -- serialization -----------------------------------------------------
 
@@ -407,8 +367,6 @@ class TorusMap:
         return {
             "d": self.d,
             "reality_flag": self.reality,
-            "truncation_debt": self.truncation_debt,
-            "debt_r": self.debt_r,
             "modes": [
                 {
                     "half_k": [int(v) for v in self.half_k[i]],
@@ -421,11 +379,7 @@ class TorusMap:
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "TorusMap":
-        """Read a map written by to_json_obj; reality_flag is required.
-
-        The map starts with no debt: the truncation_debt and debt_r that
-        to_json_obj writes for a certificate are not read back.
-        """
+        """Read a map written by to_json_obj; reality_flag is required."""
         d = int(obj["d"])
         reality = obj.get("reality_flag")
         if not isinstance(reality, bool):
@@ -558,18 +512,12 @@ def _box(hk1, hk2, limit):
     return lo1 + lo2, step, tuple(shape), (off1 // step) @ strides, (off2 // step) @ strides
 
 
-def _debt_strip(*maps: TorusMap) -> float:
-    """The strip up to which the debts of maps all bound their losses: the
-    smallest debt_r of those that carry debt (0 when none does)."""
-    return min((m.debt_r for m in maps if m.truncation_debt), default=0.0)
-
-
 def _prune(half_k, coeffs, keys):
     """Drop the all-zero blocks, which carry no mass.
 
     Small blocks are kept whatever their size: only cap_support drops mass,
-    by weight, and books it.  A NaN or infinite entry raises KamFailure: its
-    block has no norm to weigh or book.
+    by weight.  A NaN or infinite entry raises KamFailure: its block has no
+    norm to weigh.
     """
     if half_k.shape[0] == 0:
         return half_k, coeffs, keys

@@ -83,11 +83,11 @@ def resonant_run(fitted_kappa):
 
 
 def test_criterion_1_conjugation_residual(long_run, resonant_run):
-    # every step of every run: residual <= 1e-10 (1 + |F|_r) + debt,
-    # and under 1 second per step at d = 2
+    # every step of every run: residual <= 1e-10 (1 + |F|_r), and under 1
+    # second per step at d = 2
     for bundle in (long_run, resonant_run):
         for rec in bundle["trace"].records:
-            allowance = 1e-10 * (1.0 + rec.f_norm) + rec.debt
+            allowance = 1e-10 * (1.0 + rec.f_norm)
             assert rec.residual <= allowance, (rec.n, rec.residual, allowance)
     per_step = long_run["elapsed"] / max(len(long_run["trace"].records), 1)
     assert per_step < 1.0, f"{per_step:.2f} s per step"

@@ -1,4 +1,5 @@
 import importlib
+import importlib.util
 import json
 import math
 import pkgutil
@@ -483,17 +484,25 @@ def test_step_that_lost_P_exits_3_with_certificate(tmp_path, monkeypatch):
     assert 0.5 * f_norm < residual <= 1e-10 * (1.0 + f_norm)
 
 
-def test_huge_perturbation_has_a_finite_norm(tmp_path):
-    # entries above about 1.3e154 square past the float range; |F|_r does not.
-    # cert_tol stops the run before its first step, so the certificate
-    # reports |F_0|_r whatever a step would make of it
+def test_huge_perturbation_has_a_finite_norm():
+    # entries above about 1.3e154 square past the float range; |F|_r does not
     c = 1e160
-    cfg = base_config(eps0=1e200, cert_tol=1e170,
-                      V={"v0": 0.0, "modes": [{"m": [1, 1], "c": c}]})
+    cfg = base_config(eps0=1e200, V={"v0": 0.0, "modes": [{"m": [1, 1], "c": c}]})
+    F = RunConfig.from_obj(cfg).F
+    assert F.weighted_norm(0.5) == pytest.approx(2.0 * c * math.exp(2.0 * math.pi), rel=1e-13)
+
+
+def test_eps0_without_a_truncation_order_exits_3_before_cert_tol(tmp_path):
+    # no truncation order exists for eps0 = 1e200; the default cert_tol,
+    # 1e-14 eps0, lies above |F_0|_r = 1.07e163, and the run must not end
+    # Reduced after no step
+    cfg = base_config(eps0=1e200, V={"v0": 0.0, "modes": [{"m": [1, 1], "c": 1e160}]})
     path = write_config(tmp_path, cfg)
-    main(["run", "--config", str(path)])
+    assert main(["run", "--config", str(path)]) == 3
     cert = json.loads((tmp_path / "certificate.json").read_text())
-    assert cert["f_final_norm"] == pytest.approx(2.0 * c * math.exp(2.0 * math.pi), rel=1e-13)
+    assert cert == {"status": "PreconditionFailure",
+                    "status_detail": "ScheduleViolation at step 0: "
+                                     "eps_0 too large for any truncation order to exist"}
 
 
 def test_internal_error_exits_4(tmp_path, capsys, monkeypatch):
@@ -626,15 +635,17 @@ def test_config_F_requires_the_reality_flag(tmp_path, capsys):
 
 
 def test_config_F_carries_no_debt(tmp_path):
-    # the Z of a certificate carries truncation_debt and debt_r; an F in a
-    # config does not read them (a debt strip of 1e6 made the budget inf)
+    # an F copied from an older certificate's Z may hold truncation_debt and
+    # debt_r; they are not read, and the residual budget is the steps'
+    # shares of 1e-10 (1 + |F_0|_r) alone (a debt strip of 1e6 once made it inf)
     F = dict(_MATRIX["F"], reality_flag=True, truncation_debt=1e-300, debt_r=1e6)
     cfg = base_config(**dict(_MATRIX, F=F))
-    assert RunConfig.from_obj(cfg).F.truncation_debt == 0.0
     path = write_config(tmp_path, cfg)
     assert main(["run", "--config", str(path)]) == 0
     cert = json.loads((tmp_path / "certificate.json").read_text())
-    assert math.isfinite(cert["residual_budget"])
+    f0 = RunConfig.from_obj(cfg).F.weighted_norm(cfg["r0"])
+    assert cert["steps"] > 0
+    assert cert["residual_budget"] == cert["steps"] * 1e-10 * (1.0 + f0)
 
 
 def resonant_config():
@@ -752,6 +763,26 @@ def test_cli_import_loads_no_scipy():
     out = subprocess.run([sys.executable, "-c", code, str(src)], check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "[]"
+
+
+def test_bench_tracing_targets_resolve():
+    # `bench/run.py --trace 1` wraps these functions and methods by name: a
+    # deleted or renamed one must fail here, not in a traced benchmark run
+    path = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("bench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+
+    def module(name):
+        return importlib.import_module(f"kamcocycle.{name}")
+
+    for modname, attr, *_ in tracing._FUNCTIONS:
+        assert callable(getattr(module(modname), attr, None)), (modname, attr)
+    for modname, attr in tracing._RENAMED:
+        assert callable(getattr(module(modname), attr, None)), (modname, attr)
+    for modname, cls, attr, *_ in tracing._METHODS:
+        assert callable(getattr(getattr(module(modname), cls, None), attr, None)), \
+            (modname, cls, attr)
 
 
 _SCIPY_BLOCKED = """

@@ -246,8 +246,7 @@ def test_step_nonresonant_contraction_and_residual():
     assert math.exp(-2 * math.pi * N * (r - r_prime)) <= 1 - a_prime
     out = step_nonresonant(A, F, r, r_prime, N, a_prime, ctx, resonance_of(A, N, ctx))
     assert out.contraction_observed <= math.sqrt(1 - a_prime)
-    debt = out.F_next.truncation_debt + out.Z_step.truncation_debt
-    assert out.residual_norm <= 1e-10 * (1 + F.weighted_norm(r)) + debt
+    assert out.residual_norm <= 1e-10 * (1 + F.weighted_norm(r))
     assert out.Z_step.is_real()
     assert out.F_next.is_real()
 
@@ -320,8 +319,7 @@ def test_step_resonant_conjugation_lattice_and_residual():
     # conjugated perturbation is back on the integer lattice
     assert out.F_next.lattice == "integer"
     assert out.Z_step.lattice == "half"
-    debt = out.F_next.truncation_debt + out.Z_step.truncation_debt
-    assert out.residual_norm <= 1e-10 * (1 + F.weighted_norm(1.0)) + debt
+    assert out.residual_norm <= 1e-10 * (1 + F.weighted_norm(1.0))
     assert out.contraction_observed <= 1.0 - (1.0 - 1.0 / 196)
     # reality and unimodularity of the step conjugation
     assert out.Z_step.is_real()

@@ -331,14 +331,21 @@ def test_mul_prunes_cancelled_modes():
     tiny = TorusMap(2, diamond(2, 3), 1e-160 * random_coeffs(25, rng))
     prod = assert_mul_matches_oracle(tiny, TorusMap(2, diamond(2, 1), random_coeffs(5, rng)))
     assert prod.n_modes == diamond(2, 4).shape[0]
-    assert prod.truncation_debt == 0.0
 
 
-def test_cap_support_drops_and_books_light_blocks_by_weight():
+def assert_kept_unchanged(capped, F):
+    # cap_support only drops: every block it keeps is F's block, bit for bit
+    for k, c in zip(map(tuple, capped.half_k.tolist()), capped.coeffs):
+        assert np.array_equal(c, F.coeff(k))
+
+
+def test_cap_support_drops_light_blocks_by_weight():
+    # a non-constant block goes when its weight at r is below PRUNE_REL times
+    # the non-constant mass at r; the weight, not the raw size, decides
     B = np.array([[1.0, 2.0], [0.0, -1.0]])
     r = 0.25
     modes = {(0, 0): np.eye(2), (2, 0): 1e-3 * B, (0, 4): 1e-20 * B, (4, 0): 1e-40 * B,
-             (6, 0): 1e-160 * B}
+             (6, 0): 1e-160 * B, (0, 60): 1e-36 * B}
     F = TorusMap.from_modes(2, list(modes.items()))
     weight = {k: op_norm_2x2(c) * math.exp(math.pi * (abs(k[0]) + abs(k[1])) * r)
               for k, c in modes.items()}
@@ -346,15 +353,11 @@ def test_cap_support_drops_and_books_light_blocks_by_weight():
     light = [k for k, w in weight.items() if k != (0, 0) and w < PRUNE_REL * mass]
     assert light == [(4, 0), (6, 0)]
     capped = F.cap_support(r)
-    assert sorted(modes_of(capped)) == [(0, 0), (0, 4), (2, 0)]
-    assert capped.truncation_debt == pytest.approx(sum(weight[k] for k in light), rel=1e-13)
-    assert capped.debt_r == r
-    # booked at r, the debt bounds the loss at every smaller strip
-    for rho in (0.0, 0.1, r):
-        assert (F - capped).weighted_norm(rho) <= capped.truncation_debt
-    # a second prune at a smaller strip keeps the smaller strip
-    again = capped.add(TorusMap.from_modes(2, [((8, 0), 1e-36 * B)])).cap_support(0.1)
-    assert again.debt_r == 0.1 and again.truncation_debt > capped.truncation_debt
+    # (0, 60) stays: its weight at r is e^{15 pi} = 3e20 times its size
+    assert sorted(modes_of(capped)) == [(0, 0), (0, 4), (0, 60), (2, 0)]
+    assert_kept_unchanged(capped, F)
+    # at r = 0 it weighs its size, below the threshold there, and goes
+    assert sorted(modes_of(F.cap_support(0.0))) == [(0, 0), (0, 4), (2, 0)]
     assert capped.cap_support(r) is capped  # nothing left to drop
 
 
@@ -368,26 +371,6 @@ def test_cap_support_weighs_against_the_non_constant_mass():
     assert F.cap_support(0.5) is F
 
 
-def test_mul_books_debt_at_the_strip_it_was_measured(monkeypatch):
-    # with a cap of one mode, cap_support(0.5) of I + I e_(-2,0) + 1e-3 I e_(20,0)
-    # keeps I and the (20, 0) mode, weighing 1e-3 e^{10 pi}, and books the
-    # dropped I e_(-2,0) as debt e^{pi} at r = 0.5; the product with I e_(20,0)
-    # then loses I e_(18,0), whose weight at 0.5 is e^{9 pi} = 1.9e12, not the
-    # e^{pi} = 23 that |.|_0 would book
-    monkeypatch.setattr(torus_fourier, "DEFAULT_MODE_CAP", 1)
-    r = 0.5
-    wave = single_mode((20, 0), np.eye(2))
-    a = TorusMap.identity(2).add(single_mode((-2, 0), np.eye(2))).add(wave.scale(1e-3))
-    capped = a.cap_support(r)
-    assert capped.half_k.tolist() == [[0, 0], [20, 0]]
-    assert capped.truncation_debt == pytest.approx(math.exp(math.pi), rel=1e-13)
-    assert capped.debt_r == r
-    prod = capped.mul(wave)
-    lost = (a.mul(wave) - prod).weighted_norm(r)
-    assert lost == pytest.approx(math.exp(9.0 * math.pi), rel=1e-13)
-    assert lost <= prod.truncation_debt and prod.debt_r == r
-
-
 def test_cap_support_keeps_the_constant_block_past_the_mode_cap(monkeypatch):
     # the constant block of F' is of order |F|^2 and may weigh less than the
     # waves the cap keeps; it stays all the same
@@ -396,14 +379,14 @@ def test_cap_support_keeps_the_constant_block_past_the_mode_cap(monkeypatch):
     F = TorusMap.from_modes(2, [((0, 0), 1e-20 * B), ((2, 0), 1e-10 * B),
                                 ((0, 2), 1e-10 * B), ((2, 2), 1e-12 * B)])
     capped = F.cap_support(0.25)
+    # the two heaviest waves and the constant block; (2, 2) goes
     assert sorted(modes_of(capped)) == [(0, 0), (0, 2), (2, 0)]
-    weight = op_norm_2x2(1e-12 * B) * math.exp(2.0 * math.pi * 2.0 * 0.25)
-    assert capped.truncation_debt == pytest.approx(weight, rel=1e-13)
+    assert_kept_unchanged(capped, F)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan), complex(0.0, np.inf)])
 def test_non_finite_coefficient_raises(bad):
-    # a NaN or infinite block has no norm to weigh, drop or book as debt
+    # a NaN or infinite block has no norm to weigh or drop
     with pytest.raises(KamFailure, match="non-finite"):
         TorusMap(2, [[0, 0], [2, 0]], [[[bad, 0], [0, 1]], np.eye(2)])
 
@@ -414,32 +397,6 @@ def test_non_finite_product_raises():
         big = TorusMap.constant(np.array([[1e200, 0.0], [0.0, 0.0]]), 2)
         with pytest.raises(KamFailure, match="non-finite"):
             big.mul(big)
-
-
-def test_mul_debt_needs_norms_only_when_a_debt_is_nonzero(monkeypatch):
-    rng = np.random.default_rng(43)
-    a = random_map(n_modes=8, rng=rng)
-    b = random_map(n_modes=8, rng=rng)
-    calls = []
-    weighted_norm = TorusMap.weighted_norm
-
-    def spy(self, r):
-        calls.append(r)
-        return weighted_norm(self, r)
-
-    monkeypatch.setattr(TorusMap, "weighted_norm", spy)
-    assert a.mul(b).truncation_debt == 0.0
-    assert calls == []
-    # the norms are taken at the smaller strip of the debts, and only the
-    # norms that multiply a nonzero debt
-    for da, db, rho in ((1e-12, 0.0, 0.3), (0.0, 3e-13, 0.5), (1e-12, 3e-13, 0.3)):
-        calls.clear()
-        a_d = TorusMap(a.d, a.half_k, a.coeffs, reality=True, truncation_debt=da, debt_r=0.3)
-        b_d = TorusMap(b.d, b.half_k, b.coeffs, reality=True, truncation_debt=db, debt_r=0.5)
-        bound = da * (weighted_norm(b, rho) + db) + db * weighted_norm(a, rho)
-        prod = a_d.mul(b_d)
-        assert (prod.truncation_debt, prod.debt_r) == (bound, rho)
-        assert calls == [rho] * ((da != 0.0) + (db != 0.0))
 
 
 def test_dir_derivative_basics():
@@ -559,19 +516,24 @@ def test_reality_preserved_by_ops():
     assert E.reality and E.is_real()
 
 
-def test_cap_support_tracks_debt(monkeypatch):
-    # the cap is read from the module at each call
+def test_cap_support_keeps_the_heaviest_blocks_and_their_pairs(monkeypatch):
+    # past the cap (read from the module at each call) a real map keeps its
+    # 10 heaviest blocks at r, the partner -k of each, and the constant block
     monkeypatch.setattr(torus_fourier, "DEFAULT_MODE_CAP", 10)
     rng = np.random.default_rng(41)
     F = random_map(n_modes=40, rng=rng, max_k=6)
     r = 0.15
+    weight = {k: op_norm_2x2(F.coeff(k)) * math.exp(math.pi * (abs(k[0]) + abs(k[1])) * r)
+              for k in modes_of(F)}
+    # a block and its conjugate weigh the same, so the 10th heaviest weight
+    # may split a pair; the partner comes back with its pair
+    tenth = sorted(weight.values(), reverse=True)[9]
+    heavy = {k for k, w in weight.items() if w >= tenth}
+    assert (0, 0) not in heavy
     capped = F.cap_support(r)
-    assert capped.n_modes <= 12  # pair completion may keep one extra pair
-    assert (0, 0) in modes_of(capped)  # past the cap, but the constant block stays
-    # the debt a cap of 10 books on this map
-    assert capped.truncation_debt == pytest.approx(93763.84628314042, rel=1e-12)
-    lost = (F - TorusMap(capped.d, capped.half_k, capped.coeffs)).weighted_norm(r)
-    assert capped.truncation_debt == pytest.approx(lost, rel=1e-12)
+    assert set(modes_of(capped)) == heavy | {(-k1, -k2) for k1, k2 in heavy} | {(0, 0)}
+    assert capped.n_modes <= 12
+    assert_kept_unchanged(capped, F)
     assert capped.reality and capped.is_real()
 
 
@@ -585,14 +547,7 @@ def test_json_roundtrip_bit_exact():
     assert to_json(G) == s
     # json text itself is reproducible
     assert to_json(from_json(to_json(G))) == s
-    # a certificate writes a map's debt and its strip; a map read back, as a
-    # config's F is, starts with no debt
-    D = TorusMap(F.d, F.half_k, F.coeffs, reality=True, truncation_debt=1e-40, debt_r=1e6)
-    obj = D.to_json_obj()
-    assert (obj["truncation_debt"], obj["debt_r"]) == (1e-40, 1e6)
-    E = from_json(to_json(D))
-    assert (E.truncation_debt, E.debt_r) == (0.0, 0.0)
-    assert np.array_equal(E.coeffs, D.coeffs)
+    assert sorted(F.to_json_obj()) == ["d", "modes", "reality_flag"]
 
 
 @settings(max_examples=60, deadline=None)
