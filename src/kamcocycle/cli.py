@@ -178,7 +178,7 @@ class RunConfig:
                 A = check_sl2(np.asarray(o["A"], dtype=float))
             with _field("F"):
                 F = (TorusMap.zero(d) if o["F"] is None
-                     else TorusMap.from_json_obj({"d": d, **o["F"]}))
+                     else TorusMap.from_json_obj(o["F"], d))
         else:
             raise ConfigError("A", "must be a 2x2 matrix or 'schrodinger'")
         with _field("G"):

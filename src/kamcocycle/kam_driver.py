@@ -29,13 +29,13 @@ from .arithmetics import (
 )
 from .errors import KamFailure
 from .kam_step import (
-    StepContext,
+    closeness_radius,
     conjugation_residual,
     find_resonance,
     step_nonresonant,
     step_resonant,
 )
-from .sl2_algebra import CERT_SLACK, eigen, resonance_shift, shifted_alpha
+from .sl2_algebra import CERT_SLACK, BoundViolation, eigen, resonance_shift, shifted_alpha
 from .torus_fourier import TorusMap
 
 LOG_EPS_FLOOR = math.log(1e-300)
@@ -147,9 +147,21 @@ def sequence_N(schedule: KamSchedule, n: int) -> int:
     return N
 
 
+def strip_after(schedule: KamSchedule, r: float, N: int, resonant: bool) -> float:
+    """The strip half-width r' a step at order N leaves of r.
+
+    A non-resonant step spends c0 |log(1-a)| / (2 pi N); a resonant one
+    halves r and spends c0 log((G g)(N+1)) / (4 pi N).
+    """
+    if resonant:
+        gg_N1 = float(schedule.G.value(N + 1)) * float(schedule.g.value(N + 1))
+        return 0.5 * r - schedule.c0 * math.log(gg_N1) / (4.0 * math.pi * N)
+    return r - schedule.c0 * abs(math.log1p(-schedule.a)) / (2.0 * math.pi * N)
+
+
 def item2_holds(schedule: KamSchedule, alpha: complex, m, omega, N: int) -> bool:
     """Closeness at a resonant step: |alpha - i pi <m, omega>| <= kappa/(4 G(N))."""
-    thr = schedule.kappa / (4.0 * float(schedule.G.value(N)))
+    thr = closeness_radius(schedule.kappa, schedule.G, N)
     return bool(abs(shifted_alpha(alpha, m, omega)) <= thr * CERT_SLACK)
 
 
@@ -281,20 +293,20 @@ def run(A, F: TorusMap, omega, schedule: KamSchedule, max_steps: int = 200,
 
     Raises ScheduleViolation when eps_0 admits no truncation order (before
     cert_tol is tested, so a huge F_0 is never Reduced after no step), when
-    a measured |F_n| exceeds its ladder bound eps_n or when a step residual
-    fails step_residual_holds; a KamFailure that escapes step n leaves with
-    step = n.  The conjugation Z_n is accumulated on the double torus, and
-    the global residual of the final Z against the original system is
-    measured once, after the last step (0 when no step ran).  Its budget is
-    STEP_RESIDUAL_TOL (1 + |F_0|_{r0}) per step: what cap_support drops
-    shows in it, as in every step residual.
+    a measured |F_n| exceeds its ladder bound eps_n, when a step would leave
+    no strip (strip_after <= 0) or when a step residual fails
+    step_residual_holds, and BoundViolation before a resonant step whose
+    shifted eigenvalue fails item2_holds; a KamFailure that escapes step n
+    leaves with step = n.  The conjugation Z_n is accumulated on the double
+    torus, and the global residual of the final Z against the original
+    system is measured once, after the last step (0 when no step ran).  Its
+    budget is STEP_RESIDUAL_TOL (1 + |F_0|_{r0}) per step: what cap_support
+    drops shows in it, as in every step residual.
     """
     omega = np.asarray(omega, dtype=float)
     A = np.asarray(A, dtype=float)
     if cert_tol is None:
         cert_tol = max(1e-14 * schedule.eps0, 1e-250)
-    ctx = StepContext(omega=omega, kappa=schedule.kappa, G=schedule.G,
-                      g=schedule.g, C_prime=schedule.C_prime)
     d = F.d
     Z = TorusMap.identity(d)
     A_n, F_n, r_n = A, F, schedule.r0
@@ -319,35 +331,33 @@ def run(A, F: TorusMap, omega, schedule: KamSchedule, max_steps: int = 200,
             N_n = sequence_N(schedule, n)
             rep = find_resonance(alpha_n, omega, schedule.kappa, schedule.G,
                                  schedule.g, N_n)
+            r_next = strip_after(schedule, r_n, N_n, rep.m is not None)
+            if r_next <= 0:
+                raise ScheduleViolation("strip width exhausted")
             if rep.m is None:
-                r_next = r_n - schedule.c0 * abs(math.log1p(-schedule.a)) \
-                    / (2.0 * math.pi * N_n)
-                if r_next <= 0:
-                    raise ScheduleViolation("strip width exhausted")
-                out = step_nonresonant(A_n, F_n, r_n, r_next, N_n, schedule.a,
-                                       ctx, rep)
+                out = step_nonresonant(A_n, F_n, r_n, r_next, N_n, schedule, omega, rep)
             else:
+                if not item2_holds(schedule, alpha_n, rep.m, omega, N_n):
+                    raise BoundViolation("shifted eigenvalue escaped the kappa/(4G(N)) disc")
                 if n >= schedule.n0:
                     resonances_after_n0 += 1
-                out = step_resonant(A_n, F_n, r_n, N_n, schedule.a, schedule.c0,
-                                    ctx, rep)
+                out = step_resonant(A_n, F_n, r_n, r_next, N_n, schedule, omega, rep)
                 rotation_sum += resonance_shift(rep.m, omega)
             if not step_residual_holds(out.residual_norm, f_norm, out.residual_floor):
                 raise ScheduleViolation(
                     f"step residual {out.residual_norm:.6e} exceeds its allowance "
                     f"at |F|_r = {f_norm:.6e}")
-            item2_ok = item2_holds(schedule, alpha_n, rep.m, omega, N_n) if out.resonant else None
             item6_ok = item6_holds(schedule, records[-1], alpha_n, omega) if records else None
-            Z = Z.mul(out.Z_step).cap_support(out.r_next)
+            Z = Z.mul(out.Z_step).cap_support(r_next)
             records.append(StepRecord(
                 n=n, r_n=r_n, N_n=N_n, eps_bound=eps_n, f_norm=f_norm,
                 resonant=out.resonant, m=out.m if out.m is not None else (0,) * d,
                 alpha=alpha_n, residual=out.residual_norm,
                 contraction=out.contraction_observed,
-                residual_floor=out.residual_floor, r_next=out.r_next,
-                x_norm=out.x_norm, item2_ok=item2_ok, item6_ok=item6_ok, margin=rep.margin,
-                preconditions=out.preconditions))
-            A_n, F_n, r_n, alpha_n = out.A_next, out.F_next, out.r_next, out.alpha_next
+                residual_floor=out.residual_floor, r_next=r_next, x_norm=out.x_norm,
+                item2_ok=True if out.resonant else None, item6_ok=item6_ok,
+                margin=rep.margin, preconditions=out.preconditions))
+            A_n, F_n, r_n, alpha_n = out.A_next, out.F_next, r_next, out.alpha_next
     except KamFailure as exc:
         exc.step = n
         raise

@@ -59,25 +59,10 @@ class ResonanceReport:
 
 
 @dataclass
-class StepContext:
-    """Arithmetic data shared by every step of a run."""
-
-    omega: np.ndarray
-    kappa: float
-    G: ApproxFn
-    g: ApproxFn
-    C_prime: float = 10.0
-
-    def __post_init__(self):
-        self.omega = np.asarray(self.omega, dtype=float)
-
-
-@dataclass
 class StepOutput:
     A_next: np.ndarray
     F_next: TorusMap
     Z_step: TorusMap
-    r_next: float
     resonant: bool
     m: tuple | None
     residual_norm: float
@@ -125,6 +110,12 @@ def residual_floor(A, F: TorusMap, Z: TorusMap, A_next, F_next: TorusMap, r: flo
     return ROUNDING_UNITS * (2.0 ** -52 * products + min(2.0 ** -52 * a_norm, pieces))
 
 
+def closeness_radius(kappa: float, G: ApproxFn, N: int) -> float:
+    """kappa / (4 G(N)): how close to i pi <m, omega> a resonance at order N
+    puts alpha, and how close it leaves the shifted eigenvalue."""
+    return kappa / (4.0 * float(G.value(N)))
+
+
 def find_resonance(alpha: complex, omega, kappa: float, G: ApproxFn, g: ApproxFn,
                    N: int) -> ResonanceReport:
     """Locate the (unique) resonance of alpha among 0 < |m| <= N, if any.
@@ -135,10 +126,9 @@ def find_resonance(alpha: complex, omega, kappa: float, G: ApproxFn, g: ApproxFn
     """
     omega = np.asarray(omega, dtype=float)
     alpha = complex(alpha)
-    kappa_eff = kappa / (4.0 * float(G.value(N)))
     score, best_m, violators = scan_min_weighted_distance(
         omega, N, g.value, target=alpha.imag, scale=math.pi, re_off=alpha.real,
-        thr=kappa_eff)
+        thr=closeness_radius(kappa, G, N))
     if not violators:
         return ResonanceReport(m=None, alpha_shifted=alpha, margin=score)
     if len(violators) > 1:
@@ -226,17 +216,18 @@ def _realify(M: np.ndarray, what: str) -> np.ndarray:
 
 
 def _conjugate(A, F: TorusMap, N: int, a_prime: float, r_prime: float,
-               ctx: StepContext):
+               schedule, omega):
     """Conjugate A + F by Z = exp(X), the core of both steps.
 
     X solves the homological equation at a' (its size bound asserted),
     A' = A + a' F^(0), and F' is defined by the conjugation identity.
     Returns (A', F', Z, |X|_{r'}).
     """
-    X = solve_homological(A, F, N, ctx.omega, ctx.kappa, ctx.G, ctx.g, a_prime, r_prime)
+    X = solve_homological(A, F, N, omega, schedule.kappa, schedule.G, schedule.g,
+                          a_prime, r_prime)
     P, Q, _ = exp_series_tail(X, r_prime)
 
-    F0 = F.coeff(np.zeros(F.d, dtype=np.int64))
+    F0 = F.constant_block()
     A_next = project_traceless(_realify(A + a_prime * F0, "A'"))
     d = F.d
     cA = TorusMap.constant(A, d)
@@ -245,7 +236,7 @@ def _conjugate(A, F: TorusMap, N: int, a_prime: float, r_prime: float,
     # O(|F|) or O(|X|); the leading A-size pieces cancel inside the bracket
     # A P - d_omega P + Q A through the homological equation, so the result
     # stays accurate relative to |F| at any scale.
-    dP = P.dir_derivative(ctx.omega)
+    dP = P.dir_derivative(omega)
     cAP = cA.mul(P)
     FP = F.mul(P)
     bracket = cAP - dP + Q.mul(cA)
@@ -259,10 +250,27 @@ def _conjugate(A, F: TorusMap, N: int, a_prime: float, r_prime: float,
     return A_next, F_next, Z, X.weighted_norm(r_prime)
 
 
-def step_nonresonant(A, F: TorusMap, r: float, r_prime: float, N: int,
-                     a_prime: float, ctx: StepContext,
-                     resonance: ResonanceReport) -> StepOutput:
-    """Non-resonant step: A' = A + a' F^(0), Z = exp(X).
+def _measured(A, F: TorusMap, eps: float, r_prime: float, omega, A_next,
+              F_next: TorusMap, Z_step: TorusMap, x_norm: float, m,
+              pre: dict) -> StepOutput:
+    """The step's output with what is checked of it: the conjugation
+    residual at r', its float floor, and the contraction |F'|_{r'} / eps,
+    where eps = |F|_r."""
+    residual = conjugation_residual(A, F, Z_step, A_next, F_next, omega, r_prime)
+    f_next_norm = F_next.weighted_norm(r_prime)
+    return StepOutput(
+        A_next=A_next, F_next=F_next, Z_step=Z_step, resonant=m is not None, m=m,
+        residual_norm=residual,
+        residual_floor=residual_floor(A, F, Z_step, A_next, F_next, r_prime, eps,
+                                      f_next_norm),
+        contraction_observed=f_next_norm / eps if eps > 0 else 0.0,
+        alpha_next=eigen(A_next).alpha, x_norm=x_norm, preconditions=pre)
+
+
+def step_nonresonant(A, F: TorusMap, r: float, r_prime: float, N: int, schedule,
+                     omega, resonance: ResonanceReport) -> StepOutput:
+    """Non-resonant step of the run's KamSchedule at order N, from strip r
+    to r': A' = A + a' F^(0) with a' = schedule.a, Z = exp(X).
 
     resonance is find_resonance's report for eigen(A).alpha at order N; a
     report with a resonance is a PreconditionFailure.
@@ -270,107 +278,79 @@ def step_nonresonant(A, F: TorusMap, r: float, r_prime: float, N: int,
     Preconditions (petitesse3) 2 G(N) g(N) eps <= kappa (1-a')/2 and the
     truncation gap e^{-2 pi N (r - r')} <= 1 - a' are recorded in
     out.preconditions, never raised.  The measured contraction is asserted
-    against sqrt(1 - a') whenever every recorded precondition holds and
-    a' < 1.
+    against sqrt(1 - a') whenever every recorded precondition holds.
 
-    The driver spends r - r' = c0 |log(1-a)| / (2 pi N) of strip width per
-    non-resonant step, so e^{-2 pi N (r - r')} = (1-a)^{c0}, which exceeds
-    1 - a for every c0 < 1: N_gap is recorded False on every such step of
-    a run, and the contraction assertion never fires there.
+    The driver's r' (kam_driver.strip_after) spends c0 |log(1-a)| / (2 pi N),
+    so e^{-2 pi N (r - r')} = (1-a)^{c0}, which exceeds 1 - a for every
+    c0 < 1: N_gap is recorded False on every such step of a run, and the
+    contraction assertion never fires there.
     """
     A = np.asarray(A, dtype=float)
     eps = F.weighted_norm(r)
-    if not 0.0 < r_prime <= r:
-        raise PreconditionFailure(["strip"], {"r": r, "r_prime": r_prime})
     if resonance.m is not None:
         raise PreconditionFailure(
             ["nonresonant"], {"m": resonance.m, "margin": resonance.margin})
-    pre = {}
-    if a_prime < 1.0:
-        gg = float(ctx.G.value(N)) * float(ctx.g.value(N))
-        lhs3 = 2.0 * gg * eps
-        rhs3 = ctx.kappa * (1.0 - a_prime) / 2.0
-        pre["petitesse3"] = (lhs3 <= rhs3, lhs3, rhs3)
-        lhs_gap = math.exp(-2.0 * math.pi * N * (r - r_prime))
-        pre["N_gap"] = (lhs_gap <= 1.0 - a_prime, lhs_gap, 1.0 - a_prime)
+    a_prime = schedule.a
+    gg = float(schedule.G.value(N)) * float(schedule.g.value(N))
+    lhs3 = 2.0 * gg * eps
+    rhs3 = schedule.kappa * (1.0 - a_prime) / 2.0
+    lhs_gap = math.exp(-2.0 * math.pi * N * (r - r_prime))
+    pre = {"petitesse3": (lhs3 <= rhs3, lhs3, rhs3),
+           "N_gap": (lhs_gap <= 1.0 - a_prime, lhs_gap, 1.0 - a_prime)}
     failed = [k for k, v in pre.items() if not v[0]]
 
-    A_next, F_next, Z_step, x_norm = _conjugate(A, F, N, a_prime, r_prime, ctx)
-    residual = conjugation_residual(A, F, Z_step, A_next, F_next, ctx.omega, r_prime)
-    f_next_norm = F_next.weighted_norm(r_prime)
-    floor = residual_floor(A, F, Z_step, A_next, F_next, r_prime, eps, f_next_norm)
-    contraction = f_next_norm / eps if eps > 0 else 0.0
-    if a_prime < 1.0 and not failed and eps > 0:
-        limit = math.sqrt(1.0 - a_prime)
-        if contraction > limit * CERT_SLACK:
-            raise BoundViolation(
-                f"contraction {contraction:.3e} exceeds sqrt(1-a') = {limit:.3e}")
-    return StepOutput(
-        A_next=A_next, F_next=F_next, Z_step=Z_step, r_next=r_prime,
-        resonant=False, m=None, residual_norm=residual, residual_floor=floor,
-        contraction_observed=contraction,
-        alpha_next=eigen(A_next).alpha, x_norm=x_norm,
-        preconditions=pre,
-    )
+    A_next, F_next, Z_step, x_norm = _conjugate(A, F, N, a_prime, r_prime, schedule, omega)
+    out = _measured(A, F, eps, r_prime, omega, A_next, F_next, Z_step, x_norm, None, pre)
+    limit = math.sqrt(1.0 - a_prime)
+    if not failed and eps > 0 and out.contraction_observed > limit * CERT_SLACK:
+        raise BoundViolation(
+            f"contraction {out.contraction_observed:.3e} exceeds sqrt(1-a') = {limit:.3e}")
+    return out
 
 
-def step_resonant(A, F: TorusMap, r: float, N: int, a: float, c0: float,
-                  ctx: StepContext, resonance: ResonanceReport) -> StepOutput:
-    """Resonant step: eliminate the resonance with Phi, then conjugate the
-    rotated system Atilde + F_t by exp(X) at a' = 1; Z = Phi exp(X).
+def step_resonant(A, F: TorusMap, r: float, r_prime: float, N: int, schedule,
+                  omega, resonance: ResonanceReport) -> StepOutput:
+    """Resonant step of the run's KamSchedule at order N, from strip r to r':
+    eliminate the resonance with Phi, then conjugate the rotated system
+    Atilde + F_t by exp(X) at a' = 1; Z = Phi exp(X).
 
     resonance is find_resonance's report for eigen(A).alpha at order N; a
-    report without a resonance is a PreconditionFailure.
+    report without a resonance is a PreconditionFailure.  The driver checks
+    the closeness of the shifted eigenvalue (kam_driver.item2_holds) before
+    the step.
 
-    r' = r/2 - c0 log((G g)(N+1)) / (4 pi N).  The smallness conditions
-    (petitesse, petitesse2, strip_width) are recorded in out.preconditions,
-    never raised; the measured contraction is asserted against (1 - a)
-    when they all hold.
+    The smallness conditions (petitesse, petitesse2, strip_width) are
+    recorded in out.preconditions, never raised; the measured contraction
+    is asserted against (1 - a) when they all hold.
     """
     A = np.asarray(A, dtype=float)
     eps = F.weighted_norm(r)
     if resonance.m is None:
         raise PreconditionFailure(["resonant"], {"margin": resonance.margin})
-    m = resonance.m
-    gg_N = float(ctx.G.value(N)) * float(ctx.g.value(N))
-    gg_N1 = float(ctx.G.value(N + 1)) * float(ctx.g.value(N + 1))
+    a, m = schedule.a, resonance.m
+    gg_N = float(schedule.G.value(N)) * float(schedule.g.value(N))
+    gg_N1 = float(schedule.G.value(N + 1)) * float(schedule.g.value(N + 1))
     pre = {}
     lhs_p = 2.0 * gg_N ** 2 * eps
-    rhs_p = 0.5 * (1.0 - a) ** 2 * ctx.kappa ** 2
+    rhs_p = 0.5 * (1.0 - a) ** 2 * schedule.kappa ** 2
     pre["petitesse"] = (lhs_p <= rhs_p, lhs_p, rhs_p)
-    lhs_p2 = math.e * ctx.C_prime * gg_N1 ** (-c0)
+    lhs_p2 = math.e * schedule.C_prime * gg_N1 ** (-schedule.c0)
     pre["petitesse2"] = (lhs_p2 <= 1.0 - a, lhs_p2, 1.0 - a)
     rhs_r = 2.0 * math.log(gg_N) / (math.pi * N)
     pre["strip_width"] = (r > rhs_r, r, rhs_r)
     failed = [k for k, v in pre.items() if not v[0]]
-    r_prime = 0.5 * r - c0 * math.log(gg_N1) / (4.0 * math.pi * N)
-    if r_prime <= 0:
-        raise PreconditionFailure(["positive_strip"], {"r_prime": r_prime})
 
-    Phi, Atilde_c, Phi_inv = eliminate_resonance(A, m, ctx.omega)
-    alpha_t = resonance.alpha_shifted
-    if abs(alpha_t) >= ctx.kappa / (4.0 * float(ctx.G.value(N))) * CERT_SLACK:
-        raise BoundViolation("shifted eigenvalue escaped the kappa/(4G(N)) disc")
+    Phi, Atilde_c, Phi_inv = eliminate_resonance(A, m, omega)
     Atilde = project_traceless(_realify(Atilde_c, "Atilde"))
     F_t = Phi_inv.mul(F).mul(Phi)
     if F_t.lattice != "integer":
         raise KamFailure("conjugated perturbation left the integer lattice")
     if F.reality:
         F_t = F_t.realified()
-    A_next, F_next, Z_x, x_norm = _conjugate(Atilde, F_t, N, 1.0, r_prime, ctx)
-    Z_step = Phi.mul(Z_x).cap_support(r_prime)
-
-    residual = conjugation_residual(A, F, Z_step, A_next, F_next, ctx.omega, r_prime)
-    f_next_norm = F_next.weighted_norm(r_prime)
-    floor = residual_floor(A, F, Z_step, A_next, F_next, r_prime, eps, f_next_norm)
-    contraction = f_next_norm / eps if eps > 0 else 0.0
-    if not failed and eps > 0 and contraction > (1.0 - a) * CERT_SLACK:
+    A_next, F_next, Z_x, x_norm = _conjugate(Atilde, F_t, N, 1.0, r_prime, schedule, omega)
+    out = _measured(A, F, eps, r_prime, omega, A_next, F_next,
+                    Phi.mul(Z_x).cap_support(r_prime), x_norm, m, pre)
+    if not failed and eps > 0 and out.contraction_observed > (1.0 - a) * CERT_SLACK:
         raise BoundViolation(
-            f"resonant contraction {contraction:.3e} exceeds 1-a = {1.0 - a:.3e}")
-    return StepOutput(
-        A_next=A_next, F_next=F_next, Z_step=Z_step, r_next=r_prime,
-        resonant=True, m=m, residual_norm=residual, residual_floor=floor,
-        contraction_observed=contraction,
-        alpha_next=eigen(A_next).alpha, x_norm=x_norm,
-        preconditions=pre,
-    )
+            f"resonant contraction {out.contraction_observed:.3e} exceeds 1-a = {1.0 - a:.3e}")
+    return out

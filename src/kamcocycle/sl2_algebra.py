@@ -130,17 +130,23 @@ def lm_spectrum(m, omega, alpha: complex):
 
 
 def lm_dense_solve(m, omega, Atilde, rhs) -> np.ndarray:
-    """Entrywise 4x4 linear solve of 2*i*pi*<m,omega> M - [B, M] = rhs."""
+    """Entrywise 4x4 linear solves of 2*i*pi*<m,omega> M - [B, M] = rhs.
+
+    m is one mode (d,) with one 2x2 rhs, or a stack of modes (n, d) with the
+    (n, 2, 2) stack of right-hand sides; the solutions have the shape of
+    rhs.  d_m is lm_spectrum's, so a mode's solution does not depend on its
+    batch.
+    """
     B = np.asarray(Atilde, dtype=complex)
     rhs = np.asarray(rhs, dtype=complex)
-    dm = 2j * math.pi * float(np.asarray(m, float) @ np.asarray(omega, float))
+    dm = np.reshape(lm_spectrum(m, omega, 0.0)[0], (-1, 1, 1))
     I2 = np.eye(2, dtype=complex)
-    L = dm * np.eye(4, dtype=complex) - (np.kron(B, I2) - np.kron(I2, B.T))
+    L = dm * np.eye(4) - (np.kron(B, I2) - np.kron(I2, B.T))
     try:
-        sol = np.linalg.solve(L, rhs.reshape(4))
+        sol = np.linalg.solve(L, rhs.reshape(-1, 4, 1))
     except np.linalg.LinAlgError as exc:
         raise SingularOperator(str(exc)) from exc
-    return project_traceless(sol.reshape(2, 2))
+    return project_traceless(sol.reshape(rhs.shape))
 
 
 def lm_solve(ms, omega, Atilde, rhs) -> np.ndarray:
@@ -148,9 +154,9 @@ def lm_solve(ms, omega, Atilde, rhs) -> np.ndarray:
 
     ms is an (n, d) stack of modes and rhs the (n, 2, 2) stack of right-hand
     sides; the (n, 2, 2) solutions are returned.  One eigendecomposition of
-    Atilde serves the whole stack; a defective Atilde is solved mode by mode
-    by the dense entrywise system.  Raises SingularOperator naming the first
-    mode with a spectrum element that is numerically zero.
+    Atilde serves the whole stack; a defective Atilde is solved by the dense
+    entrywise systems.  Raises SingularOperator naming the first mode with a
+    spectrum element that is numerically zero.
     """
     B = np.asarray(Atilde, dtype=complex)
     omega = np.asarray(omega, dtype=float)
@@ -166,8 +172,7 @@ def lm_solve(ms, omega, Atilde, rhs) -> np.ndarray:
     if op_norm_2x2(B) < DEFECT_TOL:
         return project_traceless(rhs / dm[:, None, None])
     if ed.defective:
-        return np.array([lm_dense_solve(m, omega, B, r) for m, r in zip(ms, rhs)],
-                        dtype=complex).reshape(-1, 2, 2)
+        return lm_dense_solve(ms, omega, B, rhs)
     R = ed.P_inv @ rhs @ ed.P
     Mp = np.empty_like(R)
     Mp[:, 0, 0] = (R[:, 0, 0] - R[:, 1, 1]) / (2.0 * dm)

@@ -378,13 +378,22 @@ class TorusMap:
         }
 
     @classmethod
-    def from_json_obj(cls, obj: dict) -> "TorusMap":
-        """Read a map written by to_json_obj; reality_flag is required."""
-        d = int(obj["d"])
+    def from_json_obj(cls, obj: dict, d: int | None = None) -> "TorusMap":
+        """Read a map written by to_json_obj; reality_flag is required.
+
+        A given d is the map's dimension, and obj may then not set one.  Any
+        other key of obj or of a mode is a ValueError.
+        """
+        modes = obj.get("modes", [])
+        unknown = set(obj) - {"reality_flag", "modes"} - ({"d"} if d is None else set())
+        for mode in modes:
+            unknown |= set(mode) - {"half_k", "re", "im"}
+        if unknown:
+            raise ValueError(f"unknown key {sorted(unknown)[0]!r}")
+        d = int(obj["d"]) if d is None else d
         reality = obj.get("reality_flag")
         if not isinstance(reality, bool):
             raise ValueError("reality_flag must be given as true or false")
-        modes = obj.get("modes", [])
         hk = [m["half_k"] for m in modes]
         if any(abs(v) >= 1 << 63 for row in hk for v in row):
             raise ValueError("half_k outside int64")

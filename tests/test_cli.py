@@ -12,11 +12,12 @@ import numpy as np
 import pytest
 
 import kamcocycle
-from kamcocycle import cli, kam_driver, kam_step
+from kamcocycle import arithmetics, cli, kam_driver, kam_step
 from kamcocycle.cli import ConfigError, InputError, RunConfig, build_schrodinger, main
 from kamcocycle.errors import KamFailure
 from kamcocycle.kam_driver import RunTrace
 from kamcocycle.kam_step import PreconditionFailure
+from kamcocycle.sl2_algebra import shifted_alpha
 from kamcocycle.torus_fourier import TorusMap
 
 GOLDEN = [1.0, 0.5 * (1.0 + math.sqrt(5.0))]
@@ -484,6 +485,26 @@ def test_step_that_lost_P_exits_3_with_certificate(tmp_path, monkeypatch):
     assert 0.5 * f_norm < residual <= 1e-10 * (1.0 + f_norm)
 
 
+def test_resonance_outside_the_closeness_disc_fails_before_the_step(tmp_path, monkeypatch):
+    # run gates a resonant step with item2_holds: a report whose shifted
+    # eigenvalue lies outside kappa/(4 G(N)) ends the run before the step
+    def far_resonance(alpha, omega, kappa, G, g, N):
+        return kam_step.ResonanceReport(m=(1, 0), margin=0.0,
+                                        alpha_shifted=shifted_alpha(alpha, (1, 0), omega))
+
+    def step_resonant(*args):
+        raise AssertionError("the resonant step ran")
+
+    monkeypatch.setattr(kam_driver, "find_resonance", far_resonance)
+    monkeypatch.setattr(kam_driver, "step_resonant", step_resonant)
+    path = write_config(tmp_path, base_config())
+    assert main(["run", "--config", str(path)]) == 3
+    cert = json.loads((tmp_path / "certificate.json").read_text())
+    assert cert == {"status": "PreconditionFailure",
+                    "status_detail": "BoundViolation at step 0: "
+                                     "shifted eigenvalue escaped the kappa/(4G(N)) disc"}
+
+
 def test_huge_perturbation_has_a_finite_norm():
     # entries above about 1.3e154 square past the float range; |F|_r does not
     c = 1e160
@@ -634,18 +655,21 @@ def test_config_F_requires_the_reality_flag(tmp_path, capsys):
     assert main(["run", "--config", str(path)]) == 0
 
 
-def test_config_F_carries_no_debt(tmp_path):
-    # an F copied from an older certificate's Z may hold truncation_debt and
-    # debt_r; they are not read, and the residual budget is the steps'
-    # shares of 1e-10 (1 + |F_0|_r) alone (a debt strip of 1e6 once made it inf)
-    F = dict(_MATRIX["F"], reality_flag=True, truncation_debt=1e-300, debt_r=1e6)
-    cfg = base_config(**dict(_MATRIX, F=F))
-    path = write_config(tmp_path, cfg)
-    assert main(["run", "--config", str(path)]) == 0
-    cert = json.loads((tmp_path / "certificate.json").read_text())
-    f0 = RunConfig.from_obj(cfg).F.weighted_norm(cfg["r0"])
-    assert cert["steps"] > 0
-    assert cert["residual_budget"] == cert["steps"] * 1e-10 * (1.0 + f0)
+@pytest.mark.parametrize("F, key", [
+    ({"reality_flag": True, "mode": _MATRIX["F"]["modes"]}, "mode"),
+    # an F copied from an older certificate's Z
+    (dict(_MATRIX["F"], reality_flag=True, truncation_debt=1e-300, debt_r=1e6), "debt_r"),
+    ({"reality_flag": True, "modes": [dict(_mode([2, 0]), Re=[[0.0, 1.0], [1.0, 0.0]])]},
+     "Re"),
+    # the dimension is omega's: a 3-D F under a 2-D omega
+    (dict(_MATRIX["F"], reality_flag=True, d=3), "d"),
+], ids=["mode", "debt", "mode-key", "d"])
+def test_config_F_rejects_unknown_keys(tmp_path, capsys, F, key):
+    path = write_config(tmp_path, base_config(**dict(_MATRIX, F=F)))
+    assert main(["run", "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert f"config field 'F': unknown key '{key}'" in err
+    assert not (tmp_path / "certificate.json").exists()
 
 
 def resonant_config():
@@ -829,8 +853,8 @@ def test_package_and_check_arith_run_without_scipy(tmp_path):
     for name, f in _KINDS.items():
         for s in (2.0, 1.5):
             try:
-                want = kamcocycle.tail_integral(cli.approxfn_from_spec(f), 1.0, s)
-            except kamcocycle.DivergentIntegral:
+                want = arithmetics.tail_integral(cli.approxfn_from_spec(f), 1.0, s)
+            except arithmetics.DivergentIntegral:
                 want = "divergent"
             assert values[f"{name} {s}"] == want
     report = json.loads((tmp_path / "arith" / "arith_report.json").read_text())

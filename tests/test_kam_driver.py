@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -26,6 +27,7 @@ from kamcocycle.kam_driver import (
     sequence_N,
     smallness_explicit,
     step_residual_holds,
+    strip_after,
 )
 from kamcocycle.torus_fourier import TorusMap
 
@@ -157,6 +159,28 @@ def test_run_with_constructed_resonance():
     # the eliminated eigenvalue reappears as the final rotation part
     from kamcocycle.sl2_algebra import alpha_of
     assert abs(alpha_of(cert.B)) == pytest.approx(delta, rel=0.05)
+
+
+def test_run_strip_exhausted_is_one_schedule_violation():
+    # run computes r' for both kinds of step and checks it once: a c0 that
+    # spends the strip ends a non-resonant run at the step that would cross
+    # 0, and a resonant run at its resonant step 0, with one ScheduleViolation
+    A, F = schrodinger_instance()
+    sched = golden_schedule(eps0=F.weighted_norm(0.5))
+    trace, _ = run(A, F, GOLDEN, sched, max_steps=3)
+    l0, l1, l2 = (-strip_after(sched, 0.0, rec.N_n, False) for rec in trace.records)
+    wide = dataclasses.replace(sched, c0=sched.c0 * sched.r0 / (l0 + l1 + 0.5 * l2))
+    with pytest.raises(ScheduleViolation, match="strip width exhausted") as exc:
+        run(A, F, GOLDEN, wide)
+    assert exc.value.step == 2
+
+    beta = math.pi * GOLDEN[0] + 1e-3
+    A = np.array([[0.0, beta], [-beta, 0.0]])
+    wide = dataclasses.replace(sched, c0=100.0)
+    assert strip_after(wide, sched.r0, sequence_N(wide, 0), True) <= 0
+    with pytest.raises(ScheduleViolation, match="strip width exhausted") as exc:
+        run(A, F, GOLDEN, wide)
+    assert exc.value.step == 0
 
 
 def test_run_trace_csv_roundtrip(tmp_path):

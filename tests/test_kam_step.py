@@ -5,11 +5,11 @@ import pytest
 
 from kamcocycle import kam_step, sl2_algebra
 from kamcocycle.arithmetics import PowerFn, check_nr_alpha, l1_ball
+from kamcocycle.kam_driver import KamSchedule, a_bar_of, strip_after
 from kamcocycle.kam_step import (
     MultipleResonances,
     PreconditionFailure,
     ResonanceReport,
-    StepContext,
     conjugation_residual,
     eliminate_resonance,
     find_resonance,
@@ -25,13 +25,28 @@ GOLDEN = np.array([1.0, 0.5 * (1.0 + np.sqrt(5.0))])
 G2 = PowerFn(2.0)
 
 
-def make_ctx(kappa=1.0, C_prime=10.0):
-    return StepContext(omega=GOLDEN, kappa=kappa, G=G2, g=G2, C_prime=C_prime)
+def schedule_of(a):
+    # the KamSchedule fields a step reads; c0 only enters the resonant step's
+    # recorded petitesse2, since the driver hands each step its strip r'
+    return KamSchedule(kappa=1.0, G=G2, g=G2, r0=1.0, n0=0, a=a,
+                       a_bar=a_bar_of(G2, G2), c0=2.0, eps0=1.0)
 
 
-def resonance_of(A, N, ctx):
+def resonance_of(A, N):
     # the report the driver hands a step: the scan of A's eigenvalue at N
-    return find_resonance(eigen(A).alpha, ctx.omega, ctx.kappa, ctx.G, ctx.g, N)
+    return find_resonance(eigen(A).alpha, GOLDEN, 1.0, G2, G2, N)
+
+
+def nonresonant_step(A, F, r, r_prime, N, a=1.0 - 1.0 / 200):
+    return step_nonresonant(A, F, r, r_prime, N, schedule_of(a), GOLDEN,
+                            resonance_of(A, N))
+
+
+def resonant_step(A, F, r=1.0, N=2):
+    # a resonant step as run makes it, from strip r to the driver's r'
+    sched = schedule_of(1.0 - 1.0 / 196)
+    return step_resonant(A, F, r, strip_after(sched, r, N, True), N, sched, GOLDEN,
+                         resonance_of(A, N))
 
 
 def rotation_like(beta):
@@ -196,10 +211,9 @@ def test_homological_residual_random_instances():
 # -- non-resonant step --------------------------------------------------------
 
 def test_step_nonresonant_zero_perturbation():
-    ctx = make_ctx()
     A = rotation_like(0.77)
     F = TorusMap.zero(2)
-    out = step_nonresonant(A, F, 0.5, 0.4, 3, 1.0 - 1.0 / 196, ctx, resonance_of(A, 3, ctx))
+    out = nonresonant_step(A, F, 0.5, 0.4, 3, 1.0 - 1.0 / 196)
     np.testing.assert_allclose(out.A_next, A)
     assert out.F_next.n_modes == 0
     assert out.Z_step.n_modes == 1
@@ -208,13 +222,12 @@ def test_step_nonresonant_zero_perturbation():
 
 
 def test_step_nonresonant_constant_perturbation():
-    ctx = make_ctx()
     A = rotation_like(0.77)
     eps = 1e-9
     M = np.array([[0.0, 1.0], [1.0, 0.0]])
     F = TorusMap.constant(eps * M, 2)
     a_prime = 1.0 - 1.0 / 200.0
-    out = step_nonresonant(A, F, 0.5, 0.3, 5, a_prime, ctx, resonance_of(A, 5, ctx))
+    out = nonresonant_step(A, F, 0.5, 0.3, 5, a_prime)
     np.testing.assert_allclose(out.A_next, A + a_prime * eps * M, rtol=1e-12)
     np.testing.assert_allclose(out.F_next.coeff((0, 0)), (1 - a_prime) * eps * M,
                                rtol=1e-10)
@@ -225,18 +238,15 @@ def test_step_nonresonant_constant_perturbation():
 def test_step_nonresonant_strict_precondition_failure():
     # failed preconditions are recorded, not raised, and the contraction
     # is then not asserted
-    ctx = make_ctx()
     A = rotation_like(0.77)
     F = small_real_map(eps=1e-3)  # far too large for petitesse3
-    out = step_nonresonant(A, F, 0.5, 0.499, 5, 1.0 - 1.0 / 196, ctx,
-                           resonance_of(A, 5, ctx))
+    out = nonresonant_step(A, F, 0.5, 0.499, 5, 1.0 - 1.0 / 196)
     ok, lhs, rhs = out.preconditions["petitesse3"]
     assert not ok and lhs > rhs
     assert not out.preconditions["N_gap"][0]  # e^{-2 pi 5 (0.001)} > 1/196
 
 
 def test_step_nonresonant_contraction_and_residual():
-    ctx = make_ctx()
     A = rotation_like(0.77)
     F = small_real_map(eps=1e-9, seed=5)
     a_prime = 1.0 - 1.0 / 200.0
@@ -244,7 +254,7 @@ def test_step_nonresonant_contraction_and_residual():
     # both preconditions hold: 2 G g eps <= kappa (1-a')/2 and the gap
     assert 2 * G2.value(N) * G2.value(N) * F.weighted_norm(r) <= (1 - a_prime) / 2
     assert math.exp(-2 * math.pi * N * (r - r_prime)) <= 1 - a_prime
-    out = step_nonresonant(A, F, r, r_prime, N, a_prime, ctx, resonance_of(A, N, ctx))
+    out = nonresonant_step(A, F, r, r_prime, N, a_prime)
     assert out.contraction_observed <= math.sqrt(1 - a_prime)
     assert out.residual_norm <= 1e-10 * (1 + F.weighted_norm(r))
     assert out.Z_step.is_real()
@@ -255,14 +265,13 @@ def test_step_nonresonant_contraction_and_residual():
 def test_residual_floor_leaves_a_lost_P_outside(eps):
     # the floor is the step's own rounding, not a share of |A|: a Z that lost
     # its P leaves a residual of about |F|, far above the floor at any |F|
-    ctx = make_ctx()
     A = rotation_like(0.77)
     F = small_real_map(eps=eps, seed=5)
     r, r_prime, N = 0.5, 0.33, 5
-    out = step_nonresonant(A, F, r, r_prime, N, 1.0 - 1.0 / 200.0, ctx, resonance_of(A, N, ctx))
+    out = nonresonant_step(A, F, r, r_prime, N)
     assert out.residual_norm <= out.residual_floor
     identity = TorusMap.identity(2)
-    lost = conjugation_residual(A, F, identity, out.A_next, out.F_next, ctx.omega, r_prime)
+    lost = conjugation_residual(A, F, identity, out.A_next, out.F_next, GOLDEN, r_prime)
     f_norm = F.weighted_norm(r_prime)
     floor = residual_floor(A, F, identity, out.A_next, out.F_next, r_prime, f_norm,
                            out.F_next.weighted_norm(r_prime))
@@ -271,10 +280,9 @@ def test_residual_floor_leaves_a_lost_P_outside(eps):
 
 def test_step_nonresonant_decomposes_twice(monkeypatch):
     # one eigendecomposition serves the mode solve, one gives alpha of A'
-    ctx = make_ctx()
     A = rotation_like(0.77)
     F = small_real_map(eps=1e-9, seed=5)
-    report = resonance_of(A, 5, ctx)
+    report = resonance_of(A, 5)
     calls = []
 
     def counted(*args, **kwargs):
@@ -283,18 +291,17 @@ def test_step_nonresonant_decomposes_twice(monkeypatch):
 
     monkeypatch.setattr(kam_step, "eigen", counted)
     monkeypatch.setattr(sl2_algebra, "eigen", counted)
-    step_nonresonant(A, F, 0.5, 0.33, 5, 1.0 - 1.0 / 200.0, ctx, report)
+    step_nonresonant(A, F, 0.5, 0.33, 5, schedule_of(1.0 - 1.0 / 200.0), GOLDEN, report)
     assert len(calls) == 2
 
 
 # -- resonant step ------------------------------------------------------------
 
 def test_step_resonant_exact_resonance_no_perturbation():
-    ctx = make_ctx()
     beta = math.pi * GOLDEN[0]
     A = rotation_like(beta)
     F = TorusMap.zero(2)
-    out = step_resonant(A, F, 1.0, 2, 1.0 - 1.0 / 196, 2.0, ctx, resonance_of(A, 2, ctx))
+    out = resonant_step(A, F)
     assert out.resonant and out.m == (1, 0)
     assert abs(out.alpha_next) < 1e-12
     np.testing.assert_allclose(out.A_next, 0.0, atol=1e-12)
@@ -306,14 +313,13 @@ def test_step_resonant_exact_resonance_no_perturbation():
 
 
 def test_step_resonant_conjugation_lattice_and_residual():
-    ctx = make_ctx()
     delta = 1e-3
     beta = math.pi * GOLDEN[0] + delta
     A = rotation_like(beta)
     F = small_real_map(eps=1e-12, seed=11, modes=((2, 0), (0, 2)))
     assert 2 * (G2.value(2) * G2.value(2)) ** 2 * F.weighted_norm(1.0) \
         <= 0.5 * (1.0 / 196) ** 2  # petitesse holds for this instance
-    out = step_resonant(A, F, 1.0, 2, 1.0 - 1.0 / 196, 2.0, ctx, resonance_of(A, 2, ctx))
+    out = resonant_step(A, F)
     assert out.resonant and out.m == (1, 0)
     assert out.alpha_next == pytest.approx(1j * delta, abs=1e-6)
     # conjugated perturbation is back on the integer lattice
@@ -332,23 +338,19 @@ def test_step_resonant_conjugation_lattice_and_residual():
 
 
 def test_step_resonant_requires_resonance():
-    ctx = make_ctx()
     A = rotation_like(0.5)  # far from every i pi <m, omega>
     with pytest.raises(PreconditionFailure):
-        step_resonant(A, TorusMap.zero(2), 1.0, 2, 1.0 - 1.0 / 196, 2.0, ctx,
-                      resonance_of(A, 2, ctx))
+        resonant_step(A, TorusMap.zero(2))
 
 
 def test_conjugation_residual_oracle_detects_tampering():
-    ctx = make_ctx()
     A = rotation_like(0.77)
     F = small_real_map(eps=1e-9, seed=21)
-    out = step_nonresonant(A, F, 0.5, 0.33, 5, 1.0 - 1.0 / 200, ctx, resonance_of(A, 5, ctx))
-    good = conjugation_residual(A, F, out.Z_step, out.A_next, out.F_next,
-                                GOLDEN, out.r_next)
+    out = nonresonant_step(A, F, 0.5, 0.33, 5)
+    good = conjugation_residual(A, F, out.Z_step, out.A_next, out.F_next, GOLDEN, 0.33)
     assert good == pytest.approx(out.residual_norm)
     bad = conjugation_residual(A, F, out.Z_step, out.A_next,
-                               out.F_next.scale(2.0), GOLDEN, out.r_next)
+                               out.F_next.scale(2.0), GOLDEN, 0.33)
     assert bad > 1e3 * max(good, 1e-300)
 
 
@@ -374,28 +376,27 @@ def test_step_nonresonant_defective_constant_part():
     # near-nilpotent A: eigen-data is flagged defective, the homological
     # solve runs through the dense entrywise path, and the step still
     # closes the conjugation identity
-    ctx = make_ctx()
     A = np.array([[0.0, 1.0], [0.0, 0.0]])
     F = small_real_map(eps=1e-9, seed=31)
-    out = step_nonresonant(A, F, 0.5, 0.33, 5, 1.0 - 1.0 / 200, ctx, resonance_of(A, 5, ctx))
+    out = nonresonant_step(A, F, 0.5, 0.33, 5)
     assert out.residual_norm <= 1e-10 * (1 + F.weighted_norm(0.5))
     assert out.contraction_observed <= math.sqrt(1.0 / 200)
     assert abs(eigen(A).alpha) < 1e-10
 
 
 def test_phi_norm_within_recorded_bound():
-    ctx = make_ctx()
     beta = math.pi * GOLDEN[0] + 1e-3
     A = rotation_like(beta)
     F = small_real_map(eps=1e-12, seed=11, modes=((2, 0), (0, 2)))
-    out = step_resonant(A, F, 1.0, 2, 1.0 - 1.0 / 196, 2.0, ctx, resonance_of(A, 2, ctx))
+    out = resonant_step(A, F)
     # |Phi^{+-1}|_{r'} <= 2 cond(P) e^{pi N r'} with P the eigenbasis of A
     Phi, _, Phi_inv = eliminate_resonance(A, out.m, GOLDEN)
     ed = eigen(A)
     cond = op_norm_2x2(ed.P) * op_norm_2x2(ed.P_inv)
-    bound = 2.0 * cond * math.exp(math.pi * 2 * out.r_next)
-    assert Phi.weighted_norm(out.r_next) <= bound * (1 + 1e-12)
-    assert Phi_inv.weighted_norm(out.r_next) <= bound * (1 + 1e-12)
+    r_prime = strip_after(schedule_of(1.0 - 1.0 / 196), 1.0, 2, True)
+    bound = 2.0 * cond * math.exp(math.pi * 2 * r_prime)
+    assert Phi.weighted_norm(r_prime) <= bound * (1 + 1e-12)
+    assert Phi_inv.weighted_norm(r_prime) <= bound * (1 + 1e-12)
 
 
 def test_f_next_matches_series_expansion():
@@ -406,7 +407,6 @@ def test_f_next_matches_series_expansion():
     # exponential tails
     from kamcocycle.torus_fourier import exp_series_tail
 
-    ctx = make_ctx()
     rng = np.random.default_rng(909)
     for trial in range(10):
         beta = rng.uniform(0.4, 2.0)
@@ -415,10 +415,10 @@ def test_f_next_matches_series_expansion():
                            modes=((2, 0), (0, 2), (2, 2)))
         r, r_prime, N = 0.5, 0.33, 5
         a_prime = 1.0 - 1.0 / 200.0
-        out = step_nonresonant(A, F, r, r_prime, N, a_prime, ctx, resonance_of(A, N, ctx))
+        out = nonresonant_step(A, F, r, r_prime, N, a_prime)
 
         from kamcocycle.kam_step import solve_homological
-        X = solve_homological(A, F, N, GOLDEN, ctx.kappa, G2, G2, a_prime, r_prime)
+        X = solve_homological(A, F, N, GOLDEN, 1.0, G2, G2, a_prime, r_prime)
         P, Q, _ = exp_series_tail(X, r_prime)
         I = TorusMap.identity(2)
         eXm = I + Q
@@ -448,10 +448,9 @@ def test_conjugation_identity_finite_difference_oracle():
     # independent grid oracle: approximate the flow derivative of Z by a
     # central difference along omega and compare against (A + F) Z - Z (A' + F')
     # evaluated pointwise, with no Fourier-coefficient algebra involved
-    ctx = make_ctx()
     A = rotation_like(0.77)
     F = small_real_map(eps=1e-9, seed=77)
-    out = step_nonresonant(A, F, 0.5, 0.33, 5, 1.0 - 1.0 / 200, ctx, resonance_of(A, 5, ctx))
+    out = nonresonant_step(A, F, 0.5, 0.33, 5)
     Z = out.Z_step
     rng = np.random.default_rng(12)
     thetas = rng.uniform(0, 2, size=(50, 2))
