@@ -382,7 +382,18 @@ def cmd_check_arith(args) -> int:
     return 0 if passing else 1
 
 
+def _check_horizon(args) -> None:
+    """--T and --h of audit and rotnum: positive finite numbers, with at
+    most 2^52 steps of h/2 (the exact integer range of a float)."""
+    for flag, value in (("--T", args.T), ("--h", args.h)):
+        if not (math.isfinite(value) and value > 0.0):
+            raise InputError(f"{flag} must be a positive finite number, got {value!r}")
+    if not args.T / (0.5 * args.h) <= 2.0 ** 52:
+        raise InputError(f"--T {args.T!r} / --h {args.h!r} needs more than 2^52 steps")
+
+
 def cmd_audit(args) -> int:
+    _check_horizon(args)
     cfg = RunConfig.from_obj(_load_json(Path(args.config)))
     schedule = cfg.schedule()
     try:
@@ -440,6 +451,7 @@ def _measure_rho(cfg: RunConfig, T: float, h: float):
 
 
 def cmd_rotnum(args) -> int:
+    _check_horizon(args)
     cfg = RunConfig.from_obj(_load_json(Path(args.config)))
     est = _measure_rho(cfg, args.T, args.h)
     out = {"rho": est.rho, "T": est.T, "h": est.h,

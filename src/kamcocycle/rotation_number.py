@@ -1,12 +1,23 @@
 """Rotation number of a quasi-periodic linear system by direct integration.
 
-The system v' = M(theta0 + t omega) v is integrated with a one-step
-fourth-order method; the winding rate is the accumulated continuous
-argument of v (as a point of R^2 ~ C) divided by the horizon.  Step
-matrices are built in vectorized blocks and composed with a prefix scan,
-so the per-step work is a handful of 2x2 products written out entry by
-entry; the angle is unwrapped blockwise with rejection and local halving
-whenever a single step would turn by more than pi/2.
+The system v' = M(theta0 + t omega) v is integrated with the classical
+fourth-order Runge-Kutta method; the winding rate is the accumulated
+continuous argument of v (as a point of R^2 ~ C) divided by the horizon.
+
+One pass serves every step size.  M is evaluated once per window on a grid
+of spacing q, and a run of stride s steps by 2 s q, reading its nodes and
+midpoints off that grid.  rotation_number samples at q = h/4: the h run
+takes every other sample, the h/2 run every sample, and the T/2 rate is a
+checkpoint of the h/2 run, where that run's segments end.  In a segment the
+RK4 propagators are written out entry by entry, and a two-level scan
+(doubling inside groups of GROUP steps, then a sequential pass over the
+group totals) yields the state vectors; the angle is unwrapped per step.
+
+Two guards ask a segment for a smaller step: the a-priori phase speed
+||M|| h above pi/2, and a measured turn past pi/2 in one step.  The segment
+is then redone as a run of half the step on a grid of its own, evaluated
+afresh, and so on up to MAX_HALVINGS times, after which StepTooLarge is
+raised.
 
 The reported rho is the absolute winding rate: a constant elliptic matrix
 with eigenvalues +-i*beta yields rho = |beta|, matching the convention
@@ -17,7 +28,7 @@ compares both global signs).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -25,7 +36,8 @@ from .errors import KamFailure
 from .sl2_algebra import alpha_of, resonance_shift
 from .torus_fourier import TorusMap, op_norms
 
-CHUNK = 2048
+CHUNK = 1024  # steps of the coarsest run per window
+GROUP = 64  # steps per group of the two-level scan
 MAX_HALVINGS = 10
 
 
@@ -41,104 +53,176 @@ class RotationEstimate:
     error_estimate: float
 
 
-def _eval_system(Asys: TorusMap, omega, theta0, times) -> np.ndarray:
-    thetas = theta0[None, :] + times[:, None] * omega[None, :]
-    vals = Asys.eval(thetas)
-    return np.ascontiguousarray(vals.real)
+def _mul(a, b):
+    """2x2 products a @ b of entry arrays of shape (2, 2, ...).
 
-
-def _rk4_step_matrices(A0, Am, A1, h) -> np.ndarray:
-    """One-step propagators I + h/6 (K1 + 2K2 + 2K3 + K4) for each step.
-
-    A0, Am, A1 are the system matrices at the left node, midpoint and right
-    node of every step in the block.
+    Entry (r, c) is written out as a_r0 b_0c + a_r1 b_1c, broadcast over the
+    four entries at once.
     """
-    n = A0.shape[0]
-    eye = np.broadcast_to(np.eye(2), (n, 2, 2))
-    K1 = A0
-    K2 = Am @ (eye + (0.5 * h) * K1)
-    K3 = Am @ (eye + (0.5 * h) * K2)
-    K4 = A1 @ (eye + h * K3)
-    return eye + (h / 6.0) * (K1 + 2.0 * K2 + 2.0 * K3 + K4)
+    out = a[:, :1] * b[:1]
+    out += a[:, 1:] * b[1:]
+    return out
 
 
-def _prefix_products(mats: np.ndarray) -> np.ndarray:
-    """Inclusive scan S_k = M_k @ ... @ M_0 by doubling.
+def _shifted_identity(c, K):
+    """I + c K for entry arrays of shape (2, 2, n)."""
+    out = c * K
+    out[0, 0] += 1.0
+    out[1, 1] += 1.0
+    return out
 
-    The four entries are kept as separate contiguous arrays, and each product
-    entry is written out as a_r0 b_0c + a_r1 b_1c.
+
+def _rk4_propagators(A0, Am, A1, h):
+    """One-step propagators I + h/6 (K1 + 2K2 + 2K3 + K4), entry by entry.
+
+    A0, Am, A1 are the entry arrays (2, 2, n) of the system at the left
+    node, midpoint and right node of every step.
     """
-    s00, s01, s10, s11 = (mats[:, r, c].copy() for r in (0, 1) for c in (0, 1))
+    K2 = _mul(Am, _shifted_identity(0.5 * h, A0))
+    K3 = _mul(Am, _shifted_identity(0.5 * h, K2))
+    K4 = _mul(A1, _shifted_identity(h, K3))
+    return _shifted_identity(h / 6.0, A0 + 2.0 * K2 + 2.0 * K3 + K4)
+
+
+def _states(P, v0):
+    """Coordinates (2, n + 1) of v_k = P_{k-1} ... P_0 v0 for k = 0..n.
+
+    Doubling gives the products inside each group of GROUP steps; a
+    sequential pass over the group totals carries v0 from group to group.
+    """
+    n = P.shape[-1]
+    groups = -(-n // GROUP)
+    pad = np.broadcast_to(np.eye(2)[:, :, None], (2, 2, groups * GROUP - n))
+    s = np.concatenate([P, pad], axis=-1).reshape(2, 2, groups, GROUP)
     step = 1
-    n = mats.shape[0]
-    while step < n:
-        a00, a01, a10, a11 = s00[step:], s01[step:], s10[step:], s11[step:]
-        b00, b01, b10, b11 = s00[:-step], s01[:-step], s10[:-step], s11[:-step]
-        s00[step:], s01[step:], s10[step:], s11[step:] = (
-            a00 * b00 + a01 * b10, a00 * b01 + a01 * b11,
-            a10 * b00 + a11 * b10, a10 * b01 + a11 * b11)
+    while step < min(GROUP, n):
+        s[..., step:] = _mul(s[..., step:], s[..., :-step])
         step *= 2
-    return np.stack([s00, s01, s10, s11], axis=1).reshape(-1, 2, 2)
+    x, y = float(v0[0]), float(v0[1])
+    starts = []
+    for t00, t01, t10, t11 in zip(*s[..., -1].reshape(4, groups).tolist()):
+        starts.append((x, y))
+        x, y = t00 * x + t01 * y, t10 * x + t11 * y
+    w = np.array(starts).T[:, :, None]
+    v = s[:, 0] * w[0] + s[:, 1] * w[1]
+    return np.concatenate([v0[:, None], v.reshape(2, -1)[:, :n]], axis=1)
 
 
-def _integrate_block(Asys, omega, theta0, t0, v0, n_steps, h, depth=0):
-    """Advance n_steps of size h from (t0, v0).
+def _advance(vals, speed, v0, h, depth):
+    """RK4 steps of size h with nodes vals[..., ::2] and midpoints vals[..., 1::2].
 
-    Returns (v_end, total angle increment).  When any single step turns the
-    argument by more than pi/2 the whole block is redone at half the step,
-    up to MAX_HALVINGS times.
+    vals holds the system's entry arrays (2, 2, 2n + 1), and speed is the
+    largest operator norm among them.  Returns (unit end state, angle
+    increment), or None when a guard asks for half the step.
     """
-    times = t0 + h * np.arange(n_steps + 1)
-    mids = times[:-1] + 0.5 * h
-    nodes = _eval_system(Asys, omega, theta0, times)
-    midvals = _eval_system(Asys, omega, theta0, mids)
     # a-priori phase-speed guard: |d arg v / dt| <= ||M||, and a turn past
     # pi/2 in one step could alias to a small measured delta
-    speed = max(float(op_norms(nodes).max()), float(op_norms(midvals).max()))
     if speed * h > 0.5 * math.pi:
         if depth >= MAX_HALVINGS:
             raise StepTooLarge(
                 f"rotation number: phase speed {speed:.3e} needs h below "
                 f"{0.5 * math.pi / speed:.3e}, unreachable from h = {h:.3e} "
                 f"within {MAX_HALVINGS} halvings")
-        return _integrate_block(Asys, omega, theta0, t0, v0, 2 * n_steps,
-                                0.5 * h, depth + 1)
-    mats = _rk4_step_matrices(nodes[:-1], midvals, nodes[1:], h)
-    S = _prefix_products(mats)
-    vs = np.concatenate([v0[None, :], S @ v0])
-    angles = np.arctan2(vs[:, 1], vs[:, 0])
-    deltas = np.diff(angles)
-    deltas = (deltas + math.pi) % (2.0 * math.pi) - math.pi
-    if np.abs(deltas).max(initial=0.0) > 0.5 * math.pi:
+        return None
+    nodes = vals[..., ::2]
+    vs = _states(_rk4_propagators(nodes[..., :-1], vals[..., 1::2], nodes[..., 1:], h), v0)
+    deltas = np.diff(np.arctan2(vs[1], vs[0]))
+    deltas -= (2.0 * math.pi) * np.rint(deltas / (2.0 * math.pi))
+    turn = np.abs(deltas).max(initial=0.0)
+    if turn > 0.5 * math.pi:
         if depth >= MAX_HALVINGS:
             raise StepTooLarge(
-                f"rotation number: phase turns by {np.abs(deltas).max():.3f} rad "
+                f"rotation number: phase turns by {turn:.3f} rad "
                 f"in one step at h = {h:.3e} after {depth} halvings")
-        return _integrate_block(Asys, omega, theta0, t0, v0, 2 * n_steps,
-                                0.5 * h, depth + 1)
-    v_end = vs[-1]
+        return None
+    v_end = vs[:, -1]
     norm = float(np.hypot(v_end[0], v_end[1]))
     if norm == 0.0 or not math.isfinite(norm):
         raise KamFailure("rotation number: trajectory norm left the representable range")
     return v_end / norm, float(deltas.sum())
 
 
-def winding_rate(Asys: TorusMap, omega, theta0, phi0, T: float, h: float) -> float:
-    """Signed winding rate Arg(v(T))/T of v' = Asys(theta0 + t omega) v."""
+def _samples(Asys, omega, theta0, times):
+    """Entry arrays (2, 2, n) of the system at theta0 + t omega, and the
+    operator norm of each sample."""
+    # built as (d, n) and transposed: a broadcast with an inner axis of
+    # length d is several times slower
+    vals = Asys.eval((theta0[:, None] + omega[:, None] * times).T).real
+    return np.ascontiguousarray(vals.transpose(1, 2, 0)), op_norms(vals)
+
+
+@dataclass
+class _Run:
+    """An RK4 run of step 2 * stride * q on a grid of spacing q.
+
+    angles maps each checkpoint (a step count) to the angle accumulated
+    over that many steps.
+    """
+    stride: int
+    checkpoints: tuple
+    v: np.ndarray
+    done: int = 0
+    angle: float = 0.0
+    angles: dict = field(default_factory=dict)
+
+
+def _wind(Asys, omega, theta0, q, runs, t0=0.0, depth=0):
+    """Advance every run from t0 to its last checkpoint over one sample grid.
+
+    The grid t0 + i q is evaluated a window of CHUNK steps of the coarsest
+    run at a time.  Each run advances through a window in segments that end
+    at its checkpoints; a segment whose guard trips is redone as one run of
+    half the step, on a grid of its own, one halving deeper.
+    """
+    n_samples = max(2 * r.stride * r.checkpoints[-1] for r in runs)
+    width = 2 * CHUNK * max(r.stride for r in runs)
+    for start in range(0, n_samples, width):
+        stop = min(start + width, n_samples)
+        vals, norms = _samples(Asys, omega, theta0, t0 + q * np.arange(start, stop + 1))
+        for run in runs:
+            s = run.stride
+            h = 2 * s * q
+            end = min(stop // (2 * s), run.checkpoints[-1])
+            while run.done < end:
+                k0 = run.done
+                k1 = min(end, next(c for c in run.checkpoints if c > k0))
+                seg = slice(2 * s * k0 - start, 2 * s * k1 - start + 1, s)
+                out = _advance(vals[..., seg], float(norms[seg].max()), run.v, h, depth)
+                if out is None:
+                    fine = _Run(1, (2 * (k1 - k0),), run.v)
+                    _wind(Asys, omega, theta0, 0.25 * h, [fine], t0 + k0 * h, depth + 1)
+                    out = fine.v, fine.angle
+                run.v, increment = out
+                run.angle += increment
+                run.done = k1
+                if k1 in run.checkpoints:
+                    run.angles[k1] = run.angle
+
+
+def _winding_rates(Asys, omega, theta0, phi0, q, plan):
+    """Signed winding rates of RK4 runs that share the sample grid i q.
+
+    plan lists (stride, step counts) per run; the rate at a count n of a
+    run of step h = 2 stride q is its angle after n steps over n h.
+    """
     omega = np.asarray(omega, dtype=float)
     theta0 = np.asarray(theta0, dtype=float)
     v = np.asarray(phi0, dtype=float)
     v = v / np.hypot(v[0], v[1])
-    n_total = max(1, int(round(T / h)))
-    T_eff = n_total * h
-    total = 0.0
-    done = 0
-    while done < n_total:
-        block = min(CHUNK, n_total - done)
-        v, inc = _integrate_block(Asys, omega, theta0, done * h, v, block, h)
-        total += inc
-        done += block
-    return total / T_eff
+    runs = [_Run(stride, tuple(sorted(set(counts))), v) for stride, counts in plan]
+    _wind(Asys, omega, theta0, q, runs)
+    return [[run.angles[n] / (n * (2 * run.stride * q)) for n in counts]
+            for run, (_, counts) in zip(runs, plan)]
+
+
+def _step_count(T, h):
+    return max(1, int(round(T / h)))
+
+
+def winding_rate(Asys: TorusMap, omega, theta0, phi0, T: float, h: float) -> float:
+    """Signed winding rate Arg(v(T))/T of v' = Asys(theta0 + t omega) v."""
+    return _winding_rates(Asys, omega, theta0, phi0, 0.5 * h,
+                          [(1, [_step_count(T, h)])])[0][0]
 
 
 def rotation_number(Asys: TorusMap, omega, theta0=None, phi0=None,
@@ -148,16 +232,19 @@ def rotation_number(Asys: TorusMap, omega, theta0=None, phi0=None,
     The estimate combines the discretization comparison (h against h/2),
     a horizon comparison (T against T/2 at the finer step), and the
     intrinsic final-phase ambiguity 2 pi / T of any finite-horizon winding
-    measurement, which usually dominates.
+    measurement, which usually dominates.  One pass gives all three rates:
+    the h and h/2 runs share one grid of spacing h/4, and the T/2 rate is
+    the h/2 run read after round(T/h) steps.
     """
     omega = np.asarray(omega, dtype=float)
     if theta0 is None:
         theta0 = np.zeros_like(omega)
     if phi0 is None:
         phi0 = np.array([1.0, 0.0])
-    rate_h = winding_rate(Asys, omega, theta0, phi0, T, h)
-    rate_h2 = winding_rate(Asys, omega, theta0, phi0, T, 0.5 * h)
-    rate_half_T = winding_rate(Asys, omega, theta0, phi0, 0.5 * T, 0.5 * h)
+    half = 0.5 * h
+    [rate_h], [rate_half_T, rate_h2] = _winding_rates(
+        Asys, omega, theta0, phi0, 0.25 * h,
+        [(2, [_step_count(T, h)]), (1, [_step_count(0.5 * T, half), _step_count(T, half)])])
     rho_h = abs(rate_h)
     rho = abs(rate_h2)
     err = abs(rho_h - rho) + abs(rho - abs(rate_half_T)) + 2.0 * math.pi / T

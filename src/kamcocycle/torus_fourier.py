@@ -345,7 +345,7 @@ class TorusMap:
             out = np.zeros((th.shape[0], 2, 2), dtype=complex)
         else:
             phases = np.exp(1j * math.pi * (th @ self.half_k.T))
-            out = np.einsum("sn,nab->sab", phases, self.coeffs)
+            out = (phases @ self.coeffs.reshape(-1, 4)).reshape(-1, 2, 2)
         return out[0] if single else out
 
     def trace_projected(self) -> "TorusMap":

@@ -776,6 +776,40 @@ def test_cmd_rotnum_step_too_large(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.fixture(scope="module")
+def resonant_run(tmp_path_factory):
+    # a run with a resonance, so that audit integrates with its --T and --h
+    tmp = tmp_path_factory.mktemp("resonant")
+    path = write_config(tmp, resonant_config())
+    assert main(["run", "--config", str(path)]) == 0
+    return path, tmp / "trace.csv"
+
+
+_BAD_HORIZONS = [((flag, value), f"error: {flag} must be a positive finite") for flag, value in [
+    ("--h", "0"), ("--T", "0"), ("--h", "nan"), ("--T", "nan"), ("--T", "inf"),
+    ("--h", "inf"), ("--T", "-5"), ("--h", "-0.01")]] + [
+    # T / h overflows to inf, an OverflowError at int(round(T / h))
+    (("--T", "1e300", "--h", "1e-10"), "error: --T 1e+300 / --h 1e-10 needs more than 2^52 steps")]
+
+
+@pytest.mark.parametrize("command", ["audit", "rotnum"])
+@pytest.mark.parametrize("flags,message", _BAD_HORIZONS,
+                         ids=[" ".join(flags) for flags, _ in _BAD_HORIZONS])
+def test_bad_horizon_exit_1(resonant_run, tmp_path, capsys, command, flags, message):
+    # a zero, negative or non-finite horizon or step is bad input, not a
+    # division by zero or overflow (exit 4) nor a one-step measurement with
+    # a negative error bar (exit 0)
+    path, trace = resonant_run
+    argv = {"audit": ["audit", "--trace", str(trace), "--out", str(tmp_path)],
+            "rotnum": ["rotnum", "--out", str(tmp_path / "rho.json")]}[command]
+    capsys.readouterr()
+    assert main(argv + ["--config", str(path), "--T", "20", "--h", "0.05", *flags]) == 1
+    captured = capsys.readouterr()
+    err = captured.err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith(message)
+    assert captured.out == "" and not any(tmp_path.iterdir())
+
+
 # -- import set --------------------------------------------------------------------
 
 def test_cli_import_loads_no_scipy():

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from kamcocycle import rotation_number as rotation_number_module
 from kamcocycle.arithmetics import PowerFn, check_nr_alpha
 from kamcocycle.rotation_number import (
     StepTooLarge,
@@ -106,6 +107,101 @@ def test_conjugation_shifts_rho_by_half_resonance():
     rho_shift = rho_of_constant(Atilde_r)
     assert rho_full.rho - rho_shift == pytest.approx(
         math.pi * GOLDEN[0], abs=2 * rho_full.error_estimate + 1e-4)
+
+
+def sequential_angles(sys_map, omega, theta0, phi0, h, n):
+    """Accumulated angle after each of n RK4 steps of size h.
+
+    The reference integrator: one step at a time on the state vector, each
+    step evaluating the system at its two nodes and its midpoint.
+    """
+    v = np.asarray(phi0, dtype=float) / math.hypot(*phi0)
+    angles = [0.0]
+    for k in range(n):
+        A0, Am, A1 = sys_map.eval(theta0 + np.outer([k, k + 0.5, k + 1.0], h * omega)).real
+        K1 = A0 @ v
+        K2 = Am @ (v + 0.5 * h * K1)
+        K3 = Am @ (v + 0.5 * h * K2)
+        K4 = A1 @ (v + h * K3)
+        w = v + (h / 6.0) * (K1 + 2.0 * K2 + 2.0 * K3 + K4)
+        turn = (math.atan2(w[1], w[0]) - math.atan2(v[1], v[0]) + math.pi) % (2 * math.pi) - math.pi
+        assert abs(turn) <= 0.5 * math.pi
+        angles.append(angles[-1] + turn)
+        v = w / math.hypot(*w)
+    return angles
+
+
+def oracle_rates(sys_map, omega, theta0, phi0, T, h, h_run_step=None):
+    """The h, h/2 and T/2 rates of rotation_number, integrated sequentially.
+
+    h_run_step is the step the h run actually takes (h/2 when its guard
+    trips at h); its rate is still taken over round(T/h) steps of h.
+    """
+    n_h, n_h2, n_half = round(T / h), round(2 * T / h), round(T / h)
+    sub = h_run_step or h
+    rate_h = sequential_angles(sys_map, omega, theta0, phi0, sub,
+                               round(n_h * h / sub))[-1] / (n_h * h)
+    fine = sequential_angles(sys_map, omega, theta0, phi0, 0.5 * h, n_h2)
+    return rate_h, fine[n_h2] / (n_h2 * 0.5 * h), fine[n_half] / (n_half * 0.5 * h)
+
+
+def perturbed_rotation(beta, c):
+    F = TorusMap.from_modes(
+        2,
+        [((2, 0), c * np.array([[0.3, 1.0], [0.5, -0.3]])),
+         ((-2, 0), c * np.array([[0.3, 1.0], [0.5, -0.3]])),
+         ((1, 1), c * np.array([[0.0, 0.4], [-0.2, 0.0]])),
+         ((-1, -1), c * np.array([[0.0, 0.4], [-0.2, 0.0]]))],
+        reality=True)
+    return constant_system([[0.0, beta], [-beta, 0.0]]).add(F)
+
+
+def assert_matches_oracle(sys_map, theta0, phi0, T, h, oracle):
+    rate_h, rate_h2, rate_half_T = oracle
+    est = rotation_number(sys_map, GOLDEN, theta0=theta0, phi0=phi0, T=T, h=h)
+    err = (abs(abs(rate_h) - abs(rate_h2)) + abs(abs(rate_h2) - abs(rate_half_T))
+           + 2.0 * math.pi / T)
+    assert est.rho == pytest.approx(abs(rate_h2), abs=1e-12)
+    assert est.error_estimate == pytest.approx(err, abs=1e-12)
+    for rate, (T_run, h_run) in zip(oracle, [(T, h), (T, 0.5 * h), (0.5 * T, 0.5 * h)]):
+        assert winding_rate(sys_map, GOLDEN, theta0, phi0, T_run, h_run) == pytest.approx(
+            rate, abs=1e-12)
+
+
+@pytest.mark.parametrize("chunk", [2048, 7])
+@pytest.mark.parametrize("T", [20.0, 20.3])
+def test_rates_match_sequential_oracle(monkeypatch, chunk, T):
+    # round(T/h) is 200 (even) or 203 (odd), so the T/2 checkpoint of the
+    # h/2 run falls on a step of the h run or between two; CHUNK = 7 puts it
+    # inside a window, with many windows and groups shorter than GROUP
+    monkeypatch.setattr(rotation_number_module, "CHUNK", chunk)
+    sys_map = perturbed_rotation(1.3, 0.4)
+    theta0, phi0, h = np.array([0.3, 1.1]), np.array([0.6, -0.8]), 0.1
+    oracle = oracle_rates(sys_map, GOLDEN, theta0, phi0, T, h)
+    # the three rates differ well beyond the tolerance, so a swapped or
+    # misplaced rate cannot pass
+    assert min(abs(a - b) for a, b in zip(oracle, oracle[1:] + oracle[:1])) > 1e-8
+    assert_matches_oracle(sys_map, theta0, phi0, T, h, oracle)
+
+
+def test_guard_fallback_matches_oracle(monkeypatch):
+    # ||A + F|| lies in [1.9, 2.3]: the phase-speed guard trips at h = 1
+    # on every segment of the h run and never at h/2, so the h run is redone
+    # at h/2 on a grid of its own; round(2T/h) = 121 is odd, so the h/2 run
+    # ends half a step of h after the h run
+    sys_map = perturbed_rotation(2.0, 0.1)
+    theta0, phi0, T, h = np.array([0.0, 0.4]), np.array([1.0, 0.0]), 60.3, 1.0
+    depths = []
+    real_wind = rotation_number_module._wind
+
+    def spy(Asys, omega, theta0, q, runs, t0=0.0, depth=0):
+        depths.append(depth)
+        return real_wind(Asys, omega, theta0, q, runs, t0, depth)
+
+    monkeypatch.setattr(rotation_number_module, "_wind", spy)
+    oracle = oracle_rates(sys_map, GOLDEN, theta0, phi0, T, h, h_run_step=0.5 * h)
+    assert_matches_oracle(sys_map, theta0, phi0, T, h, oracle)
+    assert max(depths) == 1
 
 
 class _FakeRec:
