@@ -45,7 +45,6 @@ from .kam_driver import (
     KamSchedule,
     RunTrace,
     a_bar_of,
-    brjuno_sum_threshold,
     item4_holds,
     make_schedule,
     resonance_budget_check,
@@ -157,8 +156,8 @@ class RunConfig:
         d = omega.size
         kappa = "fit" if o["kappa"] == "fit" else _number(
             o, "kappa", "must be a positive number or 'fit'", above=0)
-        eps0 = o["eps0"] if o["eps0"] in ("auto:dioph", "auto:brjuno-sum") else _number(
-            o, "eps0", "must be positive or 'auto:dioph'/'auto:brjuno-sum'", above=0)
+        eps0 = o["eps0"] if o["eps0"] == "auto:dioph" else _number(
+            o, "eps0", "must be positive or 'auto:dioph'", above=0)
         n0 = _number(o, "n0", "must be a non-negative integer", "integer", above=-1)
         if n0 > _N0_MAX:
             raise ConfigError("n0", f"must be at most {_N0_MAX}: 4^(n0 + 3) in the "
@@ -224,9 +223,7 @@ class RunConfig:
             if eps0 == "auto:dioph":
                 eps0 = smallness_explicit(("dioph", G.mu + g.mu), kappa,
                                           self.r0, self.n0, a_val)
-            elif eps0 == "auto:brjuno-sum":
-                eps0 = brjuno_sum_threshold(kappa, self.r0, self.n0, a_val, G, g)
-        except (ValueError, DivergentIntegral) as exc:
+        except ValueError as exc:
             raise ConfigError("eps0", f"{self.eps0}: {exc}") from exc
         if not eps0 > 0:
             raise ConfigError("eps0", f"{self.eps0} underflows to {eps0!r}")
@@ -384,10 +381,13 @@ def cmd_check_arith(args) -> int:
 
 def _check_horizon(args) -> None:
     """--T and --h of audit and rotnum: positive finite numbers, with at
-    most 2^52 steps of h/2 (the exact integer range of a float)."""
+    least one step of h and at most 2^52 steps of h/2 (the exact integer
+    range of a float)."""
     for flag, value in (("--T", args.T), ("--h", args.h)):
         if not (math.isfinite(value) and value > 0.0):
             raise InputError(f"{flag} must be a positive finite number, got {value!r}")
+    if args.T < args.h:
+        raise InputError(f"--T {args.T!r} is shorter than one step of --h {args.h!r}")
     if not args.T / (0.5 * args.h) <= 2.0 ** 52:
         raise InputError(f"--T {args.T!r} / --h {args.h!r} needs more than 2^52 steps")
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -55,7 +55,6 @@ class KamSchedule:
     r0: float
     n0: int
     a: float
-    a_bar: float
     c0: float
     eps0: float
     C_prime: float = 10.0
@@ -125,7 +124,7 @@ def make_schedule(kappa: float, kappa_prime: float | None, G: ApproxFn,
         a = 1.0 - a_bar
     if not 1.0 - a_bar <= a < 1.0:
         raise ValueError(f"a = {a} outside [1 - a_bar, 1) with a_bar = {a_bar:.3e}")
-    return KamSchedule(kappa=kappa, G=G, g=g, r0=r0, n0=n0, a=a, a_bar=a_bar,
+    return KamSchedule(kappa=kappa, G=G, g=g, r0=r0, n0=n0, a=a,
                        c0=_c0_of(G, g, r0, n0), eps0=float(eps0), C_prime=C_prime,
                        kappa_prime=kappa_prime)
 
@@ -204,12 +203,6 @@ class StepRecord:
     residual: float
     contraction: float
     residual_floor: float = 0.0
-    r_next: float = 0.0
-    x_norm: float = 0.0
-    item2_ok: bool | None = None
-    item6_ok: bool | None = None
-    margin: float = 0.0
-    preconditions: dict = field(default_factory=dict)
 
     CSV_FIELDS = ["n", "r_n", "N_n", "eps_bound", "F_norm", "resonant", "m",
                   "alpha_re", "alpha_im", "residual", "contraction", "residual_floor"]
@@ -329,34 +322,30 @@ def run(A, F: TorusMap, omega, schedule: KamSchedule, max_steps: int = 200,
                 terminated = "converged"
                 break
             N_n = sequence_N(schedule, n)
-            rep = find_resonance(alpha_n, omega, schedule.kappa, schedule.G,
-                                 schedule.g, N_n)
-            r_next = strip_after(schedule, r_n, N_n, rep.m is not None)
+            m = find_resonance(alpha_n, omega, schedule.kappa, schedule.G,
+                               schedule.g, N_n)
+            r_next = strip_after(schedule, r_n, N_n, m is not None)
             if r_next <= 0:
                 raise ScheduleViolation("strip width exhausted")
-            if rep.m is None:
-                out = step_nonresonant(A_n, F_n, r_n, r_next, N_n, schedule, omega, rep)
+            if m is None:
+                out = step_nonresonant(A_n, F_n, r_n, r_next, N_n, schedule, omega)
             else:
-                if not item2_holds(schedule, alpha_n, rep.m, omega, N_n):
+                if not item2_holds(schedule, alpha_n, m, omega, N_n):
                     raise BoundViolation("shifted eigenvalue escaped the kappa/(4G(N)) disc")
                 if n >= schedule.n0:
                     resonances_after_n0 += 1
-                out = step_resonant(A_n, F_n, r_n, r_next, N_n, schedule, omega, rep)
-                rotation_sum += resonance_shift(rep.m, omega)
+                out = step_resonant(A_n, F_n, r_n, r_next, N_n, schedule, omega, m)
+                rotation_sum += resonance_shift(m, omega)
             if not step_residual_holds(out.residual_norm, f_norm, out.residual_floor):
                 raise ScheduleViolation(
                     f"step residual {out.residual_norm:.6e} exceeds its allowance "
                     f"at |F|_r = {f_norm:.6e}")
-            item6_ok = item6_holds(schedule, records[-1], alpha_n, omega) if records else None
             Z = Z.mul(out.Z_step).cap_support(r_next)
             records.append(StepRecord(
                 n=n, r_n=r_n, N_n=N_n, eps_bound=eps_n, f_norm=f_norm,
-                resonant=out.resonant, m=out.m if out.m is not None else (0,) * d,
+                resonant=m is not None, m=(0,) * d if m is None else m,
                 alpha=alpha_n, residual=out.residual_norm,
-                contraction=out.contraction_observed,
-                residual_floor=out.residual_floor, r_next=r_next, x_norm=out.x_norm,
-                item2_ok=True if out.resonant else None, item6_ok=item6_ok,
-                margin=rep.margin, preconditions=out.preconditions))
+                contraction=out.contraction_observed, residual_floor=out.residual_floor))
             A_n, F_n, r_n, alpha_n = out.A_next, out.F_next, r_next, out.alpha_next
     except KamFailure as exc:
         exc.step = n
@@ -439,29 +428,13 @@ def smallness_explicit(case: tuple, kappa: float, r0: float, n0: int,
     raise ValueError(f"unknown smallness case {case!r}")
 
 
-def brjuno_sum_threshold(kappa: float, r0: float, n0: int, a: float,
-                         G: ApproxFn, g: ApproxFn) -> float:
-    """eps0 from the Brjuno-sum expression.
-
-    exp(-r0/4^{n0} - |log(kappa/(2(1-a)^{n0}))| - 2 * integral of
-    log(g G)(t)/t^2 over [1, inf)).  Raises DivergentIntegral when the sum
-    is infinite.  The value is a convenience threshold; whether it actually
-    passes the integral smallness condition is parameter-dependent and
-    should be checked with check_condepsilon.
-    """
-    integral = tail_integral(ProductFn(G, g), 1.0, 2.0)
-    exponent = -r0 / 4.0 ** n0 \
-        - abs(math.log(kappa / 2.0) - n0 * math.log1p(-a)) - 2.0 * integral
-    return math.exp(exponent) if exponent > -745.0 else 0.0
-
-
 def resonance_budget_check(trace: RunTrace, schedule: KamSchedule,
                            rho_target: float | None = None) -> dict:
     """Post-hoc audit of the resonance bookkeeping along a trace.
 
     Verifies the cumulative bound sum_{j<=n} |m_j| <= N_n^2, the closeness
     inequality at every resonant step and the eigenvalue drift inequality
-    (both recomputed from the rows with run's item2_holds and item6_holds), the
+    (both recomputed from the rows, with item2_holds and item6_holds), the
     strict growth of truncation orders between resonances, and (when
     kappa' and a measured rotation number are supplied) the hypothesis
     kappa' > kappa * sup g(t^2)/G(t) together with its consequence that no

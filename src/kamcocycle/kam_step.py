@@ -20,7 +20,7 @@ capping).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -44,33 +44,15 @@ class MultipleResonances(KamFailure):
     inconsistent, since a valid configuration admits at most one."""
 
 
-class PreconditionFailure(KamFailure):
-    def __init__(self, failed: list[str], details: dict):
-        self.failed = failed
-        self.details = details
-        super().__init__("violated preconditions: " + ", ".join(failed))
-
-
-@dataclass(frozen=True)
-class ResonanceReport:
-    m: tuple | None
-    alpha_shifted: complex
-    margin: float  # min over the scan of |alpha - i pi <m,omega>| * g(|m|)
-
-
 @dataclass
 class StepOutput:
     A_next: np.ndarray
     F_next: TorusMap
     Z_step: TorusMap
-    resonant: bool
-    m: tuple | None
     residual_norm: float
     residual_floor: float
     contraction_observed: float
     alpha_next: complex
-    x_norm: float
-    preconditions: dict = field(default_factory=dict)
 
 
 def conjugation_residual(A, F: TorusMap, Z: TorusMap, A_next, F_next: TorusMap,
@@ -117,8 +99,8 @@ def closeness_radius(kappa: float, G: ApproxFn, N: int) -> float:
 
 
 def find_resonance(alpha: complex, omega, kappa: float, G: ApproxFn, g: ApproxFn,
-                   N: int) -> ResonanceReport:
-    """Locate the (unique) resonance of alpha among 0 < |m| <= N, if any.
+                   N: int) -> tuple | None:
+    """The (unique) resonance m of alpha among 0 < |m| <= N, or None.
 
     alpha is resonant at m when |alpha - i pi <m, omega>| < kappa/(4 G(N) g(|m|)).
     When a resonance is found the shifted value alpha - i pi <m, omega> is
@@ -126,25 +108,24 @@ def find_resonance(alpha: complex, omega, kappa: float, G: ApproxFn, g: ApproxFn
     """
     omega = np.asarray(omega, dtype=float)
     alpha = complex(alpha)
-    score, best_m, violators = scan_min_weighted_distance(
+    _, _, violators = scan_min_weighted_distance(
         omega, N, g.value, target=alpha.imag, scale=math.pi, re_off=alpha.real,
         thr=closeness_radius(kappa, G, N))
     if not violators:
-        return ResonanceReport(m=None, alpha_shifted=alpha, margin=score)
+        return None
+    s0, m0 = violators[0]
     if len(violators) > 1:
-        s0, m0 = violators[0]
         s1, m1 = violators[1]
         if m1 != m0 and s1 - s0 <= 1e-14 * max(1.0, s0):
             raise MultipleResonances(
                 f"violators {m0} and {m1} tie at score {s0:.3e}")
-    s0, m0 = violators[0]
-    shifted = shifted_alpha(alpha, m0, omega)
-    check = check_nr_alpha(shifted, omega, kappa / float(G.value(N)), g, N)
+    check = check_nr_alpha(shifted_alpha(alpha, m0, omega), omega,
+                           kappa / float(G.value(N)), g, N)
     if not check.ok:
         raise BoundViolation(
             f"shifted eigenvalue not non-resonant at level kappa/G(N); "
             f"offender {check.m} at {check.value:.3e}")
-    return ResonanceReport(m=m0, alpha_shifted=shifted, margin=s0)
+    return m0
 
 
 def eliminate_resonance(A, m, omega):
@@ -221,7 +202,7 @@ def _conjugate(A, F: TorusMap, N: int, a_prime: float, r_prime: float,
 
     X solves the homological equation at a' (its size bound asserted),
     A' = A + a' F^(0), and F' is defined by the conjugation identity.
-    Returns (A', F', Z, |X|_{r'}).
+    Returns (A', F', Z).
     """
     X = solve_homological(A, F, N, omega, schedule.kappa, schedule.G, schedule.g,
                           a_prime, r_prime)
@@ -247,98 +228,76 @@ def _conjugate(A, F: TorusMap, N: int, a_prime: float, r_prime: float,
         F_next = F_next.realified()
     F_next = F_next.cap_support(r_prime)
     Z = TorusMap.identity(d).add(P).cap_support(r_prime)
-    return A_next, F_next, Z, X.weighted_norm(r_prime)
+    return A_next, F_next, Z
 
 
 def _measured(A, F: TorusMap, eps: float, r_prime: float, omega, A_next,
-              F_next: TorusMap, Z_step: TorusMap, x_norm: float, m,
-              pre: dict) -> StepOutput:
+              F_next: TorusMap, Z_step: TorusMap) -> StepOutput:
     """The step's output with what is checked of it: the conjugation
     residual at r', its float floor, and the contraction |F'|_{r'} / eps,
     where eps = |F|_r."""
     residual = conjugation_residual(A, F, Z_step, A_next, F_next, omega, r_prime)
     f_next_norm = F_next.weighted_norm(r_prime)
     return StepOutput(
-        A_next=A_next, F_next=F_next, Z_step=Z_step, resonant=m is not None, m=m,
-        residual_norm=residual,
+        A_next=A_next, F_next=F_next, Z_step=Z_step, residual_norm=residual,
         residual_floor=residual_floor(A, F, Z_step, A_next, F_next, r_prime, eps,
                                       f_next_norm),
         contraction_observed=f_next_norm / eps if eps > 0 else 0.0,
-        alpha_next=eigen(A_next).alpha, x_norm=x_norm, preconditions=pre)
+        alpha_next=eigen(A_next).alpha)
 
 
 def step_nonresonant(A, F: TorusMap, r: float, r_prime: float, N: int, schedule,
-                     omega, resonance: ResonanceReport) -> StepOutput:
+                     omega) -> StepOutput:
     """Non-resonant step of the run's KamSchedule at order N, from strip r
     to r': A' = A + a' F^(0) with a' = schedule.a, Z = exp(X).
 
-    resonance is find_resonance's report for eigen(A).alpha at order N; a
-    report with a resonance is a PreconditionFailure.
-
-    Preconditions (petitesse3) 2 G(N) g(N) eps <= kappa (1-a')/2 and the
-    truncation gap e^{-2 pi N (r - r')} <= 1 - a' are recorded in
-    out.preconditions, never raised.  The measured contraction is asserted
-    against sqrt(1 - a') whenever every recorded precondition holds.
+    The measured contraction is asserted against sqrt(1 - a') when the
+    lemma's hypotheses hold: 2 G(N) g(N) eps <= kappa (1-a')/2 and the
+    truncation gap e^{-2 pi N (r - r')} <= 1 - a'.
 
     The driver's r' (kam_driver.strip_after) spends c0 |log(1-a)| / (2 pi N),
     so e^{-2 pi N (r - r')} = (1-a)^{c0}, which exceeds 1 - a for every
-    c0 < 1: N_gap is recorded False on every such step of a run, and the
-    contraction assertion never fires there.
+    c0 < 1: the gap fails on every such step of a run, and the contraction
+    assertion never fires there.
     """
     A = np.asarray(A, dtype=float)
     eps = F.weighted_norm(r)
-    if resonance.m is not None:
-        raise PreconditionFailure(
-            ["nonresonant"], {"m": resonance.m, "margin": resonance.margin})
     a_prime = schedule.a
     gg = float(schedule.G.value(N)) * float(schedule.g.value(N))
-    lhs3 = 2.0 * gg * eps
-    rhs3 = schedule.kappa * (1.0 - a_prime) / 2.0
-    lhs_gap = math.exp(-2.0 * math.pi * N * (r - r_prime))
-    pre = {"petitesse3": (lhs3 <= rhs3, lhs3, rhs3),
-           "N_gap": (lhs_gap <= 1.0 - a_prime, lhs_gap, 1.0 - a_prime)}
-    failed = [k for k, v in pre.items() if not v[0]]
+    armed = (2.0 * gg * eps <= schedule.kappa * (1.0 - a_prime) / 2.0
+             and math.exp(-2.0 * math.pi * N * (r - r_prime)) <= 1.0 - a_prime)
 
-    A_next, F_next, Z_step, x_norm = _conjugate(A, F, N, a_prime, r_prime, schedule, omega)
-    out = _measured(A, F, eps, r_prime, omega, A_next, F_next, Z_step, x_norm, None, pre)
+    A_next, F_next, Z_step = _conjugate(A, F, N, a_prime, r_prime, schedule, omega)
+    out = _measured(A, F, eps, r_prime, omega, A_next, F_next, Z_step)
     limit = math.sqrt(1.0 - a_prime)
-    if not failed and eps > 0 and out.contraction_observed > limit * CERT_SLACK:
+    if armed and eps > 0 and out.contraction_observed > limit * CERT_SLACK:
         raise BoundViolation(
             f"contraction {out.contraction_observed:.3e} exceeds sqrt(1-a') = {limit:.3e}")
     return out
 
 
 def step_resonant(A, F: TorusMap, r: float, r_prime: float, N: int, schedule,
-                  omega, resonance: ResonanceReport) -> StepOutput:
+                  omega, m) -> StepOutput:
     """Resonant step of the run's KamSchedule at order N, from strip r to r':
-    eliminate the resonance with Phi, then conjugate the rotated system
+    eliminate the resonance at m with Phi, then conjugate the rotated system
     Atilde + F_t by exp(X) at a' = 1; Z = Phi exp(X).
 
-    resonance is find_resonance's report for eigen(A).alpha at order N; a
-    report without a resonance is a PreconditionFailure.  The driver checks
-    the closeness of the shifted eigenvalue (kam_driver.item2_holds) before
-    the step.
+    m is find_resonance's resonance of eigen(A).alpha at order N.  The
+    driver checks the closeness of the shifted eigenvalue
+    (kam_driver.item2_holds) before the step.
 
-    The smallness conditions (petitesse, petitesse2, strip_width) are
-    recorded in out.preconditions, never raised; the measured contraction
-    is asserted against (1 - a) when they all hold.
+    The measured contraction is asserted against (1 - a) when the lemma's
+    smallness hypotheses hold: 2 (G g)(N)^2 eps <= (1-a)^2 kappa^2 / 2,
+    e C' (G g)(N+1)^{-c0} <= 1 - a and r > 2 log (G g)(N) / (pi N).
     """
     A = np.asarray(A, dtype=float)
     eps = F.weighted_norm(r)
-    if resonance.m is None:
-        raise PreconditionFailure(["resonant"], {"margin": resonance.margin})
-    a, m = schedule.a, resonance.m
+    a = schedule.a
     gg_N = float(schedule.G.value(N)) * float(schedule.g.value(N))
     gg_N1 = float(schedule.G.value(N + 1)) * float(schedule.g.value(N + 1))
-    pre = {}
-    lhs_p = 2.0 * gg_N ** 2 * eps
-    rhs_p = 0.5 * (1.0 - a) ** 2 * schedule.kappa ** 2
-    pre["petitesse"] = (lhs_p <= rhs_p, lhs_p, rhs_p)
-    lhs_p2 = math.e * schedule.C_prime * gg_N1 ** (-schedule.c0)
-    pre["petitesse2"] = (lhs_p2 <= 1.0 - a, lhs_p2, 1.0 - a)
-    rhs_r = 2.0 * math.log(gg_N) / (math.pi * N)
-    pre["strip_width"] = (r > rhs_r, r, rhs_r)
-    failed = [k for k, v in pre.items() if not v[0]]
+    armed = (2.0 * gg_N ** 2 * eps <= 0.5 * (1.0 - a) ** 2 * schedule.kappa ** 2
+             and math.e * schedule.C_prime * gg_N1 ** (-schedule.c0) <= 1.0 - a
+             and r > 2.0 * math.log(gg_N) / (math.pi * N))
 
     Phi, Atilde_c, Phi_inv = eliminate_resonance(A, m, omega)
     Atilde = project_traceless(_realify(Atilde_c, "Atilde"))
@@ -347,10 +306,10 @@ def step_resonant(A, F: TorusMap, r: float, r_prime: float, N: int, schedule,
         raise KamFailure("conjugated perturbation left the integer lattice")
     if F.reality:
         F_t = F_t.realified()
-    A_next, F_next, Z_x, x_norm = _conjugate(Atilde, F_t, N, 1.0, r_prime, schedule, omega)
+    A_next, F_next, Z_x = _conjugate(Atilde, F_t, N, 1.0, r_prime, schedule, omega)
     out = _measured(A, F, eps, r_prime, omega, A_next, F_next,
-                    Phi.mul(Z_x).cap_support(r_prime), x_norm, m, pre)
-    if not failed and eps > 0 and out.contraction_observed > (1.0 - a) * CERT_SLACK:
+                    Phi.mul(Z_x).cap_support(r_prime))
+    if armed and eps > 0 and out.contraction_observed > (1.0 - a) * CERT_SLACK:
         raise BoundViolation(
             f"resonant contraction {out.contraction_observed:.3e} exceeds 1-a = {1.0 - a:.3e}")
     return out

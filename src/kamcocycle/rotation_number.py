@@ -216,11 +216,14 @@ def _winding_rates(Asys, omega, theta0, phi0, q, plan):
 
 
 def _step_count(T, h):
-    return max(1, int(round(T / h)))
+    if T < h:
+        raise ValueError(f"horizon T = {T!r} is shorter than one step h = {h!r}")
+    return int(round(T / h))
 
 
 def winding_rate(Asys: TorusMap, omega, theta0, phi0, T: float, h: float) -> float:
-    """Signed winding rate Arg(v(T))/T of v' = Asys(theta0 + t omega) v."""
+    """Signed winding rate Arg(v(T))/T of v' = Asys(theta0 + t omega) v;
+    ValueError when T < h."""
     return _winding_rates(Asys, omega, theta0, phi0, 0.5 * h,
                           [(1, [_step_count(T, h)])])[0][0]
 
@@ -234,7 +237,7 @@ def rotation_number(Asys: TorusMap, omega, theta0=None, phi0=None,
     intrinsic final-phase ambiguity 2 pi / T of any finite-horizon winding
     measurement, which usually dominates.  One pass gives all three rates:
     the h and h/2 runs share one grid of spacing h/4, and the T/2 rate is
-    the h/2 run read after round(T/h) steps.
+    the h/2 run read after round(T/h) steps.  ValueError when T < h.
     """
     omega = np.asarray(omega, dtype=float)
     if theta0 is None:

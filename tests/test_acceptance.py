@@ -35,7 +35,14 @@ from kamcocycle.rotation_number import (
     verify_additivity,
     winding_rate,
 )
-from kamcocycle.sl2_algebra import alpha_of, eigen, lm_dense_solve, lm_inverse, lm_spectrum
+from kamcocycle.sl2_algebra import (
+    alpha_of,
+    eigen,
+    lm_dense_solve,
+    lm_inverse,
+    lm_spectrum,
+    shifted_alpha,
+)
 from kamcocycle.torus_fourier import TorusMap
 
 GOLDEN = np.array([1.0, 0.5 * (1.0 + np.sqrt(5.0))])
@@ -165,11 +172,13 @@ def test_criterion_5_schedule_conformance(long_run):
     sched = long_run["sched"]
     recs = long_run["trace"].records
     eps0 = long_run["eps0"]
-    for rec in recs:
+    # each step's r' is the next row's r_n, and the last one's is r_final
+    r_next = [rec.r_n for rec in recs[1:]] + [long_run["cert"].r_final]
+    for rec, r_prime in zip(recs, r_next):
         ladder = (1.0 - sched.a) ** (rec.n / 2.0) * eps0
         assert rec.f_norm <= ladder * (1.0 + 1e-12)
         assert rec.r_n >= sched.r0 / 4.0 ** (sched.n0 + 1)
-        assert rec.r_next >= sched.r0 / 4.0 ** (sched.n0 + 1)
+        assert r_prime >= sched.r0 / 4.0 ** (sched.n0 + 1)
         # exact bracketing of the truncation order
         assert rec.N_n == sequence_N(sched, rec.n)
         log_bound = sched.log_n_bound(rec.n)
@@ -201,12 +210,12 @@ def test_criterion_6_resonance_uniqueness():
         thr = kappa / (4.0 * float(G_tab.value(float(N))) * g.value(mods))
         violators = pts[dist < thr]
         assert len(violators) <= 1, (alpha, N, violators)
-        rep = find_resonance(alpha, GOLDEN, kappa, G_tab, g, N)
+        m = find_resonance(alpha, GOLDEN, kappa, G_tab, g, N)
         if len(violators) == 0:
-            assert rep.m is None
+            assert m is None
         else:
-            assert rep.m == tuple(violators[0])
-            shifted = check_nr_alpha(rep.alpha_shifted, GOLDEN,
+            assert m == tuple(violators[0])
+            shifted = check_nr_alpha(shifted_alpha(alpha, m, GOLDEN), GOLDEN,
                                      kappa / float(G_tab.value(float(N))), g, N)
             assert shifted.ok
         done += 1

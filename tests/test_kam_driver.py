@@ -17,7 +17,7 @@ from kamcocycle.kam_driver import (
     RunTrace,
     ScheduleViolation,
     StepRecord,
-    brjuno_sum_threshold,
+    a_bar_of,
     check_condepsilon,
     item4_holds,
     make_schedule,
@@ -49,7 +49,7 @@ def schrodinger_instance(eps=1e-10, E=6.25, r0=0.5, mode=(1, 1)):
 def test_schedule_constants():
     sched = golden_schedule()
     # (G g)(2) = 16, so a_bar = min(1/196, 1/256) = 1/256
-    assert sched.a_bar == pytest.approx(1.0 / 256.0)
+    assert a_bar_of(G2, G2) == pytest.approx(1.0 / 256.0)
     assert sched.a == pytest.approx(1.0 - 1.0 / 256.0)
     # n0 = 0: the sup term is empty and c0 = r0 / 4^3
     assert sched.c0 == pytest.approx(0.5 / 64.0)
@@ -69,8 +69,7 @@ def test_sequence_N_frozen_example():
     # by make_schedule for this G*g, so the schedule is built directly.)
     from kamcocycle.kam_driver import KamSchedule
     sched = KamSchedule(kappa=1.0, G=G2, g=G2, r0=0.5, n0=0,
-                        a=1.0 - 1.0 / 196.0, a_bar=1.0 / 256.0,
-                        c0=0.5 / 64.0, eps0=1e-20)
+                        a=1.0 - 1.0 / 196.0, c0=0.5 / 64.0, eps0=1e-20)
     assert sequence_N(sched, 0) == 71
     assert math.floor(((1.0 / 196.0) / 2e-10) ** 0.25) == 71
 
@@ -123,7 +122,7 @@ def test_run_schrodinger_short():
     assert all(not r.resonant for r in trace.records)
     assert all(r.f_norm <= r.eps_bound * (1 + 1e-12) for r in trace.records)
     assert all(r.contraction <= math.sqrt(1 - sched.a) for r in trace.records)
-    assert all(r.item6_ok in (None, True) for r in trace.records)
+    assert resonance_budget_check(trace, sched)["item6_ok"]
     assert cert.r_final >= sched.r0 / 4.0
     assert cert.residual <= cert.residual_budget + cert.cert_tol
     # deterministic replay, bitwise
@@ -140,18 +139,23 @@ def test_run_schedule_violation_surfaces():
         run(A, F, GOLDEN, sched)
 
 
-def test_run_with_constructed_resonance():
-    # alpha_0 = i (pi <e1, omega> + delta): the first step removes the
-    # resonance at m = (1, 0), later steps stay non-resonant
-    delta = 1e-3
+def resonant_instance(delta=1e-3):
+    # alpha_0 = i (pi <e1, omega> + delta), resonant at m = (1, 0)
     beta = math.pi * GOLDEN[0] + delta
     A = np.array([[0.0, beta], [-beta, 0.0]])
     _, F = schrodinger_instance(eps=1e-10, r0=0.5)
-    sched = golden_schedule(eps0=F.weighted_norm(0.5), r0=0.5)
+    return A, F, golden_schedule(eps0=F.weighted_norm(0.5), r0=0.5)
+
+
+def test_run_with_constructed_resonance():
+    # the first step removes the resonance at m = (1, 0), later steps stay
+    # non-resonant
+    delta = 1e-3
+    A, F, sched = resonant_instance(delta)
     trace, cert = run(A, F, GOLDEN, sched, max_steps=30)
     assert trace.records[0].resonant
     assert trace.records[0].m == (1, 0)
-    assert trace.records[0].item2_ok
+    assert resonance_budget_check(trace, sched)["item2_ok"]
     assert all(not r.resonant for r in trace.records[1:])
     assert cert.rotation_sum == pytest.approx(math.pi * GOLDEN[0])
     assert cert.status == "Reduced"
@@ -195,6 +199,19 @@ def test_run_trace_csv_roundtrip(tmp_path):
         assert (a.n, a.N_n, a.resonant, a.m) == (b.n, b.N_n, b.resonant, b.m)
         assert a.f_norm == b.f_norm and a.alpha == b.alpha
         assert a.r_n == b.r_n and a.residual == b.residual
+
+
+def test_trace_row_is_the_whole_record(tmp_path):
+    # a StepRecord holds what trace.csv writes and nothing more: read back,
+    # the rows of a run through one resonance equal the records in memory
+    A, F, sched = resonant_instance()
+    trace, _ = run(A, F, GOLDEN, sched, max_steps=6, cert_tol=1e-100)
+    assert trace.records[0].resonant and len(trace.records) == 6
+    trace.to_csv(tmp_path / "trace.csv")
+    back = RunTrace.from_csv(tmp_path / "trace.csv", omega=GOLDEN)
+    assert len(back.records) == len(trace.records)
+    for a, b in zip(trace.records, back.records):
+        assert a == b, (a, b)
 
 
 # -- certified bounds and formulas ---------------------------------------------
@@ -270,26 +287,6 @@ def test_exp_smallness_gap():
 def test_smallness_explicit_explog_representable():
     eps = smallness_explicit(("explog", 3.0, 0.1), 1.0, 8.0, 0, 1.0 - 1.0 / 196)
     assert eps > 0
-
-
-def test_brjuno_sum_threshold_value():
-    # Power(2) * Power(2): integral of log t^4 / t^2 over [1, inf) = 4
-    a = 1.0 - 1.0 / 196.0
-    eps = brjuno_sum_threshold(1.0, 0.5, 0, a, G2, G2)
-    expected = math.exp(-0.5 - abs(math.log(0.5)) - 8.0)
-    assert eps == pytest.approx(expected, rel=1e-12)
-    # the threshold is far too generous to satisfy the integral condition
-    # at these parameters; the verdict is recorded honestly
-    ok, integral, budget = check_condepsilon(G2, G2, 1.0, 0.5, 0, a, eps)
-    assert not ok
-    # monotone decreasing in n0
-    vals = [brjuno_sum_threshold(1.0, 0.5, n0, a, G2, G2) for n0 in range(4)]
-    assert all(x > y for x, y in zip(vals, vals[1:]))
-
-
-def test_brjuno_sum_threshold_divergent():
-    with pytest.raises(DivergentIntegral):
-        brjuno_sum_threshold(1.0, 0.5, 0, 1.0 - 1.0 / 196, ExpPowFn(1.0), G2)
 
 
 # -- budget audit ---------------------------------------------------------------

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,11 +6,9 @@ import pytest
 
 from kamcocycle import kam_step, sl2_algebra
 from kamcocycle.arithmetics import PowerFn, check_nr_alpha, l1_ball
-from kamcocycle.kam_driver import KamSchedule, a_bar_of, strip_after
+from kamcocycle.kam_driver import KamSchedule, strip_after
 from kamcocycle.kam_step import (
     MultipleResonances,
-    PreconditionFailure,
-    ResonanceReport,
     conjugation_residual,
     eliminate_resonance,
     find_resonance,
@@ -18,7 +17,7 @@ from kamcocycle.kam_step import (
     step_nonresonant,
     step_resonant,
 )
-from kamcocycle.sl2_algebra import BoundViolation, DefectiveConstantPart, eigen
+from kamcocycle.sl2_algebra import BoundViolation, DefectiveConstantPart, eigen, shifted_alpha
 from kamcocycle.torus_fourier import TorusMap, op_norm_2x2
 
 GOLDEN = np.array([1.0, 0.5 * (1.0 + np.sqrt(5.0))])
@@ -27,19 +26,18 @@ G2 = PowerFn(2.0)
 
 def schedule_of(a):
     # the KamSchedule fields a step reads; c0 only enters the resonant step's
-    # recorded petitesse2, since the driver hands each step its strip r'
-    return KamSchedule(kappa=1.0, G=G2, g=G2, r0=1.0, n0=0, a=a,
-                       a_bar=a_bar_of(G2, G2), c0=2.0, eps0=1.0)
+    # petitesse2, since the driver hands each step its strip r'
+    return KamSchedule(kappa=1.0, G=G2, g=G2, r0=1.0, n0=0, a=a, c0=2.0, eps0=1.0)
 
 
 def resonance_of(A, N):
-    # the report the driver hands a step: the scan of A's eigenvalue at N
+    # the resonance the driver hands a resonant step: the scan of A's
+    # eigenvalue at N
     return find_resonance(eigen(A).alpha, GOLDEN, 1.0, G2, G2, N)
 
 
 def nonresonant_step(A, F, r, r_prime, N, a=1.0 - 1.0 / 200):
-    return step_nonresonant(A, F, r, r_prime, N, schedule_of(a), GOLDEN,
-                            resonance_of(A, N))
+    return step_nonresonant(A, F, r, r_prime, N, schedule_of(a), GOLDEN)
 
 
 def resonant_step(A, F, r=1.0, N=2):
@@ -69,15 +67,14 @@ def small_real_map(d=2, eps=1e-9, modes=((2, 0), (2, 2)), seed=0):
 def test_find_resonance_exact_hit():
     m0 = (1, 0)
     alpha = 1j * math.pi * float(np.dot(m0, GOLDEN))
-    rep = find_resonance(alpha, GOLDEN, 1.0, G2, G2, N=2)
-    assert rep.m == m0
-    assert abs(rep.alpha_shifted) < 1e-14
+    m = find_resonance(alpha, GOLDEN, 1.0, G2, G2, N=2)
+    assert m == m0
+    assert abs(shifted_alpha(alpha, m, GOLDEN)) < 1e-14
 
 
 def test_find_resonance_real_alpha_far():
-    rep = find_resonance(0.5 + 0.0j, GOLDEN, 1.0, G2, G2, N=10)
-    assert rep.m is None
-    assert rep.margin >= 0.5  # distance to the imaginary axis is at least Re
+    # the distance to the imaginary axis is at least Re alpha = 0.5
+    assert find_resonance(0.5 + 0.0j, GOLDEN, 1.0, G2, G2, N=10) is None
 
 
 def test_find_resonance_uniqueness_bruteforce():
@@ -100,12 +97,12 @@ def test_find_resonance_uniqueness_bruteforce():
         thr = kappa / (4.0 * G2.value(N) * G2.value(np.abs(pts).sum(axis=1).astype(float)))
         violators = pts[dist < thr]
         assert len(violators) <= 1
-        rep = find_resonance(alpha, GOLDEN, kappa, G2, G2, N)
+        m = find_resonance(alpha, GOLDEN, kappa, G2, G2, N)
         if len(violators) == 0:
-            assert rep.m is None
+            assert m is None
         else:
-            assert rep.m == tuple(violators[0])
-            shifted_ok = check_nr_alpha(rep.alpha_shifted, GOLDEN,
+            assert m == tuple(violators[0])
+            shifted_ok = check_nr_alpha(shifted_alpha(alpha, m, GOLDEN), GOLDEN,
                                         kappa / G2.value(N), G2, N)
             assert shifted_ok.ok
 
@@ -232,18 +229,8 @@ def test_step_nonresonant_constant_perturbation():
     np.testing.assert_allclose(out.F_next.coeff((0, 0)), (1 - a_prime) * eps * M,
                                rtol=1e-10)
     assert out.contraction_observed == pytest.approx(1 - a_prime, rel=1e-9)
-    assert out.x_norm == 0.0
-
-
-def test_step_nonresonant_strict_precondition_failure():
-    # failed preconditions are recorded, not raised, and the contraction
-    # is then not asserted
-    A = rotation_like(0.77)
-    F = small_real_map(eps=1e-3)  # far too large for petitesse3
-    out = nonresonant_step(A, F, 0.5, 0.499, 5, 1.0 - 1.0 / 196)
-    ok, lhs, rhs = out.preconditions["petitesse3"]
-    assert not ok and lhs > rhs
-    assert not out.preconditions["N_gap"][0]  # e^{-2 pi 5 (0.001)} > 1/196
+    # a constant F leaves nothing for X to solve
+    assert solve_homological(A, F, 5, GOLDEN, 1.0, G2, G2, a_prime, 0.3).n_modes == 0
 
 
 def test_step_nonresonant_contraction_and_residual():
@@ -282,7 +269,6 @@ def test_step_nonresonant_decomposes_twice(monkeypatch):
     # one eigendecomposition serves the mode solve, one gives alpha of A'
     A = rotation_like(0.77)
     F = small_real_map(eps=1e-9, seed=5)
-    report = resonance_of(A, 5)
     calls = []
 
     def counted(*args, **kwargs):
@@ -291,7 +277,7 @@ def test_step_nonresonant_decomposes_twice(monkeypatch):
 
     monkeypatch.setattr(kam_step, "eigen", counted)
     monkeypatch.setattr(sl2_algebra, "eigen", counted)
-    step_nonresonant(A, F, 0.5, 0.33, 5, schedule_of(1.0 - 1.0 / 200.0), GOLDEN, report)
+    step_nonresonant(A, F, 0.5, 0.33, 5, schedule_of(1.0 - 1.0 / 200.0), GOLDEN)
     assert len(calls) == 2
 
 
@@ -301,8 +287,8 @@ def test_step_resonant_exact_resonance_no_perturbation():
     beta = math.pi * GOLDEN[0]
     A = rotation_like(beta)
     F = TorusMap.zero(2)
+    assert resonance_of(A, 2) == (1, 0)
     out = resonant_step(A, F)
-    assert out.resonant and out.m == (1, 0)
     assert abs(out.alpha_next) < 1e-12
     np.testing.assert_allclose(out.A_next, 0.0, atol=1e-12)
     assert out.F_next.n_modes == 0
@@ -319,8 +305,8 @@ def test_step_resonant_conjugation_lattice_and_residual():
     F = small_real_map(eps=1e-12, seed=11, modes=((2, 0), (0, 2)))
     assert 2 * (G2.value(2) * G2.value(2)) ** 2 * F.weighted_norm(1.0) \
         <= 0.5 * (1.0 / 196) ** 2  # petitesse holds for this instance
+    assert resonance_of(A, 2) == (1, 0)
     out = resonant_step(A, F)
-    assert out.resonant and out.m == (1, 0)
     assert out.alpha_next == pytest.approx(1j * delta, abs=1e-6)
     # conjugated perturbation is back on the integer lattice
     assert out.F_next.lattice == "integer"
@@ -335,12 +321,6 @@ def test_step_resonant_conjugation_lattice_and_residual():
     vals = out.Z_step.eval(thetas)
     dets = vals[:, 0, 0] * vals[:, 1, 1] - vals[:, 0, 1] * vals[:, 1, 0]
     np.testing.assert_allclose(dets.real, 1.0, atol=1e-10)
-
-
-def test_step_resonant_requires_resonance():
-    A = rotation_like(0.5)  # far from every i pi <m, omega>
-    with pytest.raises(PreconditionFailure):
-        resonant_step(A, TorusMap.zero(2))
 
 
 def test_conjugation_residual_oracle_detects_tampering():
@@ -359,17 +339,16 @@ def test_find_resonance_large_order_windowed():
     m0 = (100, -62)
     gap = float(np.dot(m0, GOLDEN))
     alpha = 1j * math.pi * gap
-    rep = find_resonance(alpha, GOLDEN, 1.0, G2, G2, N=5000)
-    assert rep.m == m0
-    assert abs(rep.alpha_shifted) < 1e-12
+    m = find_resonance(alpha, GOLDEN, 1.0, G2, G2, N=5000)
+    assert m == m0
+    assert abs(shifted_alpha(alpha, m, GOLDEN)) < 1e-12
     # and a clean alpha stays clean at the same order
-    clean = find_resonance(0.5j, GOLDEN, 1.0, G2, G2, N=5000)
-    assert clean.m is None
+    assert find_resonance(0.5j, GOLDEN, 1.0, G2, G2, N=5000) is None
     # just past the exact ball: alpha on the (1, 0) resonance is reported,
     # a clean alpha is not
     near = find_resonance(1j * (math.pi * GOLDEN[0] + 1e-9), GOLDEN, 1.0, G2, G2, N=14)
-    assert near.m == (1, 0)
-    assert find_resonance(0.5j, GOLDEN, 1.0, G2, G2, N=20).m is None
+    assert near == (1, 0)
+    assert find_resonance(0.5j, GOLDEN, 1.0, G2, G2, N=20) is None
 
 
 def test_step_nonresonant_defective_constant_part():
@@ -390,7 +369,7 @@ def test_phi_norm_within_recorded_bound():
     F = small_real_map(eps=1e-12, seed=11, modes=((2, 0), (0, 2)))
     out = resonant_step(A, F)
     # |Phi^{+-1}|_{r'} <= 2 cond(P) e^{pi N r'} with P the eigenbasis of A
-    Phi, _, Phi_inv = eliminate_resonance(A, out.m, GOLDEN)
+    Phi, _, Phi_inv = eliminate_resonance(A, resonance_of(A, 2), GOLDEN)
     ed = eigen(A)
     cond = op_norm_2x2(ed.P) * op_norm_2x2(ed.P_inv)
     r_prime = strip_after(schedule_of(1.0 - 1.0 / 196), 1.0, 2, True)
@@ -472,3 +451,79 @@ def test_conjugation_identity_finite_difference_oracle():
     rhs = np.einsum("ab,sbc->sac", Ar.astype(complex), Phi.eval(thetas)) \
         - np.einsum("sab,bc->sac", Phi.eval(thetas), Atilde)
     assert np.abs(d_fd - rhs).max() < 1e-8
+
+
+# -- the contraction gates ----------------------------------------------------
+
+def _uncontracted(monkeypatch, eps):
+    # the conjugation returns an F' with |F'|_{r'} = |F|_r = eps: a step whose
+    # contraction is 1, far above either gate's limit
+    real = kam_step._conjugate
+
+    def conjugate(*args):
+        A_next, _, Z = real(*args)
+        return A_next, TorusMap.constant(np.array([[0.0, eps], [eps, 0.0]]), 2), Z
+
+    monkeypatch.setattr(kam_step, "_conjugate", conjugate)
+
+
+def _gate_ids(fails):
+    return f"{fails}-fails" if fails else "armed"
+
+
+@pytest.mark.parametrize("fails", [None, "petitesse3", "N_gap"], ids=_gate_ids)
+def test_nonresonant_contraction_gate(monkeypatch, fails):
+    # the gate is armed by 2 G(N) g(N) eps <= kappa (1-a')/2 and
+    # e^{-2 pi N (r - r')} <= 1 - a'; with both holding an uncontracted
+    # step raises, and with either failing the same step returns
+    A = rotation_like(0.77)
+    F = small_real_map(eps=1e-9, seed=5)
+    a_prime = 1.0 - 1.0 / 200.0
+    sched = schedule_of(a_prime)
+    r, r_prime, N = 0.5, 0.33, 5
+    if fails == "petitesse3":
+        sched = dataclasses.replace(sched, kappa=1e-3)
+    if fails == "N_gap":
+        r_prime = 0.49
+    eps = F.weighted_norm(r)
+    holds = (2 * G2.value(N) * G2.value(N) * eps <= sched.kappa * (1 - a_prime) / 2,
+             math.exp(-2 * math.pi * N * (r - r_prime)) <= 1 - a_prime)
+    assert holds == (fails != "petitesse3", fails != "N_gap")
+    _uncontracted(monkeypatch, eps)
+    if fails is None:
+        with pytest.raises(BoundViolation, match=r"contraction .* exceeds sqrt\(1-a'\)"):
+            step_nonresonant(A, F, r, r_prime, N, sched, GOLDEN)
+    else:
+        out = step_nonresonant(A, F, r, r_prime, N, sched, GOLDEN)
+        assert out.contraction_observed == pytest.approx(1.0, rel=1e-12)
+
+
+@pytest.mark.parametrize("fails", [None, "petitesse", "petitesse2", "strip_width"],
+                         ids=_gate_ids)
+def test_resonant_contraction_gate(monkeypatch, fails):
+    # the gate is armed by 2 (G g)(N)^2 eps <= (1-a)^2 kappa^2 / 2,
+    # e C' (G g)(N+1)^{-c0} <= 1 - a and r > 2 log (G g)(N) / (pi N); with all
+    # three holding an uncontracted step raises, with any failing it returns
+    A = rotation_like(math.pi * GOLDEN[0] + 1e-3)
+    F = small_real_map(eps=1e-12, seed=11, modes=((2, 0), (0, 2)))
+    sched = schedule_of(1.0 - 1.0 / 196)
+    r, N = 1.0, 2
+    if fails == "petitesse":
+        sched = dataclasses.replace(sched, kappa=1e-3)
+    if fails == "petitesse2":
+        sched = dataclasses.replace(sched, C_prime=100.0)
+    if fails == "strip_width":
+        r = 0.85
+    eps, gg, a = F.weighted_norm(r), G2.value(N) ** 2, sched.a
+    holds = (2 * gg ** 2 * eps <= 0.5 * (1 - a) ** 2 * sched.kappa ** 2,
+             math.e * sched.C_prime * G2.value(N + 1) ** (-2 * sched.c0) <= 1 - a,
+             r > 2 * math.log(gg) / (math.pi * N))
+    assert holds == (fails != "petitesse", fails != "petitesse2", fails != "strip_width")
+    _uncontracted(monkeypatch, eps)
+    r_prime, m = strip_after(sched, r, N, True), resonance_of(A, N)
+    if fails is None:
+        with pytest.raises(BoundViolation, match=r"resonant contraction .* exceeds 1-a"):
+            step_resonant(A, F, r, r_prime, N, sched, GOLDEN, m)
+    else:
+        out = step_resonant(A, F, r, r_prime, N, sched, GOLDEN, m)
+        assert out.contraction_observed == pytest.approx(1.0, rel=1e-12)

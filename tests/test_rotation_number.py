@@ -94,6 +94,16 @@ def test_step_rejection_and_too_large():
                      T=4.0, h=0.5)
 
 
+def test_horizon_shorter_than_one_step_raises():
+    # the horizon would be one step of h, not T, while the report gave T
+    sys_map = constant_system([[0.0, 0.7], [-0.7, 0.0]])
+    with pytest.raises(ValueError, match="shorter than one step"):
+        rotation_number(sys_map, GOLDEN, T=1.0, h=5.0)
+    with pytest.raises(ValueError, match="shorter than one step"):
+        winding_rate(sys_map, GOLDEN, np.zeros(2), np.array([1.0, 0.0]), T=1.0, h=5.0)
+    assert rotation_number(sys_map, GOLDEN, T=5.0, h=5.0).T == 5.0
+
+
 def test_conjugation_shifts_rho_by_half_resonance():
     # winding of the resonance-eliminating conjugation: rho changes by
     # exactly pi <m, omega> when passing to the shifted system
