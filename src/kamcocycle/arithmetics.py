@@ -206,11 +206,6 @@ def l1_ball(N: int, d: int) -> np.ndarray:
     first = np.arange(-N, N + 1, dtype=np.int64)
     if d == 1:
         return first[:, None]
-    if d == 2:
-        half = N - np.abs(first)  # the second coordinate runs over -half..half
-        count = 2 * half + 1
-        centre = np.repeat(np.cumsum(count) - half - 1, count)
-        return np.column_stack([np.repeat(first, count), np.arange(len(centre)) - centre])
     rest = [l1_ball(N - abs(m1), d - 1) for m1 in range(-N, N + 1)]
     return np.column_stack([np.repeat(first, [len(r) for r in rest]), np.vstack(rest)])
 

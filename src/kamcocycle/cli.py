@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import concurrent.futures
 import contextlib
+import csv
 import datetime
 import json
 import math
@@ -49,6 +50,7 @@ from .kam_driver import (
     make_schedule,
     resonance_budget_check,
     run,
+    schedule_columns_hold,
     sequence_N,
     smallness_explicit,
     step_residual_holds,
@@ -398,9 +400,10 @@ def cmd_audit(args) -> int:
     schedule = cfg.schedule()
     try:
         trace = RunTrace.from_csv(args.trace, omega=cfg.omega)
-    except (OSError, KeyError, ValueError) as exc:
+    except (OSError, ValueError, csv.Error) as exc:
         raise InputError(f"malformed trace {args.trace}: {exc}") from exc
     recs = trace.records
+    columns_ok = schedule_columns_hold(schedule, recs)
     item4_ok = all(item4_holds(schedule, r.n, r.f_norm) for r in recs)
     n_ok = all(r.N_n == sequence_N(schedule, r.n) for r in recs)
     residual_ok = all(step_residual_holds(r.residual, r.f_norm, r.residual_floor) for r in recs)
@@ -409,6 +412,7 @@ def cmd_audit(args) -> int:
         est = _measure_rho(cfg, args.T, args.h)
     budget = resonance_budget_check(trace, schedule, rho_target=est.rho if est else None)
     report = {
+        "schedule_columns_ok": columns_ok,
         "item4_f_norm_ok": item4_ok,
         "truncation_orders_ok": n_ok,
         "residuals_ok": residual_ok,
@@ -416,13 +420,13 @@ def cmd_audit(args) -> int:
     }
     if est is not None:
         add = verify_additivity(est.rho, _final_B(trace, cfg.omega), trace, cfg.omega,
-                                tol=2.0 * est.error_estimate)
+                                schedule, tol=2.0 * est.error_estimate)
         report["rho_measured"] = est.rho
         report["rho_error_estimate"] = est.error_estimate
         report["additivity_ok"] = add.ok
         report["additivity_defect"] = add.defect
         report["additivity_sign"] = add.matched_sign
-    verdicts = [item4_ok, n_ok, residual_ok, budget["cumulative_m_ok"],
+    verdicts = [columns_ok, item4_ok, n_ok, residual_ok, budget["cumulative_m_ok"],
                 budget["item2_ok"], budget["item6_ok"], budget["interlacing_ok"]]
     if est is not None:
         verdicts.append(report["additivity_ok"])

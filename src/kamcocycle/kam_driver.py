@@ -38,7 +38,6 @@ from .kam_step import (
 from .sl2_algebra import CERT_SLACK, BoundViolation, eigen, resonance_shift, shifted_alpha
 from .torus_fourier import TorusMap
 
-LOG_EPS_FLOOR = math.log(1e-300)
 STEP_RESIDUAL_TOL = 1e-10  # per-step share of the global residual budget
 STEP_REL_TOL = 1e-12  # step residual above its float floor, relative to |F_n|_{r_n}
 
@@ -183,6 +182,18 @@ def step_residual_holds(residual: float, f_norm: float, floor: float) -> bool:
                 or residual > STEP_REL_TOL * f_norm + floor)
 
 
+def schedule_columns_hold(schedule: KamSchedule, records: list) -> bool:
+    """The schedule's columns of a trace: row i is step n = i, r_0 = r0,
+    each r_n is strip_after of the row before it, and eps_bound = eps_n.
+    run writes each from the same functions, so each must match exactly."""
+    r_n = schedule.r0
+    for i, rec in enumerate(records):
+        if rec.n != i or rec.r_n != r_n or rec.eps_bound != schedule.eps_n(i):
+            return False
+        r_n = strip_after(schedule, rec.r_n, rec.N_n, rec.resonant)
+    return True
+
+
 def item6_holds(schedule: KamSchedule, prev: "StepRecord", alpha: complex, omega) -> bool:
     """Eigenvalue drift: the entry value alpha moves at most sqrt(eps_{n-1})
     from the previous step's value shifted by its resonance (if any)."""
@@ -242,9 +253,19 @@ class RunTrace:
 
     @classmethod
     def from_csv(cls, path, omega=None) -> "RunTrace":
+        """Read a trace written by to_csv.  ValueError when the header is not
+        StepRecord.CSV_FIELDS or a row has a missing or extra field."""
+        fields = StepRecord.CSV_FIELDS
+        recs = []
         with open(path, newline="") as fh:
-            rows = list(csv.DictReader(fh))
-        recs = [StepRecord.from_csv_row(r) for r in rows]
+            reader = csv.reader(fh)
+            if next(reader, None) != fields:
+                raise ValueError(f"header is not {','.join(fields)}")
+            for row in filter(None, reader):
+                if len(row) != len(fields):
+                    raise ValueError(
+                        f"line {reader.line_num} has {len(row)} fields, not {len(fields)}")
+                recs.append(StepRecord.from_csv_row(dict(zip(fields, row))))
         return cls(records=recs, omega=omega)
 
 

@@ -33,6 +33,7 @@ from .sl2_algebra import (
     eigen,
     lm_solve,
     shifted_alpha,
+    spectral_projectors,
 )
 from .torus_fourier import TorusMap, exp_series_tail, op_norms, project_traceless
 
@@ -147,9 +148,7 @@ def eliminate_resonance(A, m, omega):
             "constant part is near-nilpotent; treat as non-resonant with alpha = 0")
     alpha = ed.alpha
     alpha_t = shifted_alpha(alpha, m, omega)
-    ratio = A.astype(complex) / alpha
-    pi_plus = 0.5 * (np.eye(2, dtype=complex) + ratio)
-    pi_minus = 0.5 * (np.eye(2, dtype=complex) - ratio)
+    pi_plus, pi_minus = spectral_projectors(A, alpha)
     d = omega.shape[0]
     real = abs(alpha.real) == 0.0
     Phi = TorusMap.from_modes(d, [(tuple(m), pi_plus), (tuple(-m), pi_minus)],

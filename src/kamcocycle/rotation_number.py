@@ -269,14 +269,14 @@ class AdditivityReport:
     rotation_sum: float
 
 
-def verify_additivity(rho_full: float, B_final, trace, omega,
+def verify_additivity(rho_full: float, B_final, trace, omega, schedule,
                       tol: float) -> AdditivityReport:
     """Check rho(A + F) = rho(B) + pi * sum_j <m_j, omega> along a run.
 
     The comparison allows tol plus the eigenvalue-drift budget
-    sum_j sqrt(eps_j) accumulated over the recorded steps, and tolerates a
-    global orientation flip (the measured rho is unsigned); the matched
-    sign is reported.
+    sum_j sqrt(eps_j), the schedule's ladder over the recorded steps, and
+    tolerates a global orientation flip (the measured rho is unsigned); the
+    matched sign is reported.
     """
     omega = np.asarray(omega, dtype=float)
     rho_b = rho_of_constant(B_final)
@@ -284,7 +284,7 @@ def verify_additivity(rho_full: float, B_final, trace, omega,
     drift = 0.0
     for rec in trace.records:
         rot_sum += resonance_shift(rec.m, omega)
-        drift += math.sqrt(rec.eps_bound)
+        drift += math.sqrt(schedule.eps_n(rec.n))
     allowance = tol + drift
     # the integrator reports |winding| and |Im alpha| forgets the
     # orientation of the reduced rotation, so both orientations of the

@@ -1,13 +1,17 @@
-"""Trace-zero 2x2 matrices: eigen-data and the mode operator L_m.
+"""Trace-zero 2x2 matrices: eigen-data, spectral projectors and the mode
+operator L_m.
 
 For a constant trace-zero matrix B and an integer frequency m, the operator
 
     L_m : M -> 2*i*pi*<m, omega> M - [B, M]
 
 acts on trace-zero matrices with spectrum {2*i*pi*<m,omega>,
-2*i*pi*<m,omega> +- 2*alpha} where +-alpha are the eigenvalues of B.
-Inversion is done in the eigenbasis of ad(B) whenever B is diagonalizable
-and falls back to a dense 4-dimensional entrywise solve otherwise.
+2*i*pi*<m,omega> +- 2*alpha} where +-alpha are the eigenvalues of B.  When
+B is diagonalizable its spectral projectors pi_+- = (I +- B/alpha)/2 split
+sl(2) into the three eigenspaces of ad(B); the same projectors build the
+resonance rotation Phi (kam_step.eliminate_resonance).  L_m is inverted on
+that splitting, and by a dense 4-dimensional entrywise solve when B is
+defective.
 """
 
 from __future__ import annotations
@@ -67,44 +71,29 @@ def alpha_of(A) -> complex:
 @dataclass(frozen=True)
 class EigenData:
     alpha: complex
-    P: np.ndarray
-    P_inv: np.ndarray
     defective: bool
 
 
 def eigen(A) -> EigenData:
-    """Eigen-decomposition A = P diag(alpha, -alpha) P^{-1}, ||P|| = 1.
-
-    The defective flag is raised when |alpha| < DEFECT_TOL * (1 + ||A||);
-    in that case P is the identity and the caller must not diagonalize.
-    """
+    """The eigenvalue +alpha of A (alpha_of) and whether A is defective:
+    |alpha| < DEFECT_TOL * (1 + ||A||), where the caller must not use its
+    spectral projectors."""
     A = np.asarray(A, dtype=complex)
     alpha = alpha_of(A)
-    norm_a = op_norm_2x2(A)
-    if abs(alpha) < DEFECT_TOL * (1.0 + norm_a):
-        return EigenData(alpha=alpha, P=np.eye(2, dtype=complex),
-                         P_inv=np.eye(2, dtype=complex), defective=True)
-    a, b = A[0, 0], A[0, 1]
-    c = A[1, 0]
-    # eigenvector for +alpha: (A - alpha I) v = 0; two closed forms, pick the
-    # better conditioned one (deterministic).
-    v1a = np.array([b, alpha - a])
-    v1b = np.array([alpha + a, c])
-    v1 = v1a if np.abs(v1a).sum() >= np.abs(v1b).sum() else v1b
-    v2a = np.array([b, -alpha - a])
-    v2b = np.array([-alpha + a, c])
-    v2 = v2a if np.abs(v2a).sum() >= np.abs(v2b).sum() else v2b
-    v1 = v1 / np.linalg.norm(v1)
-    v2 = v2 / np.linalg.norm(v2)
-    P = np.column_stack([v1, v2])
-    detP = P[0, 0] * P[1, 1] - P[0, 1] * P[1, 0]
-    if abs(detP) < 1e-14:
-        return EigenData(alpha=alpha, P=np.eye(2, dtype=complex),
-                         P_inv=np.eye(2, dtype=complex), defective=True)
-    P = P / op_norm_2x2(P)
-    detP = P[0, 0] * P[1, 1] - P[0, 1] * P[1, 0]
-    P_inv = np.array([[P[1, 1], -P[0, 1]], [-P[1, 0], P[0, 0]]]) / detP
-    return EigenData(alpha=alpha, P=P, P_inv=P_inv, defective=False)
+    return EigenData(alpha=alpha,
+                     defective=bool(abs(alpha) < DEFECT_TOL * (1.0 + op_norm_2x2(A))))
+
+
+def spectral_projectors(A, alpha: complex) -> tuple[np.ndarray, np.ndarray]:
+    """pi_+- = (I +- A/alpha)/2, the projectors onto the +-alpha eigenlines
+    of a trace-zero A with eigenvalue alpha != 0.
+
+    pi_+ + pi_- = I, pi_+- pi_+- = pi_+- (A^2 = alpha^2 I) and
+    A = alpha (pi_+ - pi_-).
+    """
+    ratio = np.asarray(A, dtype=complex) / alpha
+    I2 = np.eye(2, dtype=complex)
+    return 0.5 * (I2 + ratio), 0.5 * (I2 - ratio)
 
 
 def resonance_shift(m, omega) -> float:
@@ -153,10 +142,10 @@ def lm_solve(ms, omega, Atilde, rhs) -> np.ndarray:
     """Solve 2*i*pi*<m,omega> M - [Atilde, M] = rhs for trace-zero M, per mode.
 
     ms is an (n, d) stack of modes and rhs the (n, 2, 2) stack of right-hand
-    sides; the (n, 2, 2) solutions are returned.  One eigendecomposition of
-    Atilde serves the whole stack; a defective Atilde is solved by the dense
-    entrywise systems.  Raises SingularOperator naming the first mode with a
-    spectrum element that is numerically zero.
+    sides; the (n, 2, 2) solutions are returned.  One pair of spectral
+    projectors of Atilde serves the whole stack; a defective Atilde is
+    solved by the dense entrywise systems.  Raises SingularOperator naming
+    the first mode with a spectrum element that is numerically zero.
     """
     B = np.asarray(Atilde, dtype=complex)
     omega = np.asarray(omega, dtype=float)
@@ -168,42 +157,22 @@ def lm_solve(ms, omega, Atilde, rhs) -> np.ndarray:
     if singular.size:
         raise SingularOperator(f"spectrum element below {SPECTRUM_FLOOR:g} "
                                f"for m={tuple(ms[singular[0]].tolist())}")
-    dm, dm_minus, dm_plus = spectrum
+    dm, dm_minus, dm_plus = (s[:, None, None] for s in spectrum)
     if op_norm_2x2(B) < DEFECT_TOL:
-        return project_traceless(rhs / dm[:, None, None])
+        return project_traceless(rhs / dm)
     if ed.defective:
         return lm_dense_solve(ms, omega, B, rhs)
-    R = ed.P_inv @ rhs @ ed.P
-    Mp = np.empty_like(R)
-    Mp[:, 0, 0] = (R[:, 0, 0] - R[:, 1, 1]) / (2.0 * dm)
-    Mp[:, 1, 1] = -Mp[:, 0, 0]
-    Mp[:, 0, 1] = R[:, 0, 1] / dm_minus
-    Mp[:, 1, 0] = R[:, 1, 0] / dm_plus
-    return project_traceless(ed.P @ Mp @ ed.P_inv)
+    # ad(B) is 2 alpha on X = pi_+ R pi_-, -2 alpha on Y = pi_- R pi_+ and
+    # 0 on R - X - Y; three products, with R pi_+ = R - R pi_-
+    pi_plus, pi_minus = spectral_projectors(B, ed.alpha)
+    R_minus = rhs @ pi_minus
+    R_plus = rhs - R_minus
+    X = pi_plus @ R_minus
+    Y = R_plus - pi_plus @ R_plus
+    return project_traceless((rhs - X - Y) / dm + X / dm_minus + Y / dm_plus)
 
 
 def lm_inverse(m, omega, Atilde, rhs) -> np.ndarray:
     """Solve 2*i*pi*<m,omega> M - [Atilde, M] = rhs for one mode m: lm_solve
     on a batch of one."""
     return lm_solve(m, omega, Atilde, rhs)[0]
-
-
-def operator_bound_check(m, omega, Atilde, kappa: float, G, g, N: int) -> float:
-    """Measured ||L_m^{-1}|| against the certified bound 4 G(N) g(|m|) / kappa.
-
-    The measured value is the largest reciprocal modulus over the three
-    spectrum elements.  Raises BoundViolation when it exceeds the bound,
-    which signals inconsistent arithmetic-condition inputs.
-    """
-    B = np.asarray(Atilde, dtype=complex)
-    alpha = alpha_of(B)
-    spectrum = lm_spectrum(m, omega, alpha)
-    if min(abs(s) for s in spectrum) < SPECTRUM_FLOOR:
-        raise SingularOperator("singular mode operator")
-    measured = max(1.0 / abs(s) for s in spectrum)
-    mod = float(np.abs(np.asarray(m)).sum())
-    bound = 4.0 * float(G.value(N)) * float(g.value(mod)) / kappa
-    if measured > bound * CERT_SLACK:
-        raise BoundViolation(
-            f"||L_m^-1|| = {measured:.6e} exceeds 4 G(N) g(|m|)/kappa = {bound:.6e}")
-    return measured

@@ -193,34 +193,6 @@ class TorusMap:
             return self.coeffs[i].copy()
         return np.zeros((2, 2), dtype=np.complex128)
 
-    def is_real(self, tol: float = 1e-14) -> bool:
-        """Check conjugate symmetry coeff(-k) == conj(coeff(k)) within tol.
-
-        A missing index reads as the zero coefficient, so unpaired modes
-        pass when their own coefficients are below tol (cancellation junk
-        from convolutions may be pruned on one side only).
-        """
-        if self.n_modes == 0:
-            return True
-        neg_keys = _pack(-self.half_k)
-        idx = np.searchsorted(self._keys, neg_keys)
-        paired = (idx < self.n_modes) & (
-            self._keys[np.minimum(idx, self.n_modes - 1)] == neg_keys)
-        if not paired.all():
-            if np.abs(self.coeffs[~paired]).max() > tol:
-                return False
-        if paired.any():
-            diff = self.coeffs[idx[paired]] - np.conj(self.coeffs[paired])
-            if np.abs(diff).max() > tol:
-                return False
-        return True
-
-    def max_imag_on_grid(self, n_samples: int = 100, seed: int = 0) -> float:
-        rng = np.random.default_rng(seed)
-        thetas = rng.uniform(0.0, 2.0, size=(n_samples, self.d))
-        vals = self.eval(thetas)
-        return float(np.abs(vals.imag).max(initial=0.0))
-
     # -- norm, truncation, capping ----------------------------------------
 
     def _weights(self, r: float) -> np.ndarray:

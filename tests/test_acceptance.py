@@ -229,7 +229,7 @@ def test_criterion_7_rotation_additivity(resonant_run):
     assert trace.records[0].m == resonant_run["m0"]
     sys_map = TorusMap.constant(resonant_run["A"], 2).add(resonant_run["F"])
     est = rotation_number(sys_map, GOLDEN, T=1e4, h=1e-2)
-    rep = verify_additivity(est.rho, cert.B, trace, GOLDEN,
+    rep = verify_additivity(est.rho, cert.B, trace, GOLDEN, resonant_run["sched"],
                             tol=2.0 * est.error_estimate)
     assert rep.ok, (rep.defect, rep.allowance)
     # the explicit three-term comparison of the criterion

@@ -10,6 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from oracles import is_real
 
 import kamcocycle
 from kamcocycle import arithmetics, cli, kam_driver, kam_step
@@ -71,7 +72,7 @@ def test_schrodinger_preset_shape():
     np.testing.assert_allclose(A, [[0.0, 0.5 - 2.0], [1.0, 0.0]])
     assert F.n_modes == 2
     np.testing.assert_allclose(F.coeff((2, 0)), [[0.0, 1e-3], [0.0, 0.0]])
-    assert F.is_real()
+    assert is_real(F)
 
 
 # -- run command ---------------------------------------------------------------
@@ -548,7 +549,7 @@ def test_cmd_audit_clean_run(tmp_path):
     assert main(["audit", "--trace", str(tmp_path / "trace.csv"),
                  "--config", str(path)]) == 0
     report = json.loads((tmp_path / "audit_report.json").read_text())
-    assert report["pass"] and report["item4_f_norm_ok"]
+    assert report["pass"] and report["item4_f_norm_ok"] and report["schedule_columns_ok"]
     assert report["budget"]["cumulative_m_ok"]
 
 
@@ -740,6 +741,57 @@ def test_cmd_audit_malformed_trace(tmp_path):
     bad = tmp_path / "junk.csv"
     bad.write_text("not,a,trace\n1,2,3\n")
     assert main(["audit", "--trace", str(bad), "--config", str(path)]) == 1
+
+
+_HEADER = ",".join(kam_driver.StepRecord.CSV_FIELDS)
+
+
+@pytest.mark.parametrize("text", [
+    _HEADER + "\n5,0.2\n",  # a row cut short
+    _HEADER + "\n" + ",".join(["0"] * 13) + "\n",  # a row with an extra field
+    "n,r_n\n",  # a foreign header with no rows
+    "",  # no header at all
+    _HEADER + "\n" + "0" * 200_000 + "\n",  # past the csv reader's field size limit
+], ids=["short-row", "extra-field", "foreign-header", "empty", "huge-field"])
+def test_cmd_audit_malformed_trace_exits_1(tmp_path, capsys, text):
+    path = write_config(tmp_path, base_config())
+    bad = tmp_path / "junk.csv"
+    bad.write_text(text)
+    capsys.readouterr()
+    assert main(["audit", "--trace", str(bad), "--config", str(path)]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: malformed trace {bad}")
+    assert not (tmp_path / "audit_report.json").exists()
+
+
+def test_cmd_audit_zero_row_trace(tmp_path):
+    # a trace with the header and no rows is well formed: nothing to fail
+    path = write_config(tmp_path, base_config())
+    trace = tmp_path / "trace.csv"
+    trace.write_text(_HEADER + "\n")
+    assert main(["audit", "--trace", str(trace), "--config", str(path)]) == 0
+    report = json.loads((tmp_path / "audit_report.json").read_text())
+    assert report["pass"] and report["schedule_columns_ok"]
+
+
+@pytest.mark.parametrize("column,value", [(3, "0.01"), (1, "0.9")], ids=["eps_bound", "r_n"])
+def test_cmd_audit_checks_the_schedule_columns(resonant_run, tmp_path, column, value):
+    # every eps_bound set to 0.01 would widen the additivity allowance by
+    # 0.1 rad a row, and every r_n set to 0.9 claims a strip the schedule
+    # never had; the audit recomputes both from the schedule
+    path, trace = resonant_run
+    lines = trace.read_text().splitlines()
+    rows = [line.split(",") for line in lines[1:]]
+    for row in rows:
+        row[column] = value
+    tampered = tmp_path / "tampered.csv"
+    tampered.write_text("\n".join([lines[0]] + [",".join(row) for row in rows]) + "\n")
+    assert main(["audit", "--trace", str(tampered), "--config", str(path),
+                 "--out", str(tmp_path), "--T", "200", "--h", "0.02"]) == 1
+    report = json.loads((tmp_path / "audit_report.json").read_text())
+    assert not report["schedule_columns_ok"]
+    assert report["item4_f_norm_ok"] and report["truncation_orders_ok"]
+    assert report["residuals_ok"] and report["additivity_ok"]
 
 
 # -- rotnum ----------------------------------------------------------------------

@@ -215,9 +215,9 @@ def test_guard_fallback_matches_oracle(monkeypatch):
 
 
 class _FakeRec:
-    def __init__(self, m, eps):
+    def __init__(self, n, m):
+        self.n = n
         self.m = m
-        self.eps_bound = eps
 
 
 class _FakeTrace:
@@ -225,12 +225,22 @@ class _FakeTrace:
         self.records = recs
 
 
+class _Ladder:
+    """A schedule's eps_n, from a list."""
+
+    def __init__(self, eps):
+        self.eps = eps
+
+    def eps_n(self, n):
+        return self.eps[n]
+
+
 def test_verify_additivity_no_resonance():
     beta = 1.7
     B = [[0.0, beta], [-beta, 0.0]]
-    trace = _FakeTrace([_FakeRec((0, 0), 1e-10), _FakeRec((0, 0), 1e-12)])
+    trace = _FakeTrace([_FakeRec(0, (0, 0)), _FakeRec(1, (0, 0))])
     est = rotation_number(constant_system(B), GOLDEN, T=400.0, h=0.01)
-    rep = verify_additivity(est.rho, B, trace, GOLDEN,
+    rep = verify_additivity(est.rho, B, trace, GOLDEN, _Ladder([1e-10, 1e-12]),
                             tol=2 * est.error_estimate)
     assert rep.ok and rep.matched_sign == 1
     assert rep.rotation_sum == 0.0
@@ -242,17 +252,18 @@ def test_verify_additivity_with_offset():
     delta = 0.15
     B = [[0.0, delta], [-delta, 0.0]]
     rho_full = delta + math.pi * GOLDEN[0]
-    trace = _FakeTrace([_FakeRec(m0, 1e-10)])
-    rep = verify_additivity(rho_full, B, trace, GOLDEN, tol=1e-8)
+    trace = _FakeTrace([_FakeRec(0, m0)])
+    ladder = _Ladder([1e-10])
+    rep = verify_additivity(rho_full, B, trace, GOLDEN, ladder, tol=1e-8)
     assert rep.ok
     assert rep.rotation_sum == pytest.approx(math.pi * GOLDEN[0])
     # hyperbolic final part contributes zero
     reph = verify_additivity(math.pi * GOLDEN[0], [[0.3, 0.0], [0.0, -0.3]],
-                             trace, GOLDEN, tol=1e-8)
+                             trace, GOLDEN, ladder, tol=1e-8)
     assert reph.ok and reph.rho_constant == 0.0
     # a global orientation flip is tolerated and reported
-    repf = verify_additivity(rho_full, B, _FakeTrace([_FakeRec((-1, 0), 1e-10)]),
-                             GOLDEN, tol=1e-8)
+    repf = verify_additivity(rho_full, B, _FakeTrace([_FakeRec(0, (-1, 0))]),
+                             GOLDEN, ladder, tol=1e-8)
     assert repf.ok and repf.matched_sign == -1
 
 

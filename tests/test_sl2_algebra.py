@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
+from oracles import operator_bound_check
 
 from kamcocycle.arithmetics import PowerFn
 from kamcocycle.sl2_algebra import (
+    DEFECT_TOL,
     BoundViolation,
-    EigenData,
     SingularOperator,
     alpha_of,
     eigen,
@@ -12,7 +13,7 @@ from kamcocycle.sl2_algebra import (
     lm_inverse,
     lm_solve,
     lm_spectrum,
-    operator_bound_check,
+    spectral_projectors,
 )
 
 GOLDEN = np.array([1.0, 0.5 * (1.0 + np.sqrt(5.0))])
@@ -30,11 +31,13 @@ def random_traceless(rng, scale=1.0, real=True):
 
 
 def test_eigen_diagonal():
-    ed = eigen(np.array([[1.0, 0.0], [0.0, -1.0]]))
+    B = np.array([[1.0, 0.0], [0.0, -1.0]])
+    ed = eigen(B)
     assert ed.alpha == 1.0
     assert not ed.defective
-    np.testing.assert_allclose(ed.P_inv @ np.diag([1.0, -1.0]).astype(complex) @ ed.P,
-                               np.diag([1.0, -1.0]), atol=1e-14)
+    pi_plus, pi_minus = spectral_projectors(B, ed.alpha)
+    np.testing.assert_array_equal(pi_plus, np.diag([1.0, 0.0]))
+    np.testing.assert_array_equal(pi_minus, np.diag([0.0, 1.0]))
 
 
 def test_eigen_rotation_generator():
@@ -51,21 +54,37 @@ def test_eigen_nilpotent_defective():
     ed = eigen(np.array([[0.0, 1.0], [0.0, 0.0]]))
     assert ed.defective
     assert ed.alpha == 0.0
-    np.testing.assert_array_equal(ed.P, np.eye(2))
+    # the flag is |alpha| < DEFECT_TOL (1 + ||A||), on either side of it
+    assert eigen(np.diag([0.5, -0.5]) * DEFECT_TOL).defective
+    assert not eigen(np.diag([2.0, -2.0]) * DEFECT_TOL).defective
 
 
 def test_eigen_reconstruction_and_determinism():
+    # the projector identities pi_+ + pi_- = I, pi_+-^2 = pi_+- and
+    # B = alpha (pi_+ - pi_-), and pi_+- fixing numpy's eigenvectors of
+    # +-alpha and annihilating the other's
     rng = np.random.default_rng(17)
-    for _ in range(200):
-        A = random_traceless(rng)
+    I2 = np.eye(2)
+    for trial in range(200):
+        A = random_traceless(rng, real=trial % 2 == 0)
         ed = eigen(A)
-        if ed.defective:
-            continue
-        rec = ed.P @ np.diag([ed.alpha, -ed.alpha]) @ ed.P_inv
-        assert np.abs(rec - A).max() <= 1e-10 * (1.0 + np.abs(A).max())
-        ed2 = eigen(A.copy())
-        assert ed2.alpha == ed.alpha
-        assert np.array_equal(ed.P, ed2.P)
+        assert not ed.defective
+        pi_plus, pi_minus = spectral_projectors(A, ed.alpha)
+        tol = 1e-13 * (1.0 + np.abs(A).max() / abs(ed.alpha)) ** 2
+        assert np.abs(pi_plus + pi_minus - I2).max() <= tol
+        assert np.abs(pi_plus @ pi_plus - pi_plus).max() <= tol
+        assert np.abs(pi_minus @ pi_minus - pi_minus).max() <= tol
+        assert np.abs(ed.alpha * (pi_plus - pi_minus) - A).max() \
+            <= tol * (1.0 + np.abs(A).max())
+        w, V = np.linalg.eig(A)
+        plus = int(np.argmin(np.abs(w - ed.alpha)))
+        v_plus, v_minus = V[:, plus], V[:, 1 - plus]
+        assert np.abs(pi_plus @ v_plus - v_plus).max() <= 1e3 * tol
+        assert np.abs(pi_plus @ v_minus).max() <= 1e3 * tol
+        again = eigen(A.copy())
+        assert again == ed
+        assert all(np.array_equal(p, q) for p, q in
+                   zip(spectral_projectors(A.copy(), again.alpha), (pi_plus, pi_minus)))
 
 
 def test_eigen_branch_convention():
