@@ -7,9 +7,10 @@ Subcommands:
   audit        re-verify a finished trace against its config
   rotnum       measure the rotation number of the configured system
 
-All data files are deterministic (no timestamps); provenance lives in a
-sidecar run_meta.json.  Exit codes: 0 success/Reduced, 1 input error,
-2 Stalled, 3 a failed certified condition (KamFailure), 4 internal error.
+All data files are deterministic (no timestamps); provenance lives in the
+sidecars run_meta.json and audit_meta.json.  Exit codes: 0 success/Reduced,
+1 input error, 2 Stalled, 3 a failed certified condition (KamFailure),
+4 internal error.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ import datetime
 import json
 import math
 import sys
+import time
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -274,9 +276,9 @@ def _write_json(path: Path, obj) -> None:
     path.write_text(json.dumps(obj, sort_keys=True, indent=2) + "\n")
 
 
-def _write_meta(out_dir: Path, name: str) -> None:
+def _write_meta(out_dir: Path, name: str, **fields) -> None:
     meta = {"tool": "kamcocycle", "version": __version__,
-            "written_at": datetime.datetime.now(datetime.timezone.utc).isoformat()}
+            "written_at": datetime.datetime.now(datetime.timezone.utc).isoformat(), **fields}
     _write_json(out_dir / f"{name}_meta.json", meta)
 
 
@@ -407,9 +409,11 @@ def cmd_audit(args) -> int:
     item4_ok = all(item4_holds(schedule, r.n, r.f_norm) for r in recs)
     n_ok = all(r.N_n == sequence_N(schedule, r.n) for r in recs)
     residual_ok = all(step_residual_holds(r.residual, r.f_norm, r.residual_floor) for r in recs)
-    est = None
+    est = rho_s = None
     if any(r.resonant for r in recs):
+        t0 = time.perf_counter()
         est = _measure_rho(cfg, args.T, args.h)
+        rho_s = time.perf_counter() - t0
     budget = resonance_budget_check(trace, schedule, rho_target=est.rho if est else None)
     report = {
         "schedule_columns_ok": columns_ok,
@@ -434,6 +438,8 @@ def cmd_audit(args) -> int:
     out = Path(args.out) if args.out else Path(args.trace).parent
     out.mkdir(parents=True, exist_ok=True)
     _write_json(out / "audit_report.json", report)
+    # the wall time of the integration is not data: it goes in the sidecar
+    _write_meta(out, "audit", rho_s=rho_s)
     print(json.dumps(report, sort_keys=True))
     return 0 if report["pass"] else 1
 

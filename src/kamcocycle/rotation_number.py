@@ -4,14 +4,19 @@ The system v' = M(theta0 + t omega) v is integrated with the classical
 fourth-order Runge-Kutta method; the winding rate is the accumulated
 continuous argument of v (as a point of R^2 ~ C) divided by the horizon.
 
-One pass serves every step size.  M is evaluated once per window on a grid
+One pass serves every step size.  M is sampled once per window on a grid
 of spacing q, and a run of stride s steps by 2 s q, reading its nodes and
 midpoints off that grid.  rotation_number samples at q = h/4: the h run
 takes every other sample, the h/2 run every sample, and the T/2 rate is a
-checkpoint of the h/2 run, where that run's segments end.  In a segment the
-RK4 propagators are written out entry by entry, and a two-level scan
-(doubling inside groups of GROUP steps, then a sequential pass over the
-group totals) yields the state vectors; the angle is unwrapped per step.
+checkpoint of the h/2 run, where that run's segments end.  A pass builds
+one phase table, the cos and sin of q j pi <k, omega> for every mode k and
+every sample j of a window; a window turns the coefficients to its start
+once and reads its samples off the table as two real matrix products.  In
+a segment the RK4 propagators are written out entry by entry, and a
+work-efficient scan yields the state vectors: an upsweep of pairwise
+products to the totals of groups of GROUP steps, a sequential pass over
+the group totals, and a downsweep of matrix-vector products, about one
+product of each kind per step.  The angle is unwrapped per step.
 
 Two guards ask a segment for a smaller step: the a-priori phase speed
 ||M|| h above pi/2, and a measured turn past pi/2 in one step.  The segment
@@ -37,7 +42,7 @@ from .sl2_algebra import alpha_of, resonance_shift
 from .torus_fourier import TorusMap, op_norms
 
 CHUNK = 1024  # steps of the coarsest run per window
-GROUP = 64  # steps per group of the two-level scan
+GROUP = 64  # steps per group of the state scan, a power of two
 MAX_HALVINGS = 10
 
 
@@ -87,25 +92,39 @@ def _rk4_propagators(A0, Am, A1, h):
 def _states(P, v0):
     """Coordinates (2, n + 1) of v_k = P_{k-1} ... P_0 v0 for k = 0..n.
 
-    Doubling gives the products inside each group of GROUP steps; a
-    sequential pass over the group totals carries v0 from group to group.
+    A work-efficient scan over groups of GROUP steps: an upsweep of pairwise
+    products builds the totals of blocks of 2, 4, ..., GROUP steps, a
+    sequential pass over the group totals carries v0 from group to group,
+    and a downsweep hands each block's start state to its right half, one
+    matrix-vector product per block.
     """
     n = P.shape[-1]
     groups = -(-n // GROUP)
     pad = np.broadcast_to(np.eye(2)[:, :, None], (2, 2, groups * GROUP - n))
-    s = np.concatenate([P, pad], axis=-1).reshape(2, 2, groups, GROUP)
-    step = 1
-    while step < min(GROUP, n):
-        s[..., step:] = _mul(s[..., step:], s[..., :-step])
-        step *= 2
+    level = np.concatenate([P, pad], axis=-1).reshape(2, 2, groups, GROUP)
+    lefts = []
+    while level.shape[-1] > 1:
+        left = level[..., ::2]
+        lefts.append(left)
+        level = _mul(level[..., 1::2], left)
     x, y = float(v0[0]), float(v0[1])
     starts = []
-    for t00, t01, t10, t11 in zip(*s[..., -1].reshape(4, groups).tolist()):
+    for t00, t01, t10, t11 in zip(*level.reshape(4, groups).tolist()):
         starts.append((x, y))
         x, y = t00 * x + t01 * y, t10 * x + t11 * y
-    w = np.array(starts).T[:, :, None]
-    v = s[:, 0] * w[0] + s[:, 1] * w[1]
-    return np.concatenate([v0[:, None], v.reshape(2, -1)[:, :n]], axis=1)
+    v = np.array(starts).T[:, :, None]
+    for left in reversed(lefts):
+        # the start states of the left halves, then of the right halves
+        down = np.empty(left.shape[1:-1] + (2 * left.shape[-1],))
+        down[..., ::2] = v
+        right = down[..., 1::2]
+        np.multiply(left[:, 0], v[0], out=right)
+        right += left[:, 1] * v[1]
+        v = down
+    out = np.empty((2, n + 1))
+    out[:, :n] = v.reshape(2, -1)[:, :n]
+    out[:, n] = x, y
+    return out
 
 
 def _advance(vals, speed, v0, h, depth):
@@ -142,13 +161,23 @@ def _advance(vals, speed, v0, h, depth):
     return v_end / norm, float(deltas.sum())
 
 
-def _samples(Asys, omega, theta0, times):
-    """Entry arrays (2, 2, n) of the system at theta0 + t omega, and the
-    operator norm of each sample."""
-    # built as (d, n) and transposed: a broadcast with an inner axis of
-    # length d is several times slower
-    vals = Asys.eval((theta0[:, None] + omega[:, None] * times).T).real
-    return np.ascontiguousarray(vals.transpose(1, 2, 0)), op_norms(vals)
+def _phase_tables(Asys, omega, q, m):
+    """cos and sin of q j pi <k, omega> for every mode k and j = 0..m,
+    shape (modes, m + 1)."""
+    phase = np.outer(math.pi * (Asys.half_k @ omega), q * np.arange(m + 1))
+    return np.cos(phase), np.sin(phase)
+
+
+def _samples(Asys, theta, cos_t, sin_t, n):
+    """Entry arrays (2, 2, n) of the real part of the system at theta + q j
+    omega for j < n, and the operator norm of each sample.
+
+    The coefficients are turned to theta once; the phase tables advance them
+    along the window, as two real matrix products.
+    """
+    w = Asys.coeffs.reshape(-1, 4).T * np.exp(1j * math.pi * (Asys.half_k @ theta))
+    vals = (w.real @ cos_t[:, :n] - w.imag @ sin_t[:, :n]).reshape(2, 2, n)
+    return vals, op_norms(vals.transpose(2, 0, 1))
 
 
 @dataclass
@@ -169,16 +198,19 @@ class _Run:
 def _wind(Asys, omega, theta0, q, runs, t0=0.0, depth=0):
     """Advance every run from t0 to its last checkpoint over one sample grid.
 
-    The grid t0 + i q is evaluated a window of CHUNK steps of the coarsest
-    run at a time.  Each run advances through a window in segments that end
-    at its checkpoints; a segment whose guard trips is redone as one run of
-    half the step, on a grid of its own, one halving deeper.
+    The grid t0 + i q is sampled a window of CHUNK steps of the coarsest
+    run at a time, off one phase table for the whole pass.  Each run
+    advances through a window in segments that end at its checkpoints; a
+    segment whose guard trips is redone as one run of half the step, on a
+    grid of its own, one halving deeper.
     """
     n_samples = max(2 * r.stride * r.checkpoints[-1] for r in runs)
     width = 2 * CHUNK * max(r.stride for r in runs)
+    cos_t, sin_t = _phase_tables(Asys, omega, q, min(width, n_samples))
     for start in range(0, n_samples, width):
         stop = min(start + width, n_samples)
-        vals, norms = _samples(Asys, omega, theta0, t0 + q * np.arange(start, stop + 1))
+        vals, norms = _samples(Asys, theta0 + (t0 + q * start) * omega, cos_t, sin_t,
+                               stop - start + 1)
         for run in runs:
             s = run.stride
             h = 2 * s * q

@@ -694,6 +694,29 @@ def test_cmd_audit_resonant_run(tmp_path):
     assert report["budget"]["resonances_after_n0"] == 1
 
 
+def test_cmd_audit_times_the_integration_in_a_sidecar(tmp_path):
+    # audit_report.json stays deterministic; the wall time of the
+    # rotation-number measurement goes in audit_meta.json, null when the
+    # trace has no resonant step and nothing is integrated
+    path = write_config(tmp_path, resonant_config())
+    assert main(["run", "--config", str(path)]) == 0
+    reports = []
+    for _ in range(2):
+        assert main(["audit", "--trace", str(tmp_path / "trace.csv"), "--config", str(path),
+                     "--T", "200", "--h", "0.02"]) == 0
+        reports.append((tmp_path / "audit_report.json").read_bytes())
+        meta = json.loads((tmp_path / "audit_meta.json").read_text())
+        assert sorted(meta) == ["rho_s", "tool", "version", "written_at"]
+        assert isinstance(meta["rho_s"], float) and meta["rho_s"] > 0.0
+    assert reports[0] == reports[1] and b"rho_s" not in reports[0]
+    plain = tmp_path / "plain"
+    plain.mkdir()
+    path = write_config(plain, base_config())
+    assert main(["run", "--config", str(path)]) == 0
+    assert main(["audit", "--trace", str(plain / "trace.csv"), "--config", str(path)]) == 0
+    assert json.loads((plain / "audit_meta.json").read_text())["rho_s"] is None
+
+
 def test_cmd_audit_reports_rho_hypothesis(tmp_path):
     # the measured rotation number reaches the kappa' hypothesis; it is
     # reported, and does not gate the verdict

@@ -214,6 +214,81 @@ def test_guard_fallback_matches_oracle(monkeypatch):
     assert max(depths) == 1
 
 
+def test_guard_fallback_off_the_origin_matches_oracle(monkeypatch):
+    # the map and steps of the test above, in windows of 7 steps of the h
+    # run: each window's segment is redone on a grid of its own that starts
+    # at t0 = k0 h, up to 56 for the last full window
+    monkeypatch.setattr(rotation_number_module, "CHUNK", 7)
+    sys_map = perturbed_rotation(2.0, 0.1)
+    theta0, phi0, T, h = np.array([0.0, 0.4]), np.array([1.0, 0.0]), 60.3, 1.0
+    starts = []
+    real_wind = rotation_number_module._wind
+
+    def spy(Asys, omega, theta0, q, runs, t0=0.0, depth=0):
+        if depth:
+            starts.append(t0)
+        return real_wind(Asys, omega, theta0, q, runs, t0, depth)
+
+    monkeypatch.setattr(rotation_number_module, "_wind", spy)
+    oracle = oracle_rates(sys_map, GOLDEN, theta0, phi0, T, h, h_run_step=0.5 * h)
+    assert_matches_oracle(sys_map, theta0, phi0, T, h, oracle)
+    assert 56.0 in starts
+
+
+@pytest.mark.parametrize("n", [1, 63, 64, 65, 1000, 2048])
+def test_states_match_a_step_by_step_loop(n):
+    # the upsweep halves each level, so a group must be a power of two
+    group = rotation_number_module.GROUP
+    assert group > 0 and group & (group - 1) == 0
+    rng = np.random.default_rng(n)
+    turn = rng.uniform(-0.3, 0.3, n)
+    P = (np.array([[np.cos(turn), -np.sin(turn)], [np.sin(turn), np.cos(turn)]])
+         + 1e-3 * rng.standard_normal((2, 2, n)))
+    v0 = np.array([0.6, -0.8])
+    loop = [v0]
+    for k in range(n):
+        loop.append(P[:, :, k] @ loop[-1])
+    loop = np.array(loop).T
+    got = rotation_number_module._states(P, v0)
+    assert got.shape == (2, n + 1)
+    assert np.array_equal(got[:, 0], v0)
+    scale = np.hypot(loop[0], loop[1])
+    assert np.all(np.hypot(*(got - loop)) <= 1e-13 * scale)
+
+
+def real_map_to_order_six(seed):
+    rng = np.random.default_rng(seed)
+    entries = [((0, 0), np.array([[0.0, 1.3], [-1.3, 0.0]]))]
+    for k1 in range(7):
+        for k2 in range(-6, 7):
+            if 0 < abs(k1) + abs(k2) <= 6 and (k1, k2) > (0, 0):
+                M = (rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))) \
+                    * math.exp(-abs(k1) - abs(k2))
+                entries += [((2 * k1, 2 * k2), M), ((-2 * k1, -2 * k2), np.conj(M))]
+    return TorusMap.from_modes(2, entries, reality=True)
+
+
+@pytest.mark.parametrize("t0, start", [(0.0, 0), (0.0, 1_600_000 - 4096), (1234.5675, 4096)])
+def test_table_samples_match_eval(t0, start):
+    # a window of the h and h/2 runs of rotation_number at h = 0.01, as _wind
+    # samples it: at the origin, ending at t = 4000, and on the grid of a
+    # fallback run that starts at t0
+    Asys = real_map_to_order_six(5)
+    theta0, q, n = np.array([0.3, 1.1]), 0.0025, 4097
+    cos_t, sin_t = rotation_number_module._phase_tables(Asys, GOLDEN, q, n - 1)
+    vals, norms = rotation_number_module._samples(
+        Asys, theta0 + (t0 + q * start) * GOLDEN, cos_t, sin_t, n)
+    times = t0 + q * np.arange(start, start + n)
+    ref = Asys.eval((theta0[:, None] + GOLDEN[:, None] * times).T).real
+    # each side rounds the phase pi <k, theta> to within about an ulp of its
+    # size, and an entry sums those errors over the modes' coefficients
+    far = (theta0[:, None] + GOLDEN[:, None] * times[[0, -1]]).T
+    phase = math.pi * np.abs(far @ Asys.half_k.T).max()
+    tol = 2.0 ** -52 * phase * np.abs(Asys.coeffs).max(axis=(1, 2)).sum()
+    assert np.abs(vals.transpose(2, 0, 1) - ref).max() <= tol
+    assert norms == pytest.approx(np.linalg.norm(ref, 2, axis=(1, 2)), rel=1e-7)
+
+
 class _FakeRec:
     def __init__(self, n, m):
         self.n = n
