@@ -70,6 +70,8 @@ class ApproxFn:
                 raise KamFailure("inverse argument out of range")
         for _ in range(200):
             mid = 0.5 * (lo + hi)
+            if not lo < mid < hi:  # adjacent floats: a fixed point of the loop
+                break
             if float(self.log_value(math.exp(mid))) < logx:
                 lo = mid
             else:

@@ -361,7 +361,7 @@ def run(A, F: TorusMap, omega, schedule: KamSchedule, max_steps: int = 200,
                 raise ScheduleViolation(
                     f"step residual {out.residual_norm:.6e} exceeds its allowance "
                     f"at |F|_r = {f_norm:.6e}")
-            Z = Z.mul(out.Z_step).cap_support(r_next)
+            Z = Z.mul(out.Z_step, r_next).cap_support(r_next)
             records.append(StepRecord(
                 n=n, r_n=r_n, N_n=N_n, eps_bound=eps_n, f_norm=f_norm,
                 resonant=m is not None, m=(0,) * d if m is None else m,

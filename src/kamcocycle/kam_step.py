@@ -215,13 +215,14 @@ def _conjugate(A, F: TorusMap, N: int, a_prime: float, r_prime: float,
     # e^{+-X} = I + P (resp. I + Q) keeps every assembled term of size
     # O(|F|) or O(|X|); the leading A-size pieces cancel inside the bracket
     # A P - d_omega P + Q A through the homological equation, so the result
-    # stays accurate relative to |F| at any scale.
+    # stays accurate relative to |F| at any scale.  The products skip the
+    # pairs that cannot matter at r' (TorusMap.mul).
     dP = P.dir_derivative(omega)
-    cAP = cA.mul(P)
-    FP = F.mul(P)
-    bracket = cAP - dP + Q.mul(cA)
+    cAP = cA.mul(P, r_prime)
+    FP = F.mul(P, r_prime)
+    bracket = cAP - dP + Q.mul(cA, r_prime)
     F_next = (F - TorusMap.constant(a_prime * F0, d)) + bracket \
-        + FP + Q.mul(F) + Q.mul(cAP.add(FP)) - Q.mul(dP)
+        + FP + Q.mul(F, r_prime) + Q.mul(cAP.add(FP), r_prime) - Q.mul(dP, r_prime)
     F_next = F_next.trace_projected()
     if F.reality:
         F_next = F_next.realified()

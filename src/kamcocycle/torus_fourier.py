@@ -10,12 +10,17 @@ which introduces genuine double-torus modes.  The modulus of an index is
 All operations are pure: a TorusMap is never mutated after construction.
 
 The convolution `TorusMap.mul` is one kernel (`_convolve`).  Each 2x2 block
-product is written out in real arithmetic as row-major outer products over
-the mode pairs (i, j), and summed per output index in pair order.  The output
-index is the cell of the dense row-major box bounding the sums of the two
-supports when that box has at most BOX_FILL cells per pair; for sparse
-supports it is the np.unique inverse of the packed keys.  Both come out in
-packed-key order, so a product needs no further sort.  Equal indices in
+product is written out in real arithmetic once (`_block_products`), applied
+to row-major outer products over the mode pairs (i, j) or to the gathered
+pairs that `mul(other, r)` keeps, and summed per output index in pair order.
+Given a strip r, mul skips a product of two non-constant blocks whose weight
+w_i w_j at r is below PAIR_REL |a_wave|_r |b_wave|_r, so the weighted mass
+it drops is below that bound times the number of pairs skipped; the kept
+pairs sum exactly as in the full product.  The output index is the cell of
+the dense row-major box bounding the sums of the two supports when that box
+has at most BOX_FILL cells per computed pair; for sparse supports it is the
+np.unique inverse of the packed keys.  Both come out in packed-key order, so
+a product needs no further sort.  Equal indices in
 `add`, `realified` and the constructor are summed by the same accumulation
 (`_accumulate`), indexed through np.unique.  The products agree bit for bit
 with numpy's einsum on numpy 2.4; another build may round differently, at
@@ -40,6 +45,13 @@ DEFAULT_MODE_CAP = 4096
 # cap_support drops a non-constant block weighing below this share of the
 # non-constant mass at the strip
 PRUNE_REL = 1e-30
+# mul(other, r) skips a product of two non-constant blocks weighing below
+# this share of the product of the operands' non-constant masses at r
+PAIR_REL = 1e-34
+# the skip is weighed only for products of at least SKIP_PAIRS pairs, and
+# taken only when it keeps at most SKIP_KEEP of them
+SKIP_PAIRS = 4096
+SKIP_KEEP = 0.5
 EXP_TOL = 1e-30  # certified tail of the exp(+-X) series
 MUL_CHUNK = 1 << 22  # block products per convolution pass
 BLOCK = 1 << 13  # block products per cache-sized block of a pass
@@ -73,38 +85,44 @@ def _unpack(keys: np.ndarray, d: int) -> np.ndarray:
     return out
 
 
-def _frob2(coeffs: np.ndarray) -> np.ndarray:
-    """Sums of the squared moduli of the entries of 2x2 blocks, in row-major
-    entry order."""
-    sq = np.abs(coeffs.reshape(*coeffs.shape[:-2], 4)) ** 2
-    return sq[..., 0] + sq[..., 1] + sq[..., 2] + sq[..., 3]
-
-
-def _unscaled_norms(coeffs: np.ndarray, frob2: np.ndarray) -> np.ndarray:
-    det = coeffs[..., 0, 0] * coeffs[..., 1, 1] - coeffs[..., 0, 1] * coeffs[..., 1, 0]
-    disc = np.maximum(frob2 * frob2 - 4.0 * np.abs(det) ** 2, 0.0)
-    return np.sqrt(0.5 * (frob2 + np.sqrt(disc)))
+def _norms(coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Operator norms of 2x2 blocks at their own scale, and the sums of the
+    squared moduli of their entries."""
+    a, b, c, d = (coeffs[..., i, j] for i, j in ((0, 0), (0, 1), (1, 0), (1, 1)))
+    # the eigenvalues of M^H M are (p + q +- sqrt((p - q)^2 + 4 |s|^2)) / 2
+    # with p, q the squared column norms and s = conj(a) b + conj(c) d their
+    # inner product: unlike (p + q)^2 - 4 |det|^2, the root does not cancel
+    # when the two singular values are close
+    if np.iscomplexobj(coeffs):
+        sq = np.abs(coeffs) ** 2
+        p, q = sq[..., 0, 0] + sq[..., 1, 0], sq[..., 0, 1] + sq[..., 1, 1]
+        s2 = np.abs(np.conj(a) * b + np.conj(c) * d) ** 2
+    else:  # real input, such as the winding integrator's samples
+        p, q = a * a + c * c, b * b + d * d
+        s = a * b + c * d
+        s2 = s * s
+    frob2, diff = p + q, p - q
+    return np.sqrt(0.5 * (frob2 + np.sqrt(diff * diff + 4.0 * s2))), frob2
 
 
 def op_norms(coeffs: np.ndarray) -> np.ndarray:
-    """Exact operator norms (largest singular value) of 2x2 blocks.
+    """Operator norms (largest singular value) of 2x2 blocks, to a few ulp.
 
-    A block with frob2 outside [TINY_FROB2, HUGE_FROB2] (or overflowing to
-    inf) is scaled by 2^-e, 2^e just above its largest entry, and its norm
-    scaled back by 2^e: both scalings are exact, also for subnormal entries.
+    A block whose sum of squared moduli is outside [TINY_FROB2, HUGE_FROB2]
+    (or overflows to inf) is scaled by 2^-e, 2^e just above its largest
+    entry, and its norm scaled back by 2^e: both scalings are exact, also
+    for subnormal entries.  Its unscaled norm, which may have overflowed, is
+    discarded.
     """
-    with np.errstate(over="ignore"):
-        frob2 = _frob2(coeffs)
+    with np.errstate(over="ignore", invalid="ignore"):
+        norms, frob2 = _norms(coeffs)
     odd = (frob2 < TINY_FROB2) | (frob2 > HUGE_FROB2)
-    if not odd.any():
-        return _unscaled_norms(coeffs, frob2)
-    norms = np.empty(frob2.shape)
-    norms[~odd] = _unscaled_norms(coeffs[~odd], frob2[~odd])
-    small = coeffs[odd]
-    _, e = np.frexp(np.maximum(np.abs(small.real), np.abs(small.imag)).max(axis=(1, 2)))
-    scaled = (np.ldexp(small.real, -e[:, None, None])
-              + 1j * np.ldexp(small.imag, -e[:, None, None]))
-    norms[odd] = np.ldexp(_unscaled_norms(scaled, _frob2(scaled)), e)
+    if odd.any():
+        small = coeffs[odd]
+        _, e = np.frexp(np.maximum(np.abs(small.real), np.abs(small.imag)).max(axis=(1, 2)))
+        scaled = (np.ldexp(small.real, -e[:, None, None])
+                  + 1j * np.ldexp(small.imag, -e[:, None, None]))
+        norms[odd] = np.ldexp(_norms(scaled)[0], e)
     return norms
 
 
@@ -289,14 +307,25 @@ class TorusMap:
     def __neg__(self):
         return self.scale(-1.0)
 
-    def mul(self, other: "TorusMap") -> "TorusMap":
-        """Pointwise matrix product, i.e. coefficient convolution."""
+    def mul(self, other: "TorusMap", r: float | None = None) -> "TorusMap":
+        """Pointwise matrix product, i.e. coefficient convolution.
+
+        Given a strip half-width r, a product of two non-constant blocks is
+        skipped when its weight at r is below PAIR_REL times the product of
+        the operands' non-constant masses, w_i w_j < PAIR_REL |self_wave|_r
+        |other_wave|_r (w as in _weights); every pair with a constant block
+        is kept.  A skipped product weighs at most w_i w_j at r, so the
+        weighted norm at r of what is dropped is below (skipped pairs)
+        PAIR_REL |self_wave|_r |other_wave|_r.  Nothing is booked: it shows
+        in the residuals.  The kept pairs are summed as without r, so a
+        product with nothing to skip is the same to the bit.
+        """
         if self.d != other.d:
             raise ValueError("dimension mismatch")
         n1, n2 = self.n_modes, other.n_modes
         if n1 == 0 or n2 == 0:
             return TorusMap.zero(self.d)
-        keys, hk, coeffs = _convolve(self, other)
+        keys, hk, coeffs = _convolve(self, other, r)
         hk, coeffs, keys = _prune(hk, coeffs, keys)
         return TorusMap(self.d, hk, coeffs, reality=self.reality and other.reality,
                         _keys=keys)
@@ -406,59 +435,106 @@ def _blocks(sums):
     return np.ascontiguousarray((sums[:4] + 1j * sums[4:]).T).reshape(-1, 2, 2)
 
 
-def _pair_products(a, b):
-    """terms(lo, hi): the parts of the products a[i] @ b[j] for i in lo:hi,
-    all j, as an (8, pairs) array, row-major over (i, j).
+def _block_products(xr, xi, yr, yi):
+    """The parts of the 2x2 block products (xr + i xi) @ (yr + i yi) as an
+    (8, pairs) array, the operands in (entry row, entry column, mode...)
+    layout with their mode axes broadcast against each other and flattened
+    row-major.
 
-    Entry (r, c) is (ar_r0 br_0c - ai_r0 bi_0c) + (ar_r1 br_1c - ai_r1 bi_1c)
-    and (ar_r0 bi_0c + ai_r0 br_0c) + (ar_r1 bi_1c + ai_r1 br_1c).
+    Entry (r, c) is (xr_r0 yr_0c - xi_r0 yi_0c) + (xr_r1 yr_1c - xi_r1 yi_1c)
+    and (xr_r0 yi_0c + xi_r0 yr_0c) + (xr_r1 yi_1c + xi_r1 yr_1c).
     """
-    # (entry row, entry column, mode) layout: one broadcast product makes all
-    # four entries of a block of pairs
-    ar, ai, br, bi = (np.ascontiguousarray(x.transpose(1, 2, 0))
-                      for x in (a.real, a.imag, b.real, b.imag))
+    # one broadcast product makes all four entries of a block of pairs
+    def p(x, k, y):
+        return x[:, k, None] * y[None, k, :]
 
-    def terms(lo, hi):
-        def p(x, k, y):
-            return x[:, k, None, lo:hi, None] * y[None, k, :, None, :]
-
-        out = np.empty((2, 2, 2, hi - lo, b.shape[0]))
-        np.add(p(ar, 0, br) - p(ai, 0, bi), p(ar, 1, br) - p(ai, 1, bi), out=out[0])
-        np.add(p(ar, 0, bi) + p(ai, 0, br), p(ar, 1, bi) + p(ai, 1, br), out=out[1])
-        return out.reshape(8, -1)
-
-    return terms
+    re = p(xr, 0, yr) - p(xi, 0, yi)
+    out = np.empty((2,) + re.shape)
+    np.add(re, p(xr, 1, yr) - p(xi, 1, yi), out=out[0])
+    np.add(p(xr, 0, yi) + p(xi, 0, yr), p(xr, 1, yi) + p(xi, 1, yr), out=out[1])
+    return out.reshape(8, -1)
 
 
-def _convolve(a: TorusMap, b: TorusMap):
-    """Sum a.coeffs[i] @ b.coeffs[j] at each index a.half_k[i] + b.half_k[j].
+def _kept_pairs(a: TorusMap, b: TorusMap, r):
+    """The pair skip of a product at strip half-width r: (keep, pairs).
 
-    The pairs are taken MUL_CHUNK // n2 values of i per pass, in blocks of
-    about BLOCK pairs; each index sums a pass's products in pair order from
-    0, and the passes add up in order.  The sums are indexed by the cells of
-    the dense box (`_box`) when it has at most BOX_FILL cells per pair and at
-    most MUL_CHUNK cells (all-zero cells are dropped), else by np.unique on
-    the packed keys of each pass.  Returns keys, half_k and coeffs, unique
-    and sorted by key, not pruned.
+    keep(lo, hi) is the mask (hi - lo, n2) of the pairs of rows lo:hi that
+    are computed, or None when every pair is; pairs counts the computed
+    pairs.  Pair (i, j) is skipped when u_i u_j < PAIR_REL, where u is
+    _weights(r) over the wave norm of its operand for a non-constant block
+    and inf for the constant one: mul's rule w_i w_j < PAIR_REL |a_wave|_r
+    |b_wave|_r, in a form that cannot overflow.  The skip is weighed only
+    for products of at least SKIP_PAIRS pairs, and taken only when a count
+    against b's sorted u says it keeps at most SKIP_KEEP of them; the count
+    may differ from the mask's at rounding level, and only sizes the work.
+    """
+    n1, n2 = a.n_modes, b.n_modes
+    if r is None or n1 * n2 < SKIP_PAIRS:
+        return None, n1 * n2
+    na, nb = a.wave_norm(r), b.wave_norm(r)
+    if na == 0.0 or nb == 0.0:
+        return None, n1 * n2
+    # at least the smallest subnormal, so that inf * u is inf, never nan
+    ua, ub = (np.where(m.half_k.any(axis=1), np.maximum(m._weights(r) / n, 5e-324), np.inf)
+              for m, n in ((a, na), (b, nb)))
+    pairs = n1 * n2 - int(np.searchsorted(np.sort(ub), PAIR_REL / ua).sum())
+    if pairs > SKIP_KEEP * n1 * n2:
+        return None, n1 * n2
+    return (lambda lo, hi: ua[lo:hi, None] * ub >= PAIR_REL), pairs
+
+
+def _convolve(a: TorusMap, b: TorusMap, r=None):
+    """Sum a.coeffs[i] @ b.coeffs[j] at each index a.half_k[i] + b.half_k[j],
+    over the pairs (i, j) that _kept_pairs keeps at strip r (every pair
+    when r is None).
+
+    The pairs are taken MUL_CHUNK // n2 values of i per pass, row-major, in
+    blocks of about BLOCK pairs; each index sums a pass's products in pair
+    order from 0, and the passes add up in order.  The sums are indexed by
+    the cells of the dense box (`_box`) when it has at most BOX_FILL cells
+    per computed pair and at most MUL_CHUNK cells (all-zero cells are
+    dropped), else by np.unique on the packed keys of each pass.  Returns
+    keys, half_k and coeffs, unique and sorted by key, not pruned.
     """
     d, n1, n2 = a.d, a.n_modes, b.n_modes
-    terms = _pair_products(a.coeffs, b.coeffs)
-    rows, block = max(1, MUL_CHUNK // n2), max(1, BLOCK // n2)
-    passes = [(lo, min(lo + rows, n1)) for lo in range(0, n1, rows)]
+    ar, ai, br, bi = (np.ascontiguousarray(x.transpose(1, 2, 0))
+                      for x in (a.coeffs.real, a.coeffs.imag, b.coeffs.real, b.coeffs.imag))
+    keep, pairs = _kept_pairs(a, b, r)
+    rows = max(1, MUL_CHUNK // n2)
 
-    def pass_sums(lo, hi, index, n_out):
+    def passes():
+        # the indices (i, j) of a pass's pairs, and the operands of each of
+        # its blocks
+        for lo in range(0, n1, rows):
+            hi = min(lo + rows, n1)
+            if keep is None:  # outer products of row blocks
+                step = max(1, BLOCK // n2)
+                yield (np.s_[lo:hi, None], np.s_[None, :]), (
+                    (ar[..., p:p + step, None], ai[..., p:p + step, None],
+                     br[..., None, :], bi[..., None, :]) for p in range(lo, hi, step))
+            else:  # the kept pairs; np.take keeps the mode axis contiguous
+                i, j = np.nonzero(keep(lo, hi))
+                i += lo
+                yield (i, j), (
+                    (*(np.take(x, i[p:p + BLOCK], axis=2) for x in (ar, ai)),
+                     *(np.take(y, j[p:p + BLOCK], axis=2) for y in (br, bi)))
+                    for p in range(0, i.size, BLOCK))
+
+    def pass_sums(blocks, index, n_out):
         # index[p] is the output slot of pair p of the pass
         sums = np.zeros((8, n_out))
-        for b_lo in range(lo, hi, block):
-            b_hi = min(b_lo + block, hi)
-            _accumulate(sums, index[(b_lo - lo) * n2:(b_hi - lo) * n2], terms(b_lo, b_hi))
+        at = 0
+        for operands in blocks:
+            parts = _block_products(*operands)
+            _accumulate(sums, index[at:at + parts.shape[1]], parts)
+            at += parts.shape[1]
         return sums
 
-    box = _box(a.half_k, b.half_k, min(BOX_FILL * n1 * n2, MUL_CHUNK))
+    box = _box(a.half_k, b.half_k, min(BOX_FILL * pairs, MUL_CHUNK))
     if box is not None:
         origin, step, shape, c1, c2 = box
-        sums = sum(pass_sums(lo, hi, (c1[lo:hi, None] + c2).ravel(), math.prod(shape))
-                   for lo, hi in passes)
+        sums = sum(pass_sums(blocks, (c1[i] + c2[j]).ravel(), math.prod(shape))
+                   for (i, j), blocks in passes())
         cell = np.flatnonzero(sums.any(axis=0))
         hk = origin + np.stack(np.unravel_index(cell, shape), axis=1) * step
         return _pack(hk), hk, _blocks(sums[:, cell])
@@ -466,9 +542,9 @@ def _convolve(a: TorusMap, b: TorusMap):
     # key(h1 + h2) = key(h1) + key(h2) - key(0)
     k2 = b._keys - sum(base << (shift * i) for i in range(d))
     pieces = []
-    for lo, hi in passes:
-        uk, inv = np.unique((a._keys[lo:hi, None] + k2).ravel(), return_inverse=True)
-        pieces.append((uk, pass_sums(lo, hi, inv, uk.shape[0])))
+    for (i, j), blocks in passes():
+        uk, inv = np.unique((a._keys[i] + k2[j]).ravel(), return_inverse=True)
+        pieces.append((uk, pass_sums(blocks, inv, uk.shape[0])))
     keys = np.concatenate([uk for uk, _ in pieces])
     sums = np.concatenate([s for _, s in pieces], axis=1)
     # a single pass is already sorted and unique; several are merged

@@ -44,6 +44,37 @@ def test_approxfn_basics_and_inverse_roundtrip():
             assert back == pytest.approx(t, rel=1e-9)
 
 
+def bisection_200(f, logx):
+    """The inverse by 200 bisection steps in u = log t, never stopping early."""
+    if logx <= float(f.log_value(1.0)):
+        return 1.0
+    lo, hi = 0.0, 1.0
+    while float(f.log_value(math.exp(hi))) < logx:
+        hi *= 2.0
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if float(f.log_value(math.exp(mid))) < logx:
+            lo = mid
+        else:
+            hi = mid
+    return math.exp(hi)
+
+
+@pytest.mark.parametrize("f, t_min", [
+    (ProductFn(PowerFn(2.0), PowerFn(2.0)), 1.0),
+    (ProductFn(PowerFn(2.0), ExpPowFn(0.5)), 1.0),
+    (ProductFn(PowerFn(1.5), ExpLogFn(2.0)), math.exp(2.0)),  # past the breakpoint
+    (ProductFn(ExpPowFn(0.3), PowerFn(4.0)), 1.0),
+])
+def test_log_inverse_equals_200_step_bisection(f, t_min):
+    # the bisection stops once the bracket is two adjacent floats, a fixed
+    # point of its loop, so the result is that of all 200 steps
+    rng = np.random.default_rng(11)
+    lo = float(f.log_value(t_min))
+    for logx in lo + np.exp(rng.uniform(-8.0, 6.0, 300)):
+        assert f.log_inverse(float(logx)) == bisection_200(f, float(logx))
+
+
 def test_explog_monotone_near_origin():
     f = ExpLogFn(1.5)
     ts = np.linspace(1.0, 30.0, 500)

@@ -7,8 +7,10 @@ there.  This loads the tracer's tables without installing anything.
 
 import importlib
 import importlib.util
+import inspect
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 _PATH = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
@@ -45,3 +47,16 @@ def test_renamed_layer_is_a_traced_function(holder, attr):
     defining = [m for m, a, _, _ in tracing._FUNCTIONS if a == attr]
     assert defining and any(getattr(_module(holder), attr) is getattr(_module(m), attr)
                             for m in defining)
+
+
+def test_mul_signature_binds_for_the_tracer():
+    # a traced run binds TorusMap.mul's arguments by name for the payload,
+    # with and without the strip of the pair skip
+    from kamcocycle.torus_fourier import TorusMap
+
+    sig = inspect.signature(TorusMap.mul)
+    a = TorusMap.from_modes(1, [((0,), np.eye(2)), ((2,), np.eye(2))])
+    b = TorusMap.from_modes(1, [((2,), np.eye(2))])
+    for args in ((a, b), (a, b, 0.5)):
+        bound = sig.bind(*args).arguments
+        assert tracing._mul_payload(bound, TorusMap.mul(*args)) == (2, 2)

@@ -13,7 +13,7 @@ import pytest
 from oracles import is_real
 
 import kamcocycle
-from kamcocycle import arithmetics, cli, kam_driver, kam_step
+from kamcocycle import arithmetics, cli, kam_driver, kam_step, torus_fourier
 from kamcocycle.cli import ConfigError, InputError, RunConfig, build_schrodinger, main
 from kamcocycle.errors import KamFailure
 from kamcocycle.kam_driver import RunTrace
@@ -102,6 +102,33 @@ def test_cmd_run_schrodinger_and_determinism(tmp_path):
     cert = json.loads((out1 / "certificate.json").read_text())
     assert cert["status"] == "Reduced"
     assert cert["resonances_after_n0"] == 0
+
+
+def test_pair_skip_leaves_the_multimode_outputs_unchanged(tmp_path, monkeypatch):
+    # the benchmark's multimode input, seed 1: its products skip most pairs,
+    # none of which moves a byte of the trace or the certificate
+    spec = importlib.util.spec_from_file_location(
+        "bench_gen_inputs", Path(__file__).resolve().parents[1] / "bench" / "gen_inputs.py")
+    gen_inputs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen_inputs)
+    gen_inputs.generate("multimode", 1, tmp_path)
+    config = str(tmp_path / "config.json")
+    kept_pairs, taken = torus_fourier._kept_pairs, []
+
+    def spy(a, b, r):
+        keep, pairs = kept_pairs(a, b, r)
+        taken.append(keep is not None)
+        return keep, pairs
+
+    monkeypatch.setattr(torus_fourier, "_kept_pairs", spy)
+    assert main(["run", "--config", config, "--out", str(tmp_path / "skip")]) == 0
+    assert any(taken)
+    monkeypatch.setattr(torus_fourier, "PAIR_REL", 0.0)
+    taken.clear()
+    assert main(["run", "--config", config, "--out", str(tmp_path / "exact")]) == 0
+    assert not any(taken)
+    for name in ("trace.csv", "certificate.json"):
+        assert (tmp_path / "skip" / name).read_bytes() == (tmp_path / "exact" / name).read_bytes()
 
 
 def test_cmd_run_parse_error(tmp_path, capsys):

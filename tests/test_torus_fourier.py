@@ -89,6 +89,32 @@ def test_op_norms_exact_for_huge_blocks():
         2e200, rel=1e-15)
 
 
+def test_op_norms_exact_when_the_singular_values_are_close():
+    # [[x, y], [y, -x]] has both singular values sqrt(x^2 + y^2): the
+    # discriminant (p + q)^2 - 4 |det|^2 cancels to its rounding error there
+    mpmath = pytest.importorskip("mpmath")
+    x, y = 0.7261586983901966, 0.5
+    with mpmath.workprec(200):
+        exact = mpmath.sqrt(mpmath.mpf(x) ** 2 + mpmath.mpf(y) ** 2)
+        for M in (np.array([[x, y], [y, -x]]), np.array([[x, y], [y, -x]], dtype=complex)):
+            got = torus_fourier.op_norms(M[None])[0]
+            assert abs(mpmath.mpf(got) - exact) <= 2 * np.spacing(float(exact))
+
+
+@pytest.mark.parametrize("kind", ["real", "complex", "close"])
+def test_op_norms_match_svd(kind):
+    rng = np.random.default_rng(8)
+    B = rng.standard_normal((2000, 2, 2))
+    if kind == "complex":
+        B = B + 1j * rng.standard_normal((2000, 2, 2))
+    elif kind == "close":  # rotations scaled by c, plus a perturbation of 1e-6 c
+        t, c = rng.uniform(0, 2 * np.pi, 2000), np.exp(rng.uniform(-5, 5, 2000))
+        R = np.stack([np.stack([np.cos(t), -np.sin(t)], -1), np.stack([np.sin(t), np.cos(t)], -1)], 1)
+        B = c[:, None, None] * (R + 1e-6 * B)
+    want = np.linalg.norm(B, ord=2, axis=(1, 2))
+    np.testing.assert_allclose(torus_fourier.op_norms(B), want, rtol=1e-15, atol=0)
+
+
 def test_op_norms_match_svd_at_tiny_scale():
     rng = np.random.default_rng(7)
     B = rng.standard_normal((64, 2, 2)) + 1j * rng.standard_normal((64, 2, 2))
@@ -314,6 +340,86 @@ def test_mul_several_passes_matches_dict_oracle(support, monkeypatch, unique_cal
     assert bool(unique_calls) == (support == "sort")
     np.testing.assert_allclose(prod.coeffs, single.coeffs, rtol=0, atol=1e-13)
     assert np.array_equal(prod.half_k, single.half_k)
+
+
+def decaying_map(d, radius, decay, rng):
+    """Random blocks on the l1 diamond of integer modes, of size e^{-decay |m|}."""
+    hk = diamond(d, radius)
+    size = np.exp(-decay * np.abs(hk).sum(axis=1) / 2)
+    return TorusMap(d, hk, random_coeffs(len(hk), rng) * size[:, None, None])
+
+
+def skipped_pairs(a, b, r):
+    """The wave x wave pairs with w_i w_j < PAIR_REL |a_wave|_r |b_wave|_r."""
+    wa, wb = (np.where(m.half_k.any(axis=1), m._weights(r), np.inf) for m in (a, b))
+    limit = torus_fourier.PAIR_REL * a.wave_norm(r) * b.wave_norm(r)
+    return int((wa[:, None] * wb < limit).sum())
+
+
+def assert_same_bits(F, G):
+    assert np.array_equal(F.half_k, G.half_k)
+    assert F.coeffs.tobytes() == G.coeffs.tobytes()
+
+
+@pytest.mark.parametrize("support", ["box", "sort"])
+def test_mul_skip_drops_below_its_bound(support, monkeypatch, unique_calls):
+    # |a.mul(b, r) - a.mul(b)|_r <= (skipped pairs) PAIR_REL |a_wave|_r |b_wave|_r:
+    # a skipped product weighs at most w_i w_j at r
+    rng = np.random.default_rng(400)
+    r = 0.5
+    if support == "sort":
+        monkeypatch.setattr(torus_fourier, "BOX_FILL", 0)
+    for _ in range(3):
+        a, b = decaying_map(2, 9, 14.0, rng), decaying_map(2, 8, 14.0, rng)
+        skipped = skipped_pairs(a, b, r)
+        assert 0.5 * a.n_modes * b.n_modes <= skipped < a.n_modes * b.n_modes
+        unique_calls.clear()
+        exact, fast = a.mul(b), a.mul(b, r)
+        assert bool(unique_calls) == (support == "sort")
+        assert fast.n_modes < exact.n_modes
+        bound = skipped * torus_fourier.PAIR_REL * a.wave_norm(r) * b.wave_norm(r)
+        assert 0 < (fast - exact).weighted_norm(r) <= bound
+
+
+@pytest.mark.parametrize("support", ["box", "sort"])
+def test_mul_skip_with_nothing_to_skip_is_the_same_product(support, monkeypatch):
+    # the kept pairs are gathered and summed in the order of the outer
+    # products, so with every pair kept the bits do not move, over several
+    # passes and blocks too
+    rng = np.random.default_rng(401)
+    r = 0.5
+    a, b = decaying_map(2, 6, 0.5, rng), decaying_map(2, 5, 0.5, rng)
+    monkeypatch.setattr(torus_fourier, "SKIP_PAIRS", 0)
+    monkeypatch.setattr(torus_fourier, "SKIP_KEEP", 1.0)
+    if support == "sort":
+        monkeypatch.setattr(torus_fourier, "BOX_FILL", 0)
+    assert skipped_pairs(a, b, r) == 0
+    for chunk, block in ((1 << 22, 1 << 13), (256, 64)):
+        monkeypatch.setattr(torus_fourier, "MUL_CHUNK", chunk)
+        monkeypatch.setattr(torus_fourier, "BLOCK", block)
+        keep, pairs = torus_fourier._kept_pairs(a, b, r)
+        assert keep is not None and pairs == a.n_modes * b.n_modes
+        assert_same_bits(a.mul(b, r), a.mul(b))
+
+
+def test_mul_skip_keeps_every_pair_with_a_constant_block(monkeypatch):
+    rng = np.random.default_rng(402)
+    r = 0.5
+    monkeypatch.setattr(torus_fourier, "SKIP_PAIRS", 0)
+    monkeypatch.setattr(torus_fourier, "SKIP_KEEP", 1.0)
+    b = decaying_map(2, 9, 14.0, rng)
+    c = TorusMap.constant(random_coeffs(1, rng)[0], 2)
+    for x, y in ((b, c), (c, b), (c, c)):
+        assert_same_bits(x.mul(y, r), x.mul(y))
+    # a constant block and one far wave, whose products with the tiniest
+    # blocks of b are skipped: at b's own modes only the constant block
+    # contributes, and nothing of it is skipped
+    a = TorusMap(2, [[0, 0], [60, 0]], random_coeffs(2, rng))
+    assert skipped_pairs(a, b, r) > 0
+    for fast, exact in ((a.mul(b, r), a.mul(b)), (b.mul(a, r), b.mul(a))):
+        assert fast.n_modes < exact.n_modes
+        for k in b.half_k:
+            assert fast.coeff(k).tobytes() == exact.coeff(k).tobytes()
 
 
 def test_mul_prunes_cancelled_modes():
