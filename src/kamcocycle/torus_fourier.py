@@ -49,7 +49,8 @@ PRUNE_REL = 1e-30
 # this share of the product of the operands' non-constant masses at r
 PAIR_REL = 1e-34
 # the skip is weighed only for products of at least SKIP_PAIRS pairs, and
-# taken only when it keeps at most SKIP_KEEP of them
+# taken only when it keeps at most SKIP_KEEP of them: below SKIP_PAIRS a
+# skip that keeps SKIP_KEEP of the pairs saves at most a tenth of the time
 SKIP_PAIRS = 4096
 SKIP_KEEP = 0.5
 EXP_TOL = 1e-30  # certified tail of the exp(+-X) series
@@ -510,7 +511,7 @@ def _convolve(a: TorusMap, b: TorusMap, r=None):
             if keep is None:  # outer products of row blocks
                 step = max(1, BLOCK // n2)
                 yield (np.s_[lo:hi, None], np.s_[None, :]), (
-                    (ar[..., p:p + step, None], ai[..., p:p + step, None],
+                    (ar[..., p:min(p + step, hi), None], ai[..., p:min(p + step, hi), None],
                      br[..., None, :], bi[..., None, :]) for p in range(lo, hi, step))
             else:  # the kept pairs; np.take keeps the mode axis contiguous
                 i, j = np.nonzero(keep(lo, hi))

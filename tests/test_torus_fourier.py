@@ -334,12 +334,14 @@ def test_mul_several_passes_matches_dict_oracle(support, monkeypatch, unique_cal
     b = TorusMap(a.d, h2, random_coeffs(len(h2), rng))
     single = a.mul(b)
     monkeypatch.setattr(torus_fourier, "MUL_CHUNK", 256)  # 8 rows of b per pass
-    monkeypatch.setattr(torus_fourier, "BLOCK", 64)  # 2 rows per block
-    unique_calls.clear()
-    prod = assert_mul_matches_oracle(a, b)
-    assert bool(unique_calls) == (support == "sort")
-    np.testing.assert_allclose(prod.coeffs, single.coeffs, rtol=0, atol=1e-13)
-    assert np.array_equal(prod.half_k, single.half_k)
+    # 2 rows per block, or 3, so that the last block of a pass is cut short
+    for block in (64, 96):
+        monkeypatch.setattr(torus_fourier, "BLOCK", block)
+        unique_calls.clear()
+        prod = assert_mul_matches_oracle(a, b)
+        assert bool(unique_calls) == (support == "sort")
+        np.testing.assert_allclose(prod.coeffs, single.coeffs, rtol=0, atol=1e-13)
+        assert np.array_equal(prod.half_k, single.half_k)
 
 
 def decaying_map(d, radius, decay, rng):
@@ -394,7 +396,9 @@ def test_mul_skip_with_nothing_to_skip_is_the_same_product(support, monkeypatch)
     if support == "sort":
         monkeypatch.setattr(torus_fourier, "BOX_FILL", 0)
     assert skipped_pairs(a, b, r) == 0
-    for chunk, block in ((1 << 22, 1 << 13), (256, 64)):
+    # one pass; several of 4 rows in blocks of 1 row; and of 3 rows, the
+    # last block of each pass cut short
+    for chunk, block in ((1 << 22, 1 << 13), (256, 64), (256, 192)):
         monkeypatch.setattr(torus_fourier, "MUL_CHUNK", chunk)
         monkeypatch.setattr(torus_fourier, "BLOCK", block)
         keep, pairs = torus_fourier._kept_pairs(a, b, r)
