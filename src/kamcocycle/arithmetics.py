@@ -64,10 +64,11 @@ class ApproxFn:
         if logx <= float(self.log_value(1.0)):
             return 1.0
         lo, hi = 0.0, 1.0  # bisection in u = log t
+        top = math.log(np.finfo(float).max)  # exp(u) overflows past it
         while float(self.log_value(math.exp(hi))) < logx:
-            hi *= 2.0
-            if hi > 1e6:
+            if hi == top:
                 raise KamFailure("inverse argument out of range")
+            hi = min(2.0 * hi, top)
         for _ in range(200):
             mid = 0.5 * (lo + hi)
             if not lo < mid < hi:  # adjacent floats: a fixed point of the loop

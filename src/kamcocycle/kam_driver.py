@@ -135,9 +135,9 @@ def sequence_N(schedule: KamSchedule, n: int) -> int:
     if 2.0 * float(Gg.log_value(1.0)) + 1.0 > log_bound:
         raise ScheduleViolation(
             f"eps_{n} too large for any truncation order to exist", step=n)
-    N = int(Gg.log_inverse(0.5 * log_bound))
-    if N > MAX_ORDER:
+    if 2.0 * float(Gg.log_value(MAX_ORDER + 1.0)) <= log_bound:
         raise ScheduleViolation("truncation order exceeds the exact integer range", step=n)
+    N = int(Gg.log_inverse(0.5 * log_bound))
     while 2.0 * float(Gg.log_value(N + 1.0)) <= log_bound:
         N += 1
     while N > 1 and 2.0 * float(Gg.log_value(float(N))) > log_bound:

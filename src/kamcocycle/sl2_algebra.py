@@ -3,15 +3,18 @@ operator L_m.
 
 For a constant trace-zero matrix B and an integer frequency m, the operator
 
-    L_m : M -> 2*i*pi*<m, omega> M - [B, M]
+    L_m : M -> d_m M - [B, M],   d_m = 2*i*pi*<m, omega>,
 
-acts on trace-zero matrices with spectrum {2*i*pi*<m,omega>,
-2*i*pi*<m,omega> +- 2*alpha} where +-alpha are the eigenvalues of B.  When
-B is diagonalizable its spectral projectors pi_+- = (I +- B/alpha)/2 split
-sl(2) into the three eigenspaces of ad(B); the same projectors build the
-resonance rotation Phi (kam_step.eliminate_resonance).  L_m is inverted on
-that splitting, and by a dense 4-dimensional entrywise solve when B is
-defective.
+has spectrum {d_m, d_m - 2*alpha, d_m + 2*alpha}, +-alpha the eigenvalues of
+B.  Cayley-Hamilton (B^2 = alpha^2 I) gives ad(B)^3 = 4 alpha^2 ad(B) for
+every trace-zero B, so L_m^{-1} is a polynomial in ad(B):
+
+    L_m^{-1} R = R/d_m + [B, R]/((d_m - 2 alpha)(d_m + 2 alpha))
+                 + [B, [B, R]]/(d_m (d_m - 2 alpha)(d_m + 2 alpha)),
+
+one formula for diagonalizable, defective and zero B alike.  When B is
+diagonalizable its spectral projectors pi_+- = (I +- B/alpha)/2 build the
+resonance rotation Phi (kam_step.eliminate_resonance).
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import KamFailure
-from .torus_fourier import op_norm_2x2, project_traceless
+from .torus_fourier import op_norm_2x2, pairing, project_traceless
 
 
 class SingularOperator(KamFailure):
@@ -39,8 +42,7 @@ class DefectiveConstantPart(KamFailure):
 
 SPECTRUM_FLOOR = 1e-300
 CERT_SLACK = 1.0 + 1e-9  # relative rounding allowance of every certified inequality
-# |alpha| below DEFECT_TOL (1 + ||A||) flags A as defective; a constant part
-# with ||A|| below it is treated as zero by the mode solve
+# |alpha| below DEFECT_TOL (1 + ||A||) flags A as defective (eigen)
 DEFECT_TOL = 1e-12
 
 
@@ -110,21 +112,20 @@ def lm_spectrum(m, omega, alpha: complex):
     """The spectrum (d_m, d_m - 2 alpha, d_m + 2 alpha) of L_m, d_m = 2 i pi <m, omega>.
 
     m is one mode (d,) or a stack of modes (n, d); each element then has
-    the matching shape, a scalar or an (n,) array.  Each <m, omega> is a
-    one-mode dot product (vecdot; a matrix-vector product rounds
-    differently), so a mode's solution does not depend on its batch.
+    the matching shape, a scalar or an (n,) array.  <m, omega> is
+    torus_fourier.pairing, the one TorusMap.dir_derivative applies, so X
+    is solved against the d_m that d_omega applies to it.
     """
-    dm = 2j * math.pi * np.vecdot(np.asarray(m, dtype=float), np.asarray(omega, dtype=float))
+    dm = 2j * math.pi * pairing(m, omega)
     return dm, dm - 2.0 * alpha, dm + 2.0 * alpha
 
 
 def lm_dense_solve(m, omega, Atilde, rhs) -> np.ndarray:
-    """Entrywise 4x4 linear solves of 2*i*pi*<m,omega> M - [B, M] = rhs.
+    """Entrywise 4x4 linear solves of 2*i*pi*<m,omega> M - [B, M] = rhs at
+    lm_spectrum's d_m: the tests' oracle for lm_solve.
 
     m is one mode (d,) with one 2x2 rhs, or a stack of modes (n, d) with the
-    (n, 2, 2) stack of right-hand sides; the solutions have the shape of
-    rhs.  d_m is lm_spectrum's, so a mode's solution does not depend on its
-    batch.
+    (n, 2, 2) stack of right-hand sides; the solutions have the shape of rhs.
     """
     B = np.asarray(Atilde, dtype=complex)
     rhs = np.asarray(rhs, dtype=complex)
@@ -142,34 +143,26 @@ def lm_solve(ms, omega, Atilde, rhs) -> np.ndarray:
     """Solve 2*i*pi*<m,omega> M - [Atilde, M] = rhs for trace-zero M, per mode.
 
     ms is an (n, d) stack of modes and rhs the (n, 2, 2) stack of right-hand
-    sides; the (n, 2, 2) solutions are returned.  One pair of spectral
-    projectors of Atilde serves the whole stack; a defective Atilde is
-    solved by the dense entrywise systems.  Raises SingularOperator naming
+    sides; the (n, 2, 2) solutions are returned.  Every Atilde takes the
+    module's closed form, divided by one spectrum element at a time so that
+    no product of small divisors is formed; only d_m^2 - 4 alpha^2 enters,
+    so the branch of alpha does not matter.  Raises SingularOperator naming
     the first mode with a spectrum element that is numerically zero.
     """
     B = np.asarray(Atilde, dtype=complex)
     omega = np.asarray(omega, dtype=float)
     ms = np.asarray(ms).reshape(-1, omega.size)
     rhs = np.asarray(rhs, dtype=complex).reshape(-1, 2, 2)
-    ed = eigen(B)
-    spectrum = lm_spectrum(ms, omega, ed.alpha)
+    spectrum = lm_spectrum(ms, omega, alpha_of(B))
     singular = np.flatnonzero(np.abs(spectrum).min(axis=0) < SPECTRUM_FLOOR)
     if singular.size:
         raise SingularOperator(f"spectrum element below {SPECTRUM_FLOOR:g} "
                                f"for m={tuple(ms[singular[0]].tolist())}")
     dm, dm_minus, dm_plus = (s[:, None, None] for s in spectrum)
-    if op_norm_2x2(B) < DEFECT_TOL:
-        return project_traceless(rhs / dm)
-    if ed.defective:
-        return lm_dense_solve(ms, omega, B, rhs)
-    # ad(B) is 2 alpha on X = pi_+ R pi_-, -2 alpha on Y = pi_- R pi_+ and
-    # 0 on R - X - Y; three products, with R pi_+ = R - R pi_-
-    pi_plus, pi_minus = spectral_projectors(B, ed.alpha)
-    R_minus = rhs @ pi_minus
-    R_plus = rhs - R_minus
-    X = pi_plus @ R_minus
-    Y = R_plus - pi_plus @ R_plus
-    return project_traceless((rhs - X - Y) / dm + X / dm_minus + Y / dm_plus)
+    adR = B @ rhs - rhs @ B
+    ad2R = B @ adR - adR @ B
+    return project_traceless(rhs / dm + adR / dm_minus / dm_plus
+                             + ad2R / dm / dm_minus / dm_plus)
 
 
 def lm_inverse(m, omega, Atilde, rhs) -> np.ndarray:

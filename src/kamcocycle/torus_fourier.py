@@ -131,6 +131,12 @@ def op_norm_2x2(M: np.ndarray) -> float:
     return float(op_norms(np.asarray(M, dtype=complex)[None, :, :])[0])
 
 
+def pairing(k, omega) -> np.ndarray:
+    """<k, omega> for an index (d,) or a stack (n, d), one vecdot per row: the
+    pairing of both TorusMap.dir_derivative and sl2_algebra.lm_spectrum."""
+    return np.vecdot(np.asarray(k, dtype=float), np.asarray(omega, dtype=float))
+
+
 def project_traceless(M: np.ndarray) -> np.ndarray:
     """Remove the trace part of 2x2 blocks (..., 2, 2): the sl(2) projection."""
     out = np.array(M)
@@ -333,8 +339,7 @@ class TorusMap:
 
     def dir_derivative(self, omega) -> "TorusMap":
         """Derivative along the torus flow: mode m picks up 2*i*pi*<m,omega>."""
-        omega = np.asarray(omega, dtype=float)
-        factors = 1j * math.pi * (self.half_k @ omega)
+        factors = 1j * math.pi * pairing(self.half_k, omega)
         return TorusMap(self.d, self.half_k, self.coeffs * factors[:, None, None],
                         reality=self.reality)
 
@@ -352,8 +357,8 @@ class TorusMap:
 
     def trace_projected(self) -> "TorusMap":
         """Remove the trace part of every coefficient (sl(2) projection)."""
-        return TorusMap(self.d, self.half_k, project_traceless(self.coeffs),
-                        reality=self.reality, _keys=self._keys)
+        hk, coeffs, keys = _prune(self.half_k, project_traceless(self.coeffs), self._keys)
+        return TorusMap(self.d, hk, coeffs, reality=self.reality, _keys=keys)
 
     def realified(self) -> "TorusMap":
         """Symmetrize coefficients to exact conjugate symmetry."""

@@ -24,6 +24,7 @@ from kamcocycle.arithmetics import (
     scan_min_weighted_distance,
     tail_integral,
 )
+from kamcocycle.errors import KamFailure
 
 GOLDEN = np.array([1.0, 0.5 * (1.0 + np.sqrt(5.0))])
 
@@ -73,6 +74,15 @@ def test_log_inverse_equals_200_step_bisection(f, t_min):
     lo = float(f.log_value(t_min))
     for logx in lo + np.exp(rng.uniform(-8.0, 6.0, 300)):
         assert f.log_inverse(float(logx)) == bisection_200(f, float(logx))
+
+
+def test_log_inverse_stays_in_the_float_range():
+    # the bracket stops doubling where exp(u) would overflow: an inverse
+    # below the largest float is found, one past it is a KamFailure
+    f = ProductFn(PowerFn(0.5), PowerFn(0.5))  # log f(t) = log t
+    assert f.log_inverse(690.0) == pytest.approx(math.exp(690.0), rel=1e-12)
+    with pytest.raises(KamFailure, match="out of range"):
+        f.log_inverse(710.0)
 
 
 def test_explog_monotone_near_origin():

@@ -100,6 +100,17 @@ def test_sequence_N_existence_guard():
         sequence_N(sched, 0)
 
 
+def test_sequence_N_past_the_float_range():
+    # log (G g)(t) = log t: at step 528 the bound asks for (G g)(N) near
+    # e^691, an order past the exact integer range, and a schedule failure
+    # (not an overflow of the inverse)
+    half = PowerFn(0.5)
+    sched = make_schedule(1.0, None, half, half, 0.5, 0, 1.0)
+    assert 0.5 * sched.log_n_bound(528) > 690.0
+    with pytest.raises(ScheduleViolation, match="exact integer range"):
+        sequence_N(sched, 528)
+
+
 # -- runs ---------------------------------------------------------------------
 
 def test_run_zero_perturbation():

@@ -199,9 +199,48 @@ def test_lm_solve_zero_matrix_batch():
     ms = np.array([[0, 1], [1, 0], [-2, 3]])
     rhs = np.array([[[0.5, -1.0], [2.0, -0.5]], [[1.0, 0.0], [0.0, -1.0]],
                     [[0.0, 1j], [3.0, 0.0]]])
-    out = lm_solve(ms, GOLDEN, np.diag([1e-13, -1e-13]), rhs)  # below DEFECT_TOL
+    # a tiny B moves the solution off rhs / d_m by about |B| |rhs| / |d_m|^2
+    out = lm_solve(ms, GOLDEN, np.diag([1e-13, -1e-13]), rhs)
     d_m = 2j * np.pi * (ms @ GOLDEN)
     np.testing.assert_allclose(out, rhs / d_m[:, None, None], atol=1e-15)
+
+
+def _mp_lm_solve(mpmath, m, B, rhs):
+    """60-digit solve of the 4x4 system d_m M - [B, M] = rhs at the float d_m."""
+    d = complex(lm_spectrum(m, GOLDEN, 0.0)[0])
+    with mpmath.workdps(60):
+        L = mpmath.matrix(4, 4)
+        for i, j in np.ndindex(2, 2):  # row 2 i + j is entry (i, j) of M
+            L[2 * i + j, 2 * i + j] += mpmath.mpc(d)
+            for k in range(2):
+                L[2 * i + j, 2 * k + j] -= mpmath.mpc(complex(B[i, k]))
+                L[2 * i + j, 2 * i + k] += mpmath.mpc(complex(B[k, j]))
+        x = mpmath.lu_solve(L, mpmath.matrix([mpmath.mpc(complex(z)) for z in np.ravel(rhs)]))
+        return np.array([complex(v) for v in x]).reshape(2, 2)
+
+
+def test_lm_solve_matches_60_digit_solve():
+    # the closed form to about a unit roundoff, norm-wise, for every kind of
+    # B: random real and complex, Schrodinger [[0, -E], [1, 0]] up to
+    # E = 1e8, near-resonant (d_m - 2 alpha about 1e-6 to 1e-12), nilpotent
+    # and zero
+    mpmath = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(41)
+    m0 = np.array([1, -1])
+    beta = np.pi * float(m0 @ GOLDEN)
+    Bs = [random_traceless(rng, scale=rng.uniform(0.01, 3.0), real=k % 2 == 0)
+          for k in range(40)]
+    Bs += [np.array([[0.0, -E], [1.0, 0.0]]) for E in np.geomspace(1e-3, 1e8, 23)]
+    Bs += [np.array([[0.0, beta + e], [-beta - e, 0.0]]) for e in (1e-6, 1e-9, -1e-12)]
+    Bs += [np.array([[0.0, s], [0.0, 0.0]]) for s in (1e-3, 1.0, 1e3)]
+    Bs += [np.array([[1.0, -1.0], [1.0, -1.0]]), np.zeros((2, 2))]
+    for B in Bs:
+        ms = rng.integers(-30, 31, size=(4, 2))
+        ms = np.vstack([ms[ms.any(axis=1)], m0, -m0])
+        rhs = np.array([random_traceless(rng, real=False) for _ in ms])
+        for m, r, M in zip(ms, rhs, lm_solve(ms, GOLDEN, B, rhs)):
+            exact = _mp_lm_solve(mpmath, m, B, r)
+            assert np.abs(M - exact).max() <= 1e-14 * np.abs(exact).max()
 
 
 def test_operator_bound_diophantine():

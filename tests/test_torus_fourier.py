@@ -9,6 +9,7 @@ from oracles import is_real, max_imag_on_grid
 
 from kamcocycle import torus_fourier
 from kamcocycle.errors import KamFailure
+from kamcocycle.sl2_algebra import lm_spectrum
 from kamcocycle.torus_fourier import (
     PRUNE_REL,
     TorusMap,
@@ -521,6 +522,20 @@ def test_dir_derivative_basics():
     np.testing.assert_allclose(dF.coeffs[0], expected * np.eye(2), rtol=1e-15)
 
 
+def test_dir_derivative_applies_the_mode_operators_frequency():
+    # d_omega and L_m pair a mode with omega the same way, so the factor of
+    # the derivative is lm_spectrum's d_m to the bit (a matrix product over
+    # the modes rounds some of them differently)
+    omega = np.array([1.0, 0.5 * (1 + np.sqrt(5))])
+    m = np.array(list(itertools.product(range(-100, 101), repeat=2)))
+    m = m[m.any(axis=1)]
+    F = TorusMap(2, 2 * m, np.broadcast_to(np.eye(2), (len(m), 2, 2)))
+    dF = F.dir_derivative(omega)
+    assert dF.n_modes == len(m)
+    np.testing.assert_array_equal(dF.coeffs[:, 0, 0],
+                                  lm_spectrum(dF.half_k // 2, omega, 0.0)[0])
+
+
 def test_dir_derivative_leibniz():
     rng = np.random.default_rng(3)
     omega = np.array([1.0, np.sqrt(2)])
@@ -574,6 +589,17 @@ def test_exp_rejects_large_norm():
     X = TorusMap.constant(3.0 * np.eye(2), 1)
     with pytest.raises(KamFailure):
         exp_map(X, r=0.0)
+
+
+def test_trace_projected_drops_pure_trace_blocks():
+    # the projection of a pure-trace block is all zero, and a map in
+    # canonical form holds no all-zero block
+    F = TorusMap.from_modes(1, [((2,), np.eye(2)), ((0,), np.diag([1.0, -1.0]))])
+    P = F.trace_projected()
+    assert P.n_modes == 1
+    np.testing.assert_array_equal(P.half_k, [[0]])
+    np.testing.assert_array_equal(P.coeffs, [np.diag([1.0, -1.0])])
+    assert TorusMap.zero(1).trace_projected().n_modes == 0
 
 
 def test_eval_constant_and_reality():
