@@ -94,14 +94,9 @@ def _norms(coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # with p, q the squared column norms and s = conj(a) b + conj(c) d their
     # inner product: unlike (p + q)^2 - 4 |det|^2, the root does not cancel
     # when the two singular values are close
-    if np.iscomplexobj(coeffs):
-        sq = np.abs(coeffs) ** 2
-        p, q = sq[..., 0, 0] + sq[..., 1, 0], sq[..., 0, 1] + sq[..., 1, 1]
-        s2 = np.abs(np.conj(a) * b + np.conj(c) * d) ** 2
-    else:  # real input, such as the winding integrator's samples
-        p, q = a * a + c * c, b * b + d * d
-        s = a * b + c * d
-        s2 = s * s
+    sq = np.abs(coeffs) ** 2
+    p, q = sq[..., 0, 0] + sq[..., 1, 0], sq[..., 0, 1] + sq[..., 1, 1]
+    s2 = np.abs(np.conj(a) * b + np.conj(c) * d) ** 2
     frob2, diff = p + q, p - q
     return np.sqrt(0.5 * (frob2 + np.sqrt(diff * diff + 4.0 * s2))), frob2
 

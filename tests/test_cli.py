@@ -873,6 +873,16 @@ def test_cmd_rotnum_step_too_large(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_cmd_rotnum_hyperbolic_system(tmp_path, capsys):
+    # e^{75 t} passes the float range within a window, and an overflow
+    # warning fails the test; the winding of a hyperbolic system is bounded,
+    # so its rate vanishes with the horizon
+    path = write_config(tmp_path, dict(resonant_config(), A=[[75.0, 0.0], [0.0, -75.0]]))
+    assert main(["rotnum", "--config", str(path), "--T", "100", "--h", "0.01"]) == 0
+    data = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert data["rho"] <= data["error_estimate"]
+
+
 @pytest.fixture(scope="module")
 def resonant_run(tmp_path_factory):
     # a run with a resonance, so that audit integrates with its --T and --h

@@ -12,7 +12,7 @@ from kamcocycle.rotation_number import (
     verify_additivity,
     winding_rate,
 )
-from kamcocycle.torus_fourier import TorusMap
+from kamcocycle.torus_fourier import TorusMap, op_norm_2x2
 
 GOLDEN = np.array([1.0, 0.5 * (1.0 + np.sqrt(5.0))])
 
@@ -178,13 +178,7 @@ def assert_matches_oracle(sys_map, theta0, phi0, T, h, oracle):
             rate, abs=1e-12)
 
 
-@pytest.mark.parametrize("chunk", [2048, 7])
-@pytest.mark.parametrize("T", [20.0, 20.3])
-def test_rates_match_sequential_oracle(monkeypatch, chunk, T):
-    # round(T/h) is 200 (even) or 203 (odd), so the T/2 checkpoint of the
-    # h/2 run falls on a step of the h run or between two; CHUNK = 7 puts it
-    # inside a window, with many windows and groups shorter than GROUP
-    monkeypatch.setattr(rotation_number_module, "CHUNK", chunk)
+def assert_matches_oracle_at(T):
     sys_map = perturbed_rotation(1.3, 0.4)
     theta0, phi0, h = np.array([0.3, 1.1]), np.array([0.6, -0.8]), 0.1
     oracle = oracle_rates(sys_map, GOLDEN, theta0, phi0, T, h)
@@ -192,6 +186,27 @@ def test_rates_match_sequential_oracle(monkeypatch, chunk, T):
     # misplaced rate cannot pass
     assert min(abs(a - b) for a, b in zip(oracle, oracle[1:] + oracle[:1])) > 1e-8
     assert_matches_oracle(sys_map, theta0, phi0, T, h, oracle)
+
+
+@pytest.mark.parametrize("chunk", [2048, 7, rotation_number_module.CHUNK])
+@pytest.mark.parametrize("T", [20.0, 20.3])
+def test_rates_match_sequential_oracle(monkeypatch, chunk, T):
+    # round(T/h) is 200 (even) or 203 (odd), so the T/2 checkpoint of the
+    # h/2 run falls on a step of the h run or between two; CHUNK = 7 puts it
+    # inside a window, with many windows and groups shorter than GROUP
+    monkeypatch.setattr(rotation_number_module, "CHUNK", chunk)
+    assert_matches_oracle_at(T)
+
+
+@pytest.mark.parametrize("chunk, block", [(7, 2), (2048, 16)])
+@pytest.mark.parametrize("T", [20.0, 20.3])
+def test_windows_of_several_table_blocks_match_oracle(monkeypatch, chunk, block, T):
+    # a window of 7 steps of the h run is 28 samples, read off blocks of 8,
+    # 8, 8 and 4; one window of 2048 steps holds the whole pass of 800
+    # samples, in 12 blocks of 64 and one of 32
+    monkeypatch.setattr(rotation_number_module, "CHUNK", chunk)
+    monkeypatch.setattr(rotation_number_module, "BLOCK", block)
+    assert_matches_oracle_at(T)
 
 
 def test_guard_fallback_matches_oracle(monkeypatch):
@@ -268,16 +283,22 @@ def real_map_to_order_six(seed):
     return TorusMap.from_modes(2, entries, reality=True)
 
 
-@pytest.mark.parametrize("t0, start", [(0.0, 0), (0.0, 1_600_000 - 4096), (1234.5675, 4096)])
+# a table block of the h and h/2 runs of rotation_number at h = 0.01, in
+# samples of h/4, and the start of the block that ends at t = 4000
+TABLE_BLOCK = 4 * rotation_number_module.BLOCK
+LAST_BLOCK = round(4000 / 0.0025) - TABLE_BLOCK
+
+
+@pytest.mark.parametrize("t0, start", [(0.0, 0), (0.0, LAST_BLOCK), (1234.5675, TABLE_BLOCK)])
 def test_table_samples_match_eval(t0, start):
-    # a window of the h and h/2 runs of rotation_number at h = 0.01, as _wind
-    # samples it: at the origin, ending at t = 4000, and on the grid of a
-    # fallback run that starts at t0
+    # a block of samples as _wind reads it off the phase table: at the
+    # origin, ending at t = 4000, and on the grid of a fallback run that
+    # starts at t0
     Asys = real_map_to_order_six(5)
-    theta0, q, n = np.array([0.3, 1.1]), 0.0025, 4097
+    theta0, q, n = np.array([0.3, 1.1]), 0.0025, TABLE_BLOCK + 1
     cos_t, sin_t = rotation_number_module._phase_tables(Asys, GOLDEN, q, n - 1)
-    vals, norms = rotation_number_module._samples(
-        Asys, theta0 + (t0 + q * start) * GOLDEN, cos_t, sin_t, n)
+    vals = np.empty((4, n))
+    rotation_number_module._samples(Asys, theta0 + (t0 + q * start) * GOLDEN, cos_t, sin_t, vals)
     times = t0 + q * np.arange(start, start + n)
     ref = Asys.eval((theta0[:, None] + GOLDEN[:, None] * times).T).real
     # each side rounds the phase pi <k, theta> to within about an ulp of its
@@ -285,8 +306,36 @@ def test_table_samples_match_eval(t0, start):
     far = (theta0[:, None] + GOLDEN[:, None] * times[[0, -1]]).T
     phase = math.pi * np.abs(far @ Asys.half_k.T).max()
     tol = 2.0 ** -52 * phase * np.abs(Asys.coeffs).max(axis=(1, 2)).sum()
-    assert np.abs(vals.transpose(2, 0, 1) - ref).max() <= tol
-    assert norms == pytest.approx(np.linalg.norm(ref, 2, axis=(1, 2)), rel=1e-7)
+    assert np.abs(vals.T.reshape(n, 2, 2) - ref).max() <= tol
+
+
+def test_speed_bound_covers_every_sample():
+    # the phase-speed guard's bound sum_k ||c_k|| against the operator norm
+    # of the real system over one window of the h run at h = 0.01 and at
+    # random points
+    Asys = real_map_to_order_six(5)
+    bound = rotation_number_module._speed_bound(Asys)
+    theta0, q = np.array([0.3, 1.1]), 0.0025
+    times = q * np.arange(4 * rotation_number_module.CHUNK + 1)
+    window = (theta0[:, None] + GOLDEN[:, None] * times).T
+    scattered = np.random.default_rng(8).uniform(0.0, 2.0, size=(1000, 2))
+    for thetas in (window, scattered):
+        assert np.linalg.norm(Asys.eval(thetas).real, 2, axis=(1, 2)).max() <= bound
+    A = np.array([[0.3, 1.7], [-2.2, -0.3]])
+    assert rotation_number_module._speed_bound(constant_system(A)) == op_norm_2x2(A)
+
+
+@pytest.mark.parametrize("lam", [20.0, 75.0, 150.0])
+def test_hyperbolic_growth_stays_in_range(lam):
+    # the state grows by e^{lam t}: e^{75 * 10.24} over a window of 1,024
+    # steps of h = 0.01 already passes the float range, while lam h stays
+    # below the speed guard's pi/2, and an overflow warning fails the test;
+    # the state converges to the unstable axis, so the angle turns by
+    # atan(0.8 / 0.6) in all
+    sys_map = constant_system([[lam, 0.0], [0.0, -lam]])
+    T = 100.0
+    est = rotation_number(sys_map, GOLDEN, phi0=np.array([0.6, -0.8]), T=T, h=0.01)
+    assert est.rho == pytest.approx(math.atan2(0.8, 0.6) / T, rel=1e-9)
 
 
 class _FakeRec:
