@@ -16,15 +16,19 @@ pairs that `mul(other, r)` keeps, and summed per output index in pair order.
 Given a strip r, mul skips a product of two non-constant blocks whose weight
 w_i w_j at r is below PAIR_REL |a_wave|_r |b_wave|_r, so the weighted mass
 it drops is below that bound times the number of pairs skipped; the kept
-pairs sum exactly as in the full product.  The output index is the cell of
-the dense row-major box bounding the sums of the two supports when that box
-has at most BOX_FILL cells per computed pair; for sparse supports it is the
-np.unique inverse of the packed keys.  Both come out in packed-key order, so
-a product needs no further sort.  Equal indices in
-`add`, `realified` and the constructor are summed by the same accumulation
-(`_accumulate`), indexed through np.unique.  The products agree bit for bit
-with numpy's einsum on numpy 2.4; another build may round differently, at
-about 1e-16 relative.
+pairs sum exactly as in the full product.  A product of fewer than
+SKIP_PAIRS pairs is indexed by np.unique on the sums of the packed keys, in
+one pass: on such small maps the fixed cost of an operation is its cost.  A
+larger product is indexed by the cell of the dense row-major box bounding
+the sums of the two supports when that box has at most BOX_FILL cells per
+computed pair, and by the sorted keys otherwise.  Both come out in
+packed-key order, so a product needs no further sort.  `add` merges the
+sorted keys of its operands and sums (0 + a) + b per index, bit for bit the
+constructor's accumulation (`_accumulate`) on their concatenation, which
+it keeps as it is when it is already in key order; `realified` adds the
+mirror of the map the same way.  `scale`, `dir_derivative` and `constant`
+keep their keys.  The products agree bit for bit with numpy's einsum on
+numpy 2.4; another build may round differently, at about 1e-16 relative.
 """
 
 from __future__ import annotations
@@ -76,14 +80,24 @@ def _pack(half_k: np.ndarray) -> np.ndarray:
     return keys
 
 
+def _zero_key(d: int) -> int:
+    """The packed key of the zero index: key(h1 + h2) = key(h1) + key(h2) -
+    _zero_key(d)."""
+    shift, base = _pack_base(d)
+    return sum(base << (shift * i) for i in range(d))
+
+
+def _mirror_keys(keys: np.ndarray, d: int) -> np.ndarray:
+    """key(-h) of each key(h), 2 key(0) - key(h), formed as (key(0) - key(h))
+    + key(0): at d = 1, 2 key(0) is 2^63, outside int64."""
+    k0 = _zero_key(d)
+    return (k0 - keys) + k0
+
+
 def _unpack(keys: np.ndarray, d: int) -> np.ndarray:
     shift, base = _pack_base(d)
-    out = np.empty((keys.shape[0], d), dtype=np.int64)
-    mask = (1 << shift) - 1
-    for i in range(d - 1, -1, -1):
-        out[:, i] = (keys & mask) - base
-        keys = keys >> shift
-    return out
+    fields = keys[:, None] >> np.arange(shift * (d - 1), -1, -shift)
+    return (fields & ((1 << shift) - 1)) - base
 
 
 def _norms(coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -147,14 +161,15 @@ class TorusMap:
     __slots__ = ("d", "half_k", "coeffs", "reality", "_keys", "_weighed")
 
     def __init__(self, d, half_k, coeffs, *, reality=False, _keys=None):
-        # _keys: the packed keys of rows that are already sorted, unique and
-        # pruned (the canonical form)
-        half_k = np.asarray(half_k, dtype=np.int64).reshape(-1, d)
-        coeffs = np.asarray(coeffs, dtype=np.complex128).reshape(-1, 2, 2)
-        if half_k.shape[0] != coeffs.shape[0]:
-            raise ValueError("half_k and coeffs length mismatch")
+        # _keys: the packed keys of int64 rows (n, d) that are already
+        # sorted, unique and pruned, with complex128 blocks (n, 2, 2): the
+        # canonical form
         keys = _keys
         if keys is None:
+            half_k = np.asarray(half_k, dtype=np.int64).reshape(-1, d)
+            coeffs = np.asarray(coeffs, dtype=np.complex128).reshape(-1, 2, 2)
+            if half_k.shape[0] != coeffs.shape[0]:
+                raise ValueError("half_k and coeffs length mismatch")
             keys, half_k, coeffs = _merge(_pack(half_k), half_k, coeffs, d)
             half_k, coeffs, keys = _prune(half_k, coeffs, keys)
         self.d = d
@@ -170,18 +185,26 @@ class TorusMap:
 
     @classmethod
     def zero(cls, d: int) -> "TorusMap":
-        return cls(d, np.zeros((0, d)), np.zeros((0, 2, 2)), reality=True,
-                   _keys=np.zeros(0, dtype=np.int64))
+        return cls(d, np.zeros((0, d), dtype=np.int64), np.zeros((0, 2, 2), dtype=np.complex128),
+                   reality=True, _keys=np.zeros(0, dtype=np.int64))
 
     @classmethod
     def constant(cls, M, d: int) -> "TorusMap":
         M = np.asarray(M, dtype=np.complex128)
         real = bool(np.abs(M.imag).max(initial=0.0) == 0.0)
-        return cls(d, np.zeros((1, d)), M[None, :, :], reality=real)
+        return cls._canonical(d, np.zeros((1, d), dtype=np.int64), M[None, :, :],
+                              np.array([_zero_key(d)]), real)
 
     @classmethod
     def identity(cls, d: int) -> "TorusMap":
         return cls.constant(np.eye(2), d)
+
+    @classmethod
+    def _canonical(cls, d, half_k, coeffs, keys, reality) -> "TorusMap":
+        """The map on sorted, unique indices with these keys, all-zero blocks
+        dropped."""
+        half_k, coeffs, keys = _prune(half_k, coeffs, keys)
+        return cls(d, half_k, coeffs, reality=reality, _keys=keys)
 
     @classmethod
     def from_modes(cls, d, modes, *, reality=False) -> "TorusMap":
@@ -279,7 +302,7 @@ class TorusMap:
         if keep.all():
             return self
         if self.reality:
-            neg_keys = _pack(-self.half_k)
+            neg_keys = _mirror_keys(self._keys, self.d)
             idx = np.minimum(np.searchsorted(self._keys, neg_keys), self.n_modes - 1)
             paired = self._keys[idx] == neg_keys
             keep[idx[paired & keep]] = True
@@ -291,14 +314,14 @@ class TorusMap:
     def add(self, other: "TorusMap") -> "TorusMap":
         if self.d != other.d:
             raise ValueError("dimension mismatch")
-        hk = np.concatenate([self.half_k, other.half_k])
-        cf = np.concatenate([self.coeffs, other.coeffs])
-        return TorusMap(self.d, hk, cf,
-                        reality=self.reality and other.reality)
+        k1, k2 = self._keys, other._keys
+        in_order = not (k1.size and k2.size) or k1[-1] < k2[0]
+        keys, hk, cf = _union(self, k2, other.half_k, other.coeffs, in_order)
+        return TorusMap._canonical(self.d, hk, cf, keys, self.reality and other.reality)
 
     def scale(self, c) -> "TorusMap":
         real = self.reality and (np.imag(c) == 0.0)
-        return TorusMap(self.d, self.half_k, self.coeffs * c, reality=bool(real))
+        return TorusMap._canonical(self.d, self.half_k, self.coeffs * c, self._keys, bool(real))
 
     def __add__(self, other):
         return self.add(other)
@@ -321,6 +344,12 @@ class TorusMap:
         PAIR_REL |self_wave|_r |other_wave|_r.  Nothing is booked: it shows
         in the residuals.  The kept pairs are summed as without r, so a
         product with nothing to skip is the same to the bit.
+
+        Below SKIP_PAIRS pairs the skip is not weighed and the output index
+        comes from sorting the sums of the packed keys; larger products use
+        the dense box where it is small enough (see _convolve).  Either
+        index gives the same bits.  Raises KamFailure when an index of the
+        product would not pack.
         """
         if self.d != other.d:
             raise ValueError("dimension mismatch")
@@ -328,15 +357,13 @@ class TorusMap:
         if n1 == 0 or n2 == 0:
             return TorusMap.zero(self.d)
         keys, hk, coeffs = _convolve(self, other, r)
-        hk, coeffs, keys = _prune(hk, coeffs, keys)
-        return TorusMap(self.d, hk, coeffs, reality=self.reality and other.reality,
-                        _keys=keys)
+        return TorusMap._canonical(self.d, hk, coeffs, keys, self.reality and other.reality)
 
     def dir_derivative(self, omega) -> "TorusMap":
         """Derivative along the torus flow: mode m picks up 2*i*pi*<m,omega>."""
         factors = 1j * math.pi * pairing(self.half_k, omega)
-        return TorusMap(self.d, self.half_k, self.coeffs * factors[:, None, None],
-                        reality=self.reality)
+        return TorusMap._canonical(self.d, self.half_k, self.coeffs * factors[:, None, None],
+                                   self._keys, self.reality)
 
     def eval(self, theta) -> np.ndarray:
         """Evaluate at theta (shape (d,) or (n, d)); returns 2x2 blocks."""
@@ -352,16 +379,21 @@ class TorusMap:
 
     def trace_projected(self) -> "TorusMap":
         """Remove the trace part of every coefficient (sl(2) projection)."""
-        hk, coeffs, keys = _prune(self.half_k, project_traceless(self.coeffs), self._keys)
-        return TorusMap(self.d, hk, coeffs, reality=self.reality, _keys=keys)
+        return TorusMap._canonical(self.d, self.half_k, project_traceless(self.coeffs),
+                                   self._keys, self.reality)
 
     def realified(self) -> "TorusMap":
         """Symmetrize coefficients to exact conjugate symmetry."""
         if self.n_modes == 0:
             return self
-        out = TorusMap(self.d, np.concatenate([self.half_k, -self.half_k]),
-                       np.concatenate([self.coeffs, np.conj(self.coeffs)])).scale(0.5)
-        return TorusMap(out.d, out.half_k, out.coeffs, reality=True, _keys=out._keys)
+        # the mirror -k of the map, in key order; the sums are the
+        # constructor's on the rows k followed by the rows -k, which are in
+        # key order only for one mode below the zero index
+        mk = _mirror_keys(self._keys[::-1], self.d)
+        in_order = self.n_modes == 1 and self._keys[0] < mk[0]
+        keys, hk, cf = _union(self, mk, -self.half_k[::-1], np.conj(self.coeffs[::-1]),
+                              in_order)
+        return TorusMap._canonical(self.d, hk, cf * 0.5, keys, True)
 
     # -- serialization -----------------------------------------------------
 
@@ -418,6 +450,27 @@ def _merge(keys, half_k, coeffs, d):
     sums = np.zeros((8, uk.shape[0]))
     _accumulate(sums, inv, np.concatenate([flat.real.T, flat.imag.T]))
     return uk, _unpack(uk, d), _blocks(sums)
+
+
+def _union(a: TorusMap, keys, half_k, coeffs, in_order):
+    """(0 + a's block) + the given block at each index of the union of a's
+    support and the given sorted, unique one: keys, half_k, coeffs, sorted,
+    not pruned.  These are _merge's sums on the concatenation, which _merge
+    takes as it is when it is in order (in_order): then no sum from 0
+    turns a -0.0 into +0.0."""
+    if in_order:
+        return tuple(np.concatenate(pair) for pair in zip(
+            (a._keys, a.half_k, a.coeffs), (keys, half_k, coeffs)))
+    # with return_inverse np.unique sorts; without it, as in np.union1d, it
+    # would import numpy.ma on its first call (10-16 ms and 1.3 MB)
+    out, inv = np.unique(np.concatenate([a._keys, keys]), return_inverse=True)
+    ia, ib = inv[:a.n_modes], inv[a.n_modes:]
+    hk = np.empty((out.shape[0], a.d), dtype=np.int64)
+    hk[ia], hk[ib] = a.half_k, half_k
+    cf = np.zeros((out.shape[0], 2, 2), dtype=np.complex128)
+    cf[ia] += a.coeffs
+    cf[ib] += coeffs
+    return out, hk, cf
 
 
 def _accumulate(sums, index, parts):
@@ -491,11 +544,12 @@ def _convolve(a: TorusMap, b: TorusMap, r=None):
 
     The pairs are taken MUL_CHUNK // n2 values of i per pass, row-major, in
     blocks of about BLOCK pairs; each index sums a pass's products in pair
-    order from 0, and the passes add up in order.  The sums are indexed by
-    the cells of the dense box (`_box`) when it has at most BOX_FILL cells
-    per computed pair and at most MUL_CHUNK cells (all-zero cells are
-    dropped), else by np.unique on the packed keys of each pass.  Returns
-    keys, half_k and coeffs, unique and sorted by key, not pruned.
+    order from 0, and the passes add up in order.  A product of at least
+    SKIP_PAIRS pairs is indexed by the cells of the dense box (`_box`) when
+    it has at most BOX_FILL cells per computed pair and at most MUL_CHUNK
+    cells (all-zero cells are dropped); any other is indexed by np.unique
+    on the packed keys of each pass, and a smaller one has a single pass.
+    Returns keys, half_k and coeffs, unique and sorted by key, not pruned.
     """
     d, n1, n2 = a.d, a.n_modes, b.n_modes
     ar, ai, br, bi = (np.ascontiguousarray(x.transpose(1, 2, 0))
@@ -531,7 +585,8 @@ def _convolve(a: TorusMap, b: TorusMap, r=None):
             at += parts.shape[1]
         return sums
 
-    box = _box(a.half_k, b.half_k, min(BOX_FILL * pairs, MUL_CHUNK))
+    box = None if n1 * n2 < SKIP_PAIRS else _box(a.half_k, b.half_k,
+                                                 min(BOX_FILL * pairs, MUL_CHUNK))
     if box is not None:
         origin, step, shape, c1, c2 = box
         sums = sum(pass_sums(blocks, (c1[i] + c2[j]).ravel(), math.prod(shape))
@@ -539,17 +594,31 @@ def _convolve(a: TorusMap, b: TorusMap, r=None):
         cell = np.flatnonzero(sums.any(axis=0))
         hk = origin + np.stack(np.unravel_index(cell, shape), axis=1) * step
         return _pack(hk), hk, _blocks(sums[:, cell])
-    shift, base = _pack_base(d)
-    # key(h1 + h2) = key(h1) + key(h2) - key(0)
-    k2 = b._keys - sum(base << (shift * i) for i in range(d))
+    _check_sums_pack(a.half_k, b.half_k)
+    k2 = b._keys - _zero_key(d)
     pieces = []
     for (i, j), blocks in passes():
         uk, inv = np.unique((a._keys[i] + k2[j]).ravel(), return_inverse=True)
         pieces.append((uk, pass_sums(blocks, inv, uk.shape[0])))
+    if len(pieces) == 1:  # a single pass is already sorted and unique
+        (keys, sums), = pieces
+        return keys, _unpack(keys, d), _blocks(sums)
     keys = np.concatenate([uk for uk, _ in pieces])
     sums = np.concatenate([s for _, s in pieces], axis=1)
-    # a single pass is already sorted and unique; several are merged
     return _merge(keys, _unpack(keys, d), _blocks(sums), d)
+
+
+def _check_sums_pack(hk1, hk2):
+    """Raise KamFailure unless every sum hk1[i] + hk2[j] packs: a sum of keys
+    is the key of the sum only then.  The bound on the largest moduli decides
+    most products; the per-dimension extremes decide the rest."""
+    base = _pack_base(hk1.shape[1])[1]
+    if int(np.abs(hk1).max()) + int(np.abs(hk2).max()) < base:
+        return
+    hi = hk1.max(axis=0) + hk2.max(axis=0)
+    lo = hk1.min(axis=0) + hk2.min(axis=0)
+    if max(int(hi.max()), -int(lo.min())) >= base:
+        raise KamFailure("frequency index out of packable range")
 
 
 def _box(hk1, hk2, limit):

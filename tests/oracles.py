@@ -1,5 +1,6 @@
-"""Checks that only the tests use: the reality of a torus map and the
-certified bound on the inverse mode operator.
+"""Checks that only the tests use: the reality of a torus map, the
+certified bound on the inverse mode operator, and the torus-map operations
+as the TorusMap constructor computes them.
 
 Each is written against the package's public interface, so the tests can
 hold the package's output to it.
@@ -7,6 +8,7 @@ hold the package's output to it.
 
 import numpy as np
 
+from kamcocycle.torus_fourier import TorusMap, pairing
 from kamcocycle.sl2_algebra import (
     CERT_SLACK,
     SPECTRUM_FLOOR,
@@ -54,3 +56,30 @@ def operator_bound_check(m, omega, Atilde, kappa: float, G, g, N: int) -> float:
         raise BoundViolation(
             f"||L_m^-1|| = {measured:.6e} exceeds 4 G(N) g(|m|)/kappa = {bound:.6e}")
     return measured
+
+
+# -- torus-map operations through the constructor ------------------------------
+# The constructor sorts the rows it is given, sums the blocks of equal indices
+# from zero in row order (rows already in strictly increasing order are taken
+# as they are) and drops the all-zero blocks.
+
+def add_by_constructor(F, G):
+    return TorusMap(F.d, np.concatenate([F.half_k, G.half_k]),
+                    np.concatenate([F.coeffs, G.coeffs]), reality=F.reality and G.reality)
+
+
+def scale_by_constructor(F, c):
+    return TorusMap(F.d, F.half_k, F.coeffs * c, reality=bool(F.reality and np.imag(c) == 0.0))
+
+
+def dir_derivative_by_constructor(F, omega):
+    factors = 1j * np.pi * pairing(F.half_k, omega)
+    return TorusMap(F.d, F.half_k, F.coeffs * factors[:, None, None], reality=F.reality)
+
+
+def realified_by_constructor(F):
+    if F.n_modes == 0:
+        return F
+    both = TorusMap(F.d, np.concatenate([F.half_k, -F.half_k]),
+                    np.concatenate([F.coeffs, np.conj(F.coeffs)]))
+    return TorusMap(F.d, both.half_k, both.coeffs * 0.5, reality=True)

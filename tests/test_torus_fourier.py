@@ -5,7 +5,14 @@ import math
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
-from oracles import is_real, max_imag_on_grid
+from oracles import (
+    add_by_constructor,
+    dir_derivative_by_constructor,
+    is_real,
+    max_imag_on_grid,
+    realified_by_constructor,
+    scale_by_constructor,
+)
 
 from kamcocycle import torus_fourier
 from kamcocycle.errors import KamFailure
@@ -290,7 +297,8 @@ def unique_calls(monkeypatch):
 @pytest.mark.parametrize("lattice", ["integer", "half"])
 def test_mul_matches_dict_oracle_dense_box(d, lattice, unique_calls):
     rng = np.random.default_rng(100 + 10 * d + (lattice == "half"))
-    radius = {1: 12, 2: 5, 3: 3}[d]
+    # large enough that every product of a and b has SKIP_PAIRS pairs
+    radius = {1: 33, 2: 6, 3: 4}[d]
     if lattice == "integer":
         h1, h2 = diamond(d, radius), diamond(d, radius - 1)
     else:
@@ -300,10 +308,15 @@ def test_mul_matches_dict_oracle_dense_box(d, lattice, unique_calls):
     a = TorusMap(d, h1, random_coeffs(len(h1), rng))
     b = TorusMap(d, h2, random_coeffs(len(h2), rng))
     assert a.lattice == lattice
-    for x, y in ((a, b), (b, a), (a, a), (TorusMap.constant(random_coeffs(1, rng)[0], d), b)):
+    for x, y in ((a, b), (b, a), (a, a)):
+        assert x.n_modes * y.n_modes >= torus_fourier.SKIP_PAIRS
         unique_calls.clear()
         assert_mul_matches_oracle(x, y)
         assert not unique_calls
+    # fewer pairs sort their keys, however dense the box
+    unique_calls.clear()
+    assert_mul_matches_oracle(TorusMap.constant(random_coeffs(1, rng)[0], d), b)
+    assert unique_calls
     assert_add_and_realified_unchanged(a, b)
 
 
@@ -328,7 +341,8 @@ def test_mul_matches_dict_oracle_sparse_diagonal(d, lattice, unique_calls):
 def test_mul_several_passes_matches_dict_oracle(support, monkeypatch, unique_calls):
     rng = np.random.default_rng(300)
     if support == "box":
-        d, h1, h2 = 1, diamond(1, 20), diamond(1, 15)
+        # 133 x 31 pairs, at least SKIP_PAIRS
+        d, h1, h2 = 1, diamond(1, 66), diamond(1, 15)
     else:
         d, h1, h2 = 2, diagonal(2, 40, 500, 2, rng), diagonal(2, 30, 0, 2, rng)
     a = TorusMap(d, h1, random_coeffs(len(h1), rng))
@@ -343,6 +357,66 @@ def test_mul_several_passes_matches_dict_oracle(support, monkeypatch, unique_cal
         assert bool(unique_calls) == (support == "sort")
         np.testing.assert_allclose(prod.coeffs, single.coeffs, rtol=0, atol=1e-13)
         assert np.array_equal(prod.half_k, single.half_k)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("lattice", ["integer", "half"])
+def test_mul_small_products_sort_their_keys(d, lattice, monkeypatch, unique_calls):
+    # below SKIP_PAIRS pairs the output index comes from np.unique on the
+    # packed keys, even where the box is dense; the box gives the same bits
+    rng = np.random.default_rng(150 + 10 * d + (lattice == "half"))
+    radius = {1: 12, 2: 5, 3: 3}[d]
+    if lattice == "integer":
+        h1, h2 = diamond(d, radius), diamond(d, radius - 1)
+    else:
+        h1 = diamond(d, radius, shift=np.eye(1, d, dtype=np.int64)[0])
+        h2 = diamond(d, radius - 1, step=1)
+    a = TorusMap(d, h1, random_coeffs(len(h1), rng))
+    b = TorusMap(d, h2, random_coeffs(len(h2), rng))
+    assert a.lattice == lattice
+    assert a.n_modes * b.n_modes < torus_fourier.SKIP_PAIRS
+    assert torus_fourier._box(h1, h2, torus_fourier.BOX_FILL * a.n_modes * b.n_modes)
+    for x, y in ((a, b), (b, a), (a, a)):
+        unique_calls.clear()
+        by_sort = assert_mul_matches_oracle(x, y)
+        assert unique_calls
+        with monkeypatch.context() as m:
+            m.setattr(torus_fourier, "SKIP_PAIRS", 0)
+            unique_calls.clear()
+            by_box = x.mul(y)
+            assert not unique_calls
+        assert_same_bits(by_sort, by_box)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_mul_raises_when_an_index_of_the_product_does_not_pack(d):
+    # key(h1) + key(h2) - key(0) is the key of h1 + h2 only while every
+    # entry of h1 + h2 packs; past that the sum would carry into the next
+    # entry, or wrap, and name a wrong mode
+    base = torus_fourier._pack_base(d)[1]
+    for i in range(d):
+        for sign in (1, -1):
+            # the square of h packs when |2 h_i| < base
+            for h, packs in ((base - 2, False), (base // 2, False), (base // 2 - 1, True)):
+                hk = np.zeros((2, d), dtype=np.int64)
+                hk[0, i] = sign * h
+                F = TorusMap(d, hk, [np.eye(2), np.eye(2)])
+                if packs:
+                    assert modes_of(F.mul(F)).keys() == {
+                        tuple(k) for k in (2 * hk[0], hk[0], np.zeros(d, dtype=np.int64))}
+                    continue
+                with pytest.raises(KamFailure, match="packable"):
+                    F.mul(F)
+                with pytest.raises(KamFailure, match="packable"):
+                    TorusMap(d, 2 * hk, [np.eye(2), np.eye(2)])
+    # the extremes are summed per dimension: far indices of opposite signs,
+    # or in different dimensions, give a product that packs
+    far = (base - 1) * np.eye(d, dtype=np.int64)
+    for h1, h2 in ((far[0], -far[0]), (far[0], far[-1])):
+        if np.array_equal(h1, h2):
+            continue
+        a, b = single_mode(h1, np.eye(2)), single_mode(h2, np.eye(2))
+        assert modes_of(a.mul(b)).keys() == {tuple(h1 + h2)}
 
 
 def decaying_map(d, radius, decay, rng):
@@ -425,6 +499,97 @@ def test_mul_skip_keeps_every_pair_with_a_constant_block(monkeypatch):
         assert fast.n_modes < exact.n_modes
         for k in b.half_k:
             assert fast.coeff(k).tobytes() == exact.coeff(k).tobytes()
+
+
+# -- the operations that keep or merge supports, against the constructor -----------
+
+def signed_zero_coeffs(n, rng):
+    """Random blocks with some entries, real or imaginary parts, +0.0 or -0.0."""
+    parts = rng.standard_normal((2, n, 2, 2))
+    parts[rng.random(parts.shape) < 0.3] = 0.0
+    parts[rng.random(parts.shape) < 0.3] = -0.0
+    return parts[0] + 1j * parts[1] if rng.random() < 0.5 else _complex(*parts)
+
+
+def _complex(re, im):
+    # re + 1j * im would turn a -0.0 real part into +0.0
+    out = np.empty(re.shape, dtype=complex)
+    out.real, out.imag = re, im
+    return out
+
+
+def canonical_map(d, lattice, n, rng, span=3, offset=0):
+    """A map on n random indices (with repeats, summed) of entries in
+    [-span, span] + offset, doubled on the integer lattice; reality at random."""
+    hk = rng.integers(-span, span + 1, size=(n, d)) + offset
+    hk = 2 * hk if lattice == "integer" else hk
+    return TorusMap(d, hk, signed_zero_coeffs(n, rng), reality=bool(rng.random() < 0.5))
+
+
+def assert_same_map(F, G):
+    assert F.reality == G.reality
+    assert F._keys.tobytes() == G._keys.tobytes()
+    assert_same_bits(F, G)
+
+
+def operand_pairs(d, lattice, rng):
+    a = canonical_map(d, lattice, 12, rng)
+    yield a, canonical_map(d, lattice, 12, rng)  # overlapping
+    yield a, canonical_map(d, lattice, 5, rng, span=1, offset=10)  # disjoint, after
+    yield a, canonical_map(d, lattice, 5, rng, span=1, offset=-10)  # disjoint, before
+    odd = canonical_map(d, "half", 12, rng) if lattice == "half" else None
+    if odd is not None and odd.lattice == "half":
+        yield a, odd
+    yield a, TorusMap(d, a.half_k, signed_zero_coeffs(a.n_modes, rng))  # same support
+    yield a, a.scale(-1.0)  # everything cancels
+    flip = a.coeffs.copy()
+    flip[::2] *= -1.0
+    yield a, TorusMap(d, a.half_k, flip, reality=a.reality)  # every other block cancels
+    yield a, TorusMap.zero(d)
+    yield TorusMap.zero(d), TorusMap.zero(d)
+    for n in (1, 2, 3):  # few modes, all below, at or above the zero index
+        for offset in (-2, 0, 2):
+            yield canonical_map(d, lattice, n, rng, span=1, offset=offset), a
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("lattice", ["integer", "half"])
+def test_support_operations_match_the_constructor_bit_for_bit(d, lattice):
+    # add merges the canonical keys, scale, dir_derivative and realified keep
+    # or mirror them; each must give the constructor's keys and bits, signed
+    # zeros included
+    rng = np.random.default_rng(500 + 10 * d + (lattice == "half"))
+    omega = np.array([1.0, (1 + 5 ** 0.5) / 2, math.e])[:d]
+    for _ in range(10):
+        for a, b in operand_pairs(d, lattice, rng):
+            assert_same_map(a.add(b), add_by_constructor(a, b))
+            assert_same_map(b.add(a), add_by_constructor(b, a))
+            assert_same_map(a - b, add_by_constructor(a, scale_by_constructor(b, -1.0)))
+            for F in (a, b, a.add(b)):
+                assert_same_map(F.realified(), realified_by_constructor(F))
+                assert_same_map(F.dir_derivative(omega), dir_derivative_by_constructor(F, omega))
+                for c in (-1.0, 0.5, 1j, 0.0, 2.0 ** -1074, 1e-300):
+                    assert_same_map(F.scale(c), scale_by_constructor(F, c))
+
+
+def test_support_operations_at_the_packing_limit():
+    # at d = 1 the keys span all of int64: the mirror key 2 key(0) - key
+    # must not be formed as 2 key(0)
+    base = torus_fourier._pack_base(1)[1]
+    rng = np.random.default_rng(510)
+    a = TorusMap(1, [[-(base - 1)], [-3], [0], [base - 1]], signed_zero_coeffs(4, rng))
+    b = TorusMap(1, [[-(base - 1)], [5], [base - 2]], signed_zero_coeffs(3, rng))
+    for F in (a, b, a.add(b), TorusMap(1, [[-(base - 1)]], signed_zero_coeffs(1, rng))):
+        assert_same_map(F.realified(), realified_by_constructor(F))
+        assert is_real(F.realified(), tol=0.0)
+    assert_same_map(a.add(b), add_by_constructor(a, b))
+
+
+def test_scale_to_non_finite_raises():
+    F = TorusMap(2, [[0, 0], [2, 0]], [np.eye(2), 1e10 * np.eye(2)])
+    for op in (lambda G: G.scale(1e300), lambda G: scale_by_constructor(G, 1e300)):
+        with np.errstate(over="ignore"), pytest.raises(KamFailure, match="non-finite"):
+            op(F)
 
 
 def test_mul_prunes_cancelled_modes():
