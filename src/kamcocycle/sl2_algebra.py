@@ -100,7 +100,7 @@ def spectral_projectors(A, alpha: complex) -> tuple[np.ndarray, np.ndarray]:
 
 def resonance_shift(m, omega) -> float:
     """pi <m, omega>: the resonance rotation at m moves alpha by -i times this."""
-    return math.pi * float(np.dot(m, omega))
+    return math.pi * float(pairing(m, omega))
 
 
 def shifted_alpha(alpha: complex, m, omega) -> complex:

@@ -228,14 +228,6 @@ class TorusMap:
     def modulus(self) -> np.ndarray:
         return np.abs(self.half_k).sum(axis=1) / 2.0
 
-    def coeff(self, half_k) -> np.ndarray:
-        hk = np.asarray(half_k, dtype=np.int64).reshape(1, -1)
-        key = _pack(hk)[0]
-        i = np.searchsorted(self._keys, key)
-        if i < self.n_modes and self._keys[i] == key:
-            return self.coeffs[i].copy()
-        return np.zeros((2, 2), dtype=np.complex128)
-
     # -- norm, truncation, capping ----------------------------------------
 
     def _weights(self, r: float) -> np.ndarray:

@@ -10,6 +10,7 @@ import time
 
 import numpy as np
 import pytest
+from oracles import coeff
 
 from kamcocycle.arithmetics import (
     ExpPowFn,
@@ -125,7 +126,7 @@ def test_criterion_2_homological_residual():
         from kamcocycle.kam_step import solve_homological
         X = solve_homological(A, F, N, GOLDEN, 1.0, G2, G2, a_prime, r_prime)
         cA = TorusMap.constant(A, 2)
-        F0 = TorusMap.constant(F.coeff((0, 0)), 2)
+        F0 = TorusMap.constant(coeff(F, (0, 0)), 2)
         rhs = (F.truncate(N) - F0).scale(a_prime)
         resid = X.dir_derivative(GOLDEN) - (cA.mul(X) - X.mul(cA)) - rhs
         assert resid.weighted_norm(r_prime) <= 1e-12 * F.weighted_norm(r_prime)

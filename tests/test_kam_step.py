@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from oracles import is_real, max_imag_on_grid
+from oracles import coeff, is_real, max_imag_on_grid
 
 from kamcocycle import kam_step, sl2_algebra
 from kamcocycle.arithmetics import PowerFn, check_nr_alpha, l1_ball
@@ -19,7 +19,7 @@ from kamcocycle.kam_step import (
     step_resonant,
 )
 from kamcocycle.sl2_algebra import BoundViolation, DefectiveConstantPart, eigen, shifted_alpha
-from kamcocycle.torus_fourier import TorusMap
+from kamcocycle.torus_fourier import TorusMap, exp_series_tail
 
 GOLDEN = np.array([1.0, 0.5 * (1.0 + np.sqrt(5.0))])
 G2 = PowerFn(2.0)
@@ -168,7 +168,7 @@ def test_homological_single_mode_zero_A():
     a_prime = 0.9
     X = solve_homological(np.zeros((2, 2)), F, 3, GOLDEN, 1.0, G2, G2, a_prime, 0.2)
     expected = a_prime * M / (2j * math.pi * GOLDEN[0])
-    np.testing.assert_allclose(X.coeff(hk), expected, atol=1e-20)
+    np.testing.assert_allclose(coeff(X, hk), expected, atol=1e-20)
 
 
 def test_homological_bound_violation_on_inflated_kappa():
@@ -198,7 +198,7 @@ def test_homological_residual_random_instances():
         r_prime = rng.uniform(0.05, 0.3)
         X = solve_homological(A, F, N, GOLDEN, 1.0, G2, G2, a_prime, r_prime)
         cA = TorusMap.constant(A, 2)
-        F0 = TorusMap.constant(F.coeff((0, 0)), 2)
+        F0 = TorusMap.constant(coeff(F, (0, 0)), 2)
         rhs = (F.truncate(N) - F0).scale(a_prime)
         resid = X.dir_derivative(GOLDEN) - (cA.mul(X) - X.mul(cA)) - rhs
         assert resid.weighted_norm(r_prime) <= 1e-12 * F.weighted_norm(r_prime)
@@ -227,7 +227,7 @@ def test_step_nonresonant_constant_perturbation():
     a_prime = 1.0 - 1.0 / 200.0
     out = nonresonant_step(A, F, 0.5, 0.3, 5, a_prime)
     np.testing.assert_allclose(out.A_next, A + a_prime * eps * M, rtol=1e-12)
-    np.testing.assert_allclose(out.F_next.coeff((0, 0)), (1 - a_prime) * eps * M,
+    np.testing.assert_allclose(coeff(out.F_next, (0, 0)), (1 - a_prime) * eps * M,
                                rtol=1e-10)
     assert out.contraction_observed == pytest.approx(1 - a_prime, rel=1e-9)
     # a constant F leaves nothing for X to solve
@@ -378,49 +378,102 @@ def test_phi_norm_within_recorded_bound():
     assert Phi_inv.weighted_norm(r_prime) <= bound * (1 + 1e-12)
 
 
-def test_f_next_matches_series_expansion():
+def _conjugated(step):
+    """step(), with the (A, F, N, a', r') that its _conjugate received and
+    the F' that it returned."""
+    seen = []
+    real = kam_step._conjugate
+
+    def spy(A, F, N, a_prime, r_prime, schedule, omega):
+        out = real(A, F, N, a_prime, r_prime, schedule, omega)
+        seen.append(((A, F, N, a_prime, r_prime), out[1]))
+        return out
+
+    kam_step._conjugate = spy
+    try:
+        step()
+    finally:
+        kam_step._conjugate = real
+    [(args, F_next)] = seen
+    return args, F_next
+
+
+def _series_remainder(A, F, N, a_prime, r_prime):
     # independent route: the remainder can also be written as
     #   e^{-X}(F - a' F^N) + e^{-X} F (e^X - I) + a'(e^{-X} - I) F^(0)
     #   - e^{-X} sum_{k>=2} (1/k!) sum_{l<k} X^l (a' F^N - a' F^(0)) X^{k-1-l}
-    # which must agree with the identity-based construction up to the
-    # exponential tails
-    from kamcocycle.torus_fourier import exp_series_tail
+    X = solve_homological(A, F, N, GOLDEN, 1.0, G2, G2, a_prime, r_prime)
+    P, Q, _ = exp_series_tail(X, r_prime)
+    I = TorusMap.identity(2)
+    eXm = I + Q
+    FN = F.truncate(N)
+    F0 = TorusMap.constant(coeff(F, (0, 0)), 2)
+    R = (FN - F0).scale(a_prime)
+    s1 = eXm.mul(F - FN.scale(a_prime))
+    s2 = eXm.mul(F.mul(P))
+    s3 = Q.mul(F0.scale(a_prime))
+    # powers of X for the double sum
+    K = 6
+    powers = [I]
+    for _ in range(K):
+        powers.append(powers[-1].mul(X))
+    s4 = TorusMap.zero(2)
+    for k in range(2, K + 1):
+        inner = TorusMap.zero(2)
+        for l in range(k):
+            inner = inner + powers[l].mul(R).mul(powers[k - 1 - l])
+        s4 = s4 + inner.scale(1.0 / math.factorial(k))
+    return s1 + s2 + s3 - eXm.mul(s4)
+
+
+def test_f_next_matches_series_expansion():
+    # F' from the conjugation identity must agree with the series route up
+    # to the exponential tails and the rounding of terms of the size of the
+    # conjugated F, on non-resonant steps and on the resonant step, where
+    # |X| is largest against F'.  Both routes agree within one unit of
+    # rounding here; a dropped term of Q (F + A P + F P - d_omega P) moves
+    # F' by hundreds
+    def check(step):
+        args, F_next = _conjugated(step)
+        F, r_prime = args[1], args[4]
+        diff = (_series_remainder(*args) - F_next).weighted_norm(r_prime)
+        assert diff <= 16 * 2.0 ** -52 * F.weighted_norm(r_prime), diff
 
     rng = np.random.default_rng(909)
     for trial in range(10):
-        beta = rng.uniform(0.4, 2.0)
-        A = rotation_like(beta)
+        A = rotation_like(rng.uniform(0.4, 2.0))
         F = small_real_map(eps=10 ** rng.uniform(-11, -9.5), seed=100 + trial,
                            modes=((2, 0), (0, 2), (2, 2)))
-        r, r_prime, N = 0.5, 0.33, 5
-        a_prime = 1.0 - 1.0 / 200.0
-        out = nonresonant_step(A, F, r, r_prime, N, a_prime)
+        check(lambda: nonresonant_step(A, F, 0.5, 0.33, 5))
+    A = rotation_like(math.pi * GOLDEN[0] + 1e-3)
+    F = small_real_map(eps=1e-12, seed=11, modes=((2, 0), (0, 2)))
+    check(lambda: resonant_step(A, F))
 
-        from kamcocycle.kam_step import solve_homological
-        X = solve_homological(A, F, N, GOLDEN, 1.0, G2, G2, a_prime, r_prime)
-        P, Q, _ = exp_series_tail(X, r_prime)
-        I = TorusMap.identity(2)
-        eXm = I + Q
-        FN = F.truncate(N)
-        F0 = TorusMap.constant(F.coeff((0, 0)), 2)
-        R = (FN - F0).scale(a_prime)
-        s1 = eXm.mul(F - FN.scale(a_prime))
-        s2 = eXm.mul(F.mul(P))
-        s3 = Q.mul(F0.scale(a_prime))
-        # powers of X for the double sum
-        K = 6
-        powers = [I]
-        for _ in range(K):
-            powers.append(powers[-1].mul(X))
-        s4 = TorusMap.zero(2)
-        for k in range(2, K + 1):
-            inner = TorusMap.zero(2)
-            for l in range(k):
-                inner = inner + powers[l].mul(R).mul(powers[k - 1 - l])
-            s4 = s4 + inner.scale(1.0 / math.factorial(k))
-        series = s1 + s2 + s3 - eXm.mul(s4)
-        diff = (series - out.F_next).weighted_norm(r_prime)
-        assert diff <= 1e-10 * F.weighted_norm(r), (trial, diff)
+
+def test_conjugate_makes_one_product_per_left_operand(monkeypatch):
+    # F' takes A P, F P, Q A and Q (F + A P + F P - d_omega P): four
+    # convolutions besides those of the exponential series
+    products, in_exp = [], []
+    mul = TorusMap.mul
+
+    def counted(self, other, r=None):
+        if not in_exp:
+            products.append(None)
+        return mul(self, other, r)
+
+    def exp_tail(X, r):
+        in_exp.append(None)
+        try:
+            return exp_series_tail(X, r)
+        finally:
+            in_exp.pop()
+
+    monkeypatch.setattr(TorusMap, "mul", counted)
+    monkeypatch.setattr(kam_step, "exp_series_tail", exp_tail)
+    a_prime = 1.0 - 1.0 / 200
+    kam_step._conjugate(rotation_like(0.77), small_real_map(eps=1e-9, seed=5), 5,
+                        a_prime, 0.33, schedule_of(a_prime), GOLDEN)
+    assert len(products) == 4
 
 
 def test_conjugation_identity_finite_difference_oracle():
